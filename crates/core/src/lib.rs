@@ -27,7 +27,6 @@
 //! | [`metrics`] | `millstream-metrics` | latency histograms, idle-time integration |
 //! | [`sim`] | `millstream-sim` | discrete-event driver, workloads, the §6 experiments |
 //! | [`query`] | `millstream-query` | the continuous-query language (lexer/parser/planner) |
-//! | [`rt`] | `millstream-rt` | the real-time, thread-per-operator engine |
 //!
 //! ## Quick start
 //!
@@ -63,7 +62,6 @@ pub use millstream_exec as exec;
 pub use millstream_metrics as metrics;
 pub use millstream_ops as ops;
 pub use millstream_query as query;
-pub use millstream_rt as rt;
 pub use millstream_sim as sim;
 pub use millstream_types as types;
 
@@ -82,8 +80,8 @@ pub mod prelude {
     };
     pub use millstream_sim::{
         run_disorder_experiment, run_join_experiment, run_union_experiment, ArrivalProcess,
-        DisorderExperiment, JoinExperiment, ParallelSimulation, PayloadGen, Simulation, Strategy,
-        StreamSpec, UnionExperiment,
+        DisorderExperiment, JoinExperiment, PayloadGen, Simulation, Strategy, StreamSpec,
+        UnionExperiment,
     };
     pub use millstream_types::{
         DataType, Error, Expr, Field, Result, Schema, TimeDelta, Timestamp, TimestampKind, Tuple,

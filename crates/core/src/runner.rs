@@ -8,8 +8,8 @@
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CostModel, EtsPolicy, Executor, OpProfile, ParallelConfig, ParallelExecutor, ShardedConfig,
-    ShardedExecutor, SourceId, VirtualClock,
+    CostModel, Engine, EtsPolicy, Executor, OpProfile, ParallelConfig, ParallelExecutor,
+    ShardedConfig, ShardedExecutor, VirtualClock,
 };
 use millstream_ops::{SinkCollector, VecCollector};
 use millstream_query::{plan_program, plan_query, shard_keys, Catalog, PlannedSource};
@@ -43,27 +43,16 @@ impl SinkCollector for SharedVec {
 /// assert!(out[0].ts < out[1].ts);
 /// ```
 pub struct QueryRunner {
-    engine: Engine,
+    engine: Box<dyn Engine>,
+    /// Worker threads in use, exchange shards in use and the plan DOT,
+    /// captured at construction: the engine is only driven from here on.
+    workers: usize,
+    shards: usize,
+    plan_dot: String,
     sources: Vec<PlannedSource>,
     output: SharedVec,
     output_schema: Schema,
     drained: usize,
-}
-
-/// The execution backend behind a [`QueryRunner`].
-enum Engine {
-    /// The single-threaded depth-first NOS executor.
-    Serial(Box<Executor>),
-    /// One worker thread per query-graph component (`msq --workers N`).
-    /// The plan DOT is rendered before partitioning (the whole graph).
-    Parallel {
-        pex: Box<ParallelExecutor>,
-        plan_dot: String,
-    },
-    /// One component key-partitioned across N shard workers behind an
-    /// exchange edge, with frontier summaries driving the order-restoring
-    /// merge (`msq --shards N`).
-    Sharded(Box<ShardedExecutor>),
 }
 
 impl QueryRunner {
@@ -104,8 +93,9 @@ impl QueryRunner {
     /// Compiles `program` onto the sharded intra-component backend: the
     /// planner derives per-source partition keys
     /// ([`millstream_query::shard_keys`]) and the plan is replicated once
-    /// per shard behind a key-partitioned exchange edge. Queries the
-    /// analysis deems unshardable (window cross products, bare
+    /// per shard behind a key-partitioned exchange edge, with frontier
+    /// summaries driving the order-restoring merge (`msq --shards N`).
+    /// Queries the analysis deems unshardable (window cross products, bare
     /// aggregates, conflicting keys, latent streams) and multi-component
     /// plans fall back to the serial executor — check
     /// [`QueryRunner::shards`] to see which backend actually runs.
@@ -139,7 +129,10 @@ impl QueryRunner {
             ShardedConfig::new(CostModel::free(), EtsPolicy::None, shards).with_keys(keys),
         )?;
         Ok(QueryRunner {
-            engine: Engine::Sharded(Box::new(sx)),
+            workers: sx.num_shards(),
+            shards: sx.num_shards(),
+            plan_dot: sx.plan_dot().to_string(),
+            engine: Box::new(sx),
             sources: probe.sources,
             output,
             output_schema: probe.output_schema,
@@ -147,21 +140,25 @@ impl QueryRunner {
         })
     }
 
-    /// Compiles `program` onto the single-threaded executor.
+    /// Compiles `program` onto the single-threaded depth-first NOS
+    /// executor.
     pub fn new_serial(program: &str) -> Result<QueryRunner> {
         let output = SharedVec::default();
         let planned = plan_program(program, output.clone())?;
-        let clock = VirtualClock::shared();
+        let plan_dot = planned.graph.to_dot();
         let executor = Executor::new(
             planned.graph,
-            clock,
+            VirtualClock::shared(),
             CostModel::free(),
             // Explicit timestamps are application time; ETS, if wanted,
             // comes from `flush` rather than the wall clock.
             EtsPolicy::None,
         );
         Ok(QueryRunner {
-            engine: Engine::Serial(Box::new(executor)),
+            engine: Box::new(executor),
+            workers: 1,
+            shards: 1,
+            plan_dot,
             sources: planned.sources,
             output,
             output_schema: planned.output_schema,
@@ -170,17 +167,22 @@ impl QueryRunner {
     }
 
     /// Compiles `program` onto the parallel per-component backend with up
-    /// to `workers` threads (components are multiplexed when fewer).
+    /// to `workers` threads (components are multiplexed when fewer;
+    /// `msq --workers N`).
     pub fn new_parallel(program: &str, workers: usize) -> Result<QueryRunner> {
         let output = SharedVec::default();
         let planned = plan_program(program, output.clone())?;
+        // Rendered before partitioning: the whole graph.
         let plan_dot = planned.graph.to_dot();
-        let pex = Box::new(ParallelExecutor::new(
+        let pex = ParallelExecutor::new(
             planned.graph,
             ParallelConfig::new(CostModel::free(), EtsPolicy::None, workers),
-        ));
+        );
         Ok(QueryRunner {
-            engine: Engine::Parallel { pex, plan_dot },
+            workers: pex.num_workers(),
+            shards: 1,
+            plan_dot,
+            engine: Box::new(pex),
             sources: planned.sources,
             output,
             output_schema: planned.output_schema,
@@ -190,20 +192,13 @@ impl QueryRunner {
 
     /// Worker threads in use (1 means the serial backend).
     pub fn workers(&self) -> usize {
-        match &self.engine {
-            Engine::Serial(_) => 1,
-            Engine::Parallel { pex, .. } => pex.num_workers(),
-            Engine::Sharded(sx) => sx.num_shards(),
-        }
+        self.workers
     }
 
     /// Exchange shards in use: >1 only on the sharded backend (so 1 after
     /// an unshardable-query fallback).
     pub fn shards(&self) -> usize {
-        match &self.engine {
-            Engine::Sharded(sx) => sx.num_shards(),
-            _ => 1,
-        }
+        self.shards
     }
 
     /// The schema of the delivered stream.
@@ -213,21 +208,13 @@ impl QueryRunner {
 
     /// Renders the compiled plan as Graphviz DOT.
     pub fn plan_dot(&self) -> String {
-        match &self.engine {
-            Engine::Serial(e) => e.graph().to_dot(),
-            Engine::Parallel { plan_dot, .. } => plan_dot.clone(),
-            Engine::Sharded(sx) => sx.plan_dot().to_string(),
-        }
+        self.plan_dot.clone()
     }
 
     /// Per-operator execution profile so far (steps, tuples, virtual
     /// time), in plan order regardless of backend.
     pub fn profile(&self) -> Vec<OpProfile> {
-        match &self.engine {
-            Engine::Serial(e) => e.profile().to_vec(),
-            Engine::Parallel { pex, .. } => pex.snapshot().map(|s| s.profile).unwrap_or_default(),
-            Engine::Sharded(sx) => sx.snapshot().map(|s| s.profile).unwrap_or_default(),
-        }
+        self.engine.profile().unwrap_or_default()
     }
 
     /// The names of the input streams, in planning order.
@@ -235,43 +222,22 @@ impl QueryRunner {
         self.sources.iter().map(|s| s.stream.as_str()).collect()
     }
 
-    fn source_id(&self, stream: &str) -> Result<SourceId> {
-        self.sources
-            .iter()
-            .find(|s| s.stream == stream)
-            .map(|s| s.id)
-            .ok_or_else(|| Error::plan(format!("query has no stream `{stream}`")))
-    }
-
     /// Pushes one tuple with an explicit timestamp (microseconds), then
     /// runs the executor until quiescent. Errors (schema mismatch,
-    /// out-of-order timestamps) are reported from this call on both
-    /// backends: the parallel ingest is fire-and-forget, but `run`'s
-    /// quiescence barrier surfaces any error it caused.
+    /// out-of-order timestamps) are reported from this call on every
+    /// backend: the threaded backends' ingest is fire-and-forget, but
+    /// `run`'s quiescence barrier surfaces any error it caused.
     pub fn push(&mut self, stream: &str, ts_micros: u64, values: Vec<Value>) -> Result<()> {
-        let id = self.source_id(stream)?;
-        let schema = &self
+        let source = self
             .sources
             .iter()
-            .find(|s| s.id == id)
-            .expect("id from sources")
-            .schema;
-        schema.check_row(&values)?;
+            .find(|s| s.stream == stream)
+            .ok_or_else(|| Error::plan(format!("query has no stream `{stream}`")))?;
+        source.schema.check_row(&values)?;
+        let id = source.id;
         let ts = Timestamp::from_micros(ts_micros);
-        match &mut self.engine {
-            Engine::Serial(e) => {
-                e.clock().advance_to(ts);
-                e.ingest(id, Tuple::data(ts, values))?;
-            }
-            Engine::Parallel { pex, .. } => {
-                pex.advance_to(ts)?;
-                pex.ingest(id, Tuple::data(ts, values))?;
-            }
-            Engine::Sharded(sx) => {
-                sx.advance_to(ts)?;
-                sx.ingest(id, Tuple::data(ts, values))?;
-            }
-        }
+        self.engine.advance_to(ts)?;
+        self.engine.ingest(id, Tuple::data(ts, values))?;
         self.run()
     }
 
@@ -280,25 +246,9 @@ impl QueryRunner {
     /// equivalent of an ETS round.
     pub fn advance_time(&mut self, ts_micros: u64) -> Result<()> {
         let ts = Timestamp::from_micros(ts_micros);
-        match &mut self.engine {
-            Engine::Serial(e) => {
-                e.clock().advance_to(ts);
-                for s in self.sources.clone() {
-                    e.ingest_heartbeat(s.id, ts)?;
-                }
-            }
-            Engine::Parallel { pex, .. } => {
-                pex.advance_to(ts)?;
-                for s in self.sources.clone() {
-                    pex.ingest_heartbeat(s.id, ts)?;
-                }
-            }
-            Engine::Sharded(sx) => {
-                sx.advance_to(ts)?;
-                for s in self.sources.clone() {
-                    sx.ingest_heartbeat(s.id, ts)?;
-                }
-            }
+        self.engine.advance_to(ts)?;
+        for s in &self.sources {
+            self.engine.ingest_heartbeat(s.id, ts)?;
         }
         self.run()
     }
@@ -307,17 +257,7 @@ impl QueryRunner {
     pub fn run(&mut self) -> Result<()> {
         // The step budget only guards against runaway loops; real programs
         // finish long before.
-        match &mut self.engine {
-            Engine::Serial(e) => {
-                e.run_until_quiescent(10_000_000)?;
-            }
-            Engine::Parallel { pex, .. } => {
-                pex.run_until_quiescent(10_000_000)?;
-            }
-            Engine::Sharded(sx) => {
-                sx.run_until_quiescent(10_000_000)?;
-            }
-        }
+        self.engine.run_until_quiescent(10_000_000)?;
         Ok(())
     }
 
@@ -337,12 +277,8 @@ impl QueryRunner {
     /// tuple (including final aggregate windows), and returns the complete
     /// output.
     pub fn finish(mut self) -> Result<Vec<Tuple>> {
-        for s in self.sources.clone() {
-            match &mut self.engine {
-                Engine::Serial(e) => e.close_source(s.id)?,
-                Engine::Parallel { pex, .. } => pex.close_source(s.id)?,
-                Engine::Sharded(sx) => sx.close_source(s.id)?,
-            }
+        for s in &self.sources {
+            self.engine.close_source(s.id)?;
         }
         self.run()?;
         self.drained = 0;

@@ -988,13 +988,7 @@ impl Executor {
                     if !source.ets_budget_used {
                         if let Some(ts) = self.policy.ets_for(source, now) {
                             source.ets_budget_used = true;
-                            source.ets_generated += 1;
-                            source.ets_high_water = Some(ts);
-                            self.graph.buffers[buffer.0]
-                                .borrow_mut()
-                                .push(Tuple::punctuation(ts))?;
-                            self.clock.advance(self.cost.ets_generation);
-                            self.stats.ets_generated += 1;
+                            self.emit_ets(sid, ts)?;
                             return Ok(Activity::EtsGenerated { source: sid, ts });
                         }
                     }
@@ -1002,6 +996,23 @@ impl Executor {
             }
         }
         Ok(Activity::Quiescent)
+    }
+
+    /// Emits the on-demand ETS `ts` at source `sid`: bumps the source's
+    /// counter and ETS high-water, pushes the punctuation into its buffer
+    /// and charges the generation cost. Whether one may be generated (the
+    /// policy's value, the per-epoch budget) is the caller's decision.
+    #[inline]
+    fn emit_ets(&mut self, sid: SourceId, ts: Timestamp) -> Result<()> {
+        let source = &mut self.graph.sources[sid.0];
+        source.ets_generated += 1;
+        source.ets_high_water = Some(ts);
+        self.graph.buffers[source.buffer.0]
+            .borrow_mut()
+            .push(Tuple::punctuation(ts))?;
+        self.clock.advance(self.cost.ets_generation);
+        self.stats.ets_generated += 1;
+        Ok(())
     }
 
     /// Generates an on-demand ETS for every open, empty-buffer source
@@ -1026,15 +1037,8 @@ impl Executor {
             if !self.graph.buffers[buffer.0].borrow().is_empty() {
                 continue;
             }
-            let source = &mut self.graph.sources[i];
-            if let Some(ts) = self.policy.ets_for(source, now) {
-                source.ets_generated += 1;
-                source.ets_high_water = Some(ts);
-                self.graph.buffers[buffer.0]
-                    .borrow_mut()
-                    .push(Tuple::punctuation(ts))?;
-                self.clock.advance(self.cost.ets_generation);
-                self.stats.ets_generated += 1;
+            if let Some(ts) = self.policy.ets_for(&self.graph.sources[i], now) {
+                self.emit_ets(SourceId(i), ts)?;
                 generated += 1;
             }
         }
@@ -1222,13 +1226,7 @@ impl Executor {
                     if !source.ets_budget_used {
                         if let Some(ts) = self.policy.ets_for(source, now) {
                             source.ets_budget_used = true;
-                            source.ets_generated += 1;
-                            source.ets_high_water = Some(ts);
-                            self.graph.buffers[buffer.0]
-                                .borrow_mut()
-                                .push(Tuple::punctuation(ts))?;
-                            self.clock.advance(self.cost.ets_generation);
-                            self.stats.ets_generated += 1;
+                            self.emit_ets(sid, ts)?;
                             self.current = Some(consumer);
                             return Ok(Activity::EtsGenerated { source: sid, ts });
                         }

@@ -9,6 +9,9 @@
 //!   Forward/Encore/Backtrack *Next Operator Selection* rules (§3.1–3.2),
 //!   per-step virtual-CPU costing, and **on-demand Enabling Time-Stamp
 //!   generation inside the backtrack mechanism** (§4–5);
+//! * [`Engine`] — the one driving surface (advance, ingest, heartbeat,
+//!   close, run to quiescence) over the serial, per-component parallel
+//!   and key-sharded backends;
 //! * [`EtsPolicy`] — the §5 generation rules (internal clock, external
 //!   skew-bound `t + τ − δ`);
 //! * [`VirtualClock`] / [`CostModel`] — the deterministic timeline the
@@ -18,6 +21,7 @@
 #![warn(rust_2018_idioms)]
 
 mod clock;
+mod engine;
 mod exchange;
 mod executor;
 mod graph;
@@ -25,6 +29,7 @@ mod parallel;
 mod strategy;
 
 pub use clock::{CostModel, VirtualClock};
+pub use engine::Engine;
 pub use exchange::{ShardOutput, ShardedConfig, ShardedExecutor, ShardedSnapshot, MAX_SHARDS};
 pub use executor::{
     Activity, ExecOptions, ExecStats, Executor, FeedbackConfig, OpProfile, SchedPolicy,

@@ -16,8 +16,7 @@
 //!
 //! ## Cross-thread surface
 //!
-//! Everything crosses on **one FIFO command channel per worker** — the
-//! same serialized-send discipline as `crates/rt`'s pipeline, so a
+//! Everything crosses on **one FIFO command channel per worker**, so a
 //! heartbeat or `advance_to` can never be undercut by a later data tuple
 //! sent on the same worker. Workers mutate state on ingest-class commands
 //! but only *execute* on an explicit [`Cmd::Run`], which preserves the

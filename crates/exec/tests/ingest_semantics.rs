@@ -1,5 +1,6 @@
 //! Differential test: the ingest-path semantics of [`ParallelExecutor`]
-//! must match the serial [`Executor`] exactly — closed-source errors,
+//! must match the serial [`Executor`] exactly (and [`ShardedExecutor`]'s
+//! must match in outcome and delivery) — closed-source errors,
 //! punctuation-misuse errors, stale-heartbeat drops and the
 //! `dropped_stale_heartbeats` counter all have to survive the command
 //! channel and merge correctly into [`ParallelSnapshot`].
@@ -11,8 +12,8 @@
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CostModel, EtsPolicy, ExecStats, Executor, GraphBuilder, Input, ParallelConfig,
-    ParallelExecutor, QueryGraph, SourceId, VirtualClock,
+    CostModel, Engine, EtsPolicy, ExecStats, Executor, GraphBuilder, Input, ParallelConfig,
+    ParallelExecutor, QueryGraph, ShardedConfig, ShardedExecutor, SourceId, VirtualClock,
 };
 use millstream_ops::{Sink, SinkCollector, Union};
 use millstream_types::{DataType, Error, Field, Schema, Timestamp, TimestampKind, Tuple, Value};
@@ -30,9 +31,9 @@ fn schema() -> Schema {
     Schema::new(vec![Field::new("v", DataType::Int)])
 }
 
-/// S1, S2 → ∪ → sink — one component, so serial and parallel host the
-/// same graph shape.
-fn union_graph() -> (QueryGraph, [SourceId; 2], Out) {
+/// S1, S2 → ∪ → sink delivering to `out` — one component, so every
+/// engine hosts the same graph shape.
+fn union_graph_into(out: impl SinkCollector + 'static) -> (QueryGraph, [SourceId; 2]) {
     let mut b = GraphBuilder::new();
     let s1 = b.source("S1", schema(), TimestampKind::Internal);
     let s2 = b.source("S2", schema(), TimestampKind::Internal);
@@ -42,126 +43,77 @@ fn union_graph() -> (QueryGraph, [SourceId; 2], Out) {
             vec![Input::Source(s1), Input::Source(s2)],
         )
         .unwrap();
-    let out = Out::default();
     b.operator(
-        Box::new(Sink::new("sink", schema(), out.clone())),
+        Box::new(Sink::new("sink", schema(), out)),
         vec![Input::Op(u)],
     )
     .unwrap();
-    (b.build().unwrap(), [s1, s2], out)
+    (b.build().unwrap(), [s1, s2])
+}
+
+fn union_graph() -> (QueryGraph, [SourceId; 2], Out) {
+    let out = Out::default();
+    let (graph, ids) = union_graph_into(out.clone());
+    (graph, ids, out)
 }
 
 fn data(ts: u64) -> Tuple {
     Tuple::data(Timestamp::from_micros(ts), vec![Value::Int(ts as i64)])
 }
 
-/// A uniform driver interface over both executors so the same script runs
-/// verbatim against each backend.
-enum Backend {
-    Serial(Box<Executor>),
-    Parallel(Box<ParallelExecutor>),
+/// One script step followed by a run to quiescence, reporting any error
+/// either raises (the threaded engines surface ingest errors from the
+/// barrier).
+fn step(
+    b: &mut dyn Engine,
+    op: impl FnOnce(&mut dyn Engine) -> Result<(), Error>,
+) -> Result<(), String> {
+    op(b)
+        .and_then(|()| b.run_until_quiescent(1_000_000).map(|_| ()))
+        .map_err(|e| e.to_string())
 }
 
-impl Backend {
-    fn serial(graph: QueryGraph) -> Backend {
-        Backend::Serial(Box::new(Executor::new(
-            graph,
-            VirtualClock::shared(),
-            CostModel::free(),
-            EtsPolicy::None,
-        )))
-    }
-
-    fn parallel(graph: QueryGraph) -> Backend {
-        Backend::Parallel(Box::new(ParallelExecutor::new(
-            graph,
-            ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
-        )))
-    }
-
-    /// Ingest + run to quiescence, reporting any error either side raises.
-    fn ingest(&mut self, s: SourceId, t: Tuple) -> Result<(), Error> {
-        match self {
-            Backend::Serial(e) => {
-                e.clock().advance_to(t.ts);
-                e.ingest(s, t)?;
-                e.run_until_quiescent(1_000_000).map(|_| ())
-            }
-            Backend::Parallel(p) => {
-                p.advance_to(t.ts)?;
-                p.ingest(s, t)?;
-                p.run_until_quiescent(1_000_000).map(|_| ())
-            }
-        }
-    }
-
-    fn heartbeat(&mut self, s: SourceId, ts: Timestamp) -> Result<(), Error> {
-        match self {
-            Backend::Serial(e) => {
-                e.ingest_heartbeat(s, ts)?;
-                e.run_until_quiescent(1_000_000).map(|_| ())
-            }
-            Backend::Parallel(p) => {
-                p.ingest_heartbeat(s, ts)?;
-                p.run_until_quiescent(1_000_000).map(|_| ())
-            }
-        }
-    }
-
-    fn close(&mut self, s: SourceId) -> Result<(), Error> {
-        match self {
-            Backend::Serial(e) => {
-                e.close_source(s)?;
-                e.run_until_quiescent(1_000_000).map(|_| ())
-            }
-            Backend::Parallel(p) => {
-                p.close_source(s)?;
-                p.run_until_quiescent(1_000_000).map(|_| ())
-            }
-        }
-    }
-
-    fn stats(&self) -> ExecStats {
-        match self {
-            Backend::Serial(e) => e.stats(),
-            Backend::Parallel(p) => p.snapshot().unwrap().stats,
-        }
-    }
-}
-
-/// Runs the same ingest script against a backend, returning per-step
+/// Runs the same ingest script against an engine, returning per-step
 /// outcomes (Ok/Err with message) plus the final stats and deliveries.
 fn run_script(
-    mut b: Backend,
+    b: &mut dyn Engine,
     [s1, s2]: [SourceId; 2],
     out: &Out,
 ) -> (Vec<Result<(), String>>, ExecStats, Vec<Tuple>) {
-    let mut log = Vec::new();
-    let step = |r: Result<(), Error>| -> Result<(), String> { r.map_err(|e| e.to_string()) };
+    let ingest = |b: &mut dyn Engine, s: SourceId, t: Tuple| {
+        step(b, |b| {
+            b.advance_to(t.ts)?;
+            b.ingest(s, t)
+        })
+    };
+    let heartbeat = |b: &mut dyn Engine, s: SourceId, ts: u64| {
+        step(b, |b| b.ingest_heartbeat(s, Timestamp::from_micros(ts)))
+    };
+    let close = |b: &mut dyn Engine, s: SourceId| step(b, |b| b.close_source(s));
 
-    // Normal data flow.
-    log.push(step(b.ingest(s1, data(10))));
-    log.push(step(b.ingest(s2, data(20))));
-    // Stale heartbeats: below S1's data high-water, then at (== duplicate
-    // of) an already-asserted punctuation mark. Both are silent drops that
-    // must bump the counter.
-    log.push(step(b.heartbeat(s1, Timestamp::from_micros(5))));
-    log.push(step(b.heartbeat(s1, Timestamp::from_micros(30))));
-    log.push(step(b.heartbeat(s1, Timestamp::from_micros(30))));
-    // Punctuation misuse through the data path: a structured error.
-    log.push(step(
-        b.ingest(s2, Tuple::punctuation(Timestamp::from_micros(40))),
-    ));
-    // Close S2, then every further touch of it errors.
-    log.push(step(b.close(s2)));
-    log.push(step(b.ingest(s2, data(50))));
-    log.push(step(b.heartbeat(s2, Timestamp::from_micros(60))));
-    // Closing twice stays idempotent, and S1 still works.
-    log.push(step(b.close(s2)));
-    log.push(step(b.ingest(s1, data(70))));
-    log.push(step(b.close(s1)));
+    let log = vec![
+        // Normal data flow.
+        ingest(b, s1, data(10)),
+        ingest(b, s2, data(20)),
+        // Stale heartbeats: below S1's data high-water, then at (==
+        // duplicate of) an already-asserted punctuation mark. Both are
+        // silent drops that must bump the counter.
+        heartbeat(b, s1, 5),
+        heartbeat(b, s1, 30),
+        heartbeat(b, s1, 30),
+        // Punctuation misuse through the data path: a structured error.
+        ingest(b, s2, Tuple::punctuation(Timestamp::from_micros(40))),
+        // Close S2, then every further touch of it errors.
+        close(b, s2),
+        ingest(b, s2, data(50)),
+        heartbeat(b, s2, 60),
+        // Closing twice stays idempotent, and S1 still works.
+        close(b, s2),
+        ingest(b, s1, data(70)),
+        close(b, s1),
+    ];
 
-    let stats = b.stats();
+    let stats = b.stats().unwrap();
     let delivered = out.0.lock().unwrap().clone();
     (log, stats, delivered)
 }
@@ -170,12 +122,44 @@ fn run_script(
 fn parallel_ingest_semantics_match_serial() {
     let (sg, s_ids, s_out) = union_graph();
     let (pg, p_ids, p_out) = union_graph();
-    let (s_log, s_stats, s_del) = run_script(Backend::serial(sg), s_ids, &s_out);
-    let (p_log, p_stats, p_del) = run_script(Backend::parallel(pg), p_ids, &p_out);
+    let mut serial = Executor::new(
+        sg,
+        VirtualClock::shared(),
+        CostModel::free(),
+        EtsPolicy::None,
+    );
+    let mut parallel = ParallelExecutor::new(
+        pg,
+        ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
+    );
+    let (s_log, s_stats, s_del) = run_script(&mut serial, s_ids, &s_out);
+    let (p_log, p_stats, p_del) = run_script(&mut parallel, p_ids, &p_out);
 
     assert_eq!(s_log, p_log, "identical per-step outcomes (incl. messages)");
     assert_eq!(s_del, p_del, "identical deliveries");
     assert_eq!(s_stats, p_stats, "identical merged stats");
+
+    // The sharded engine runs the same script to the same per-step Ok/Err
+    // outcome and the same deliveries. Message text and counters are not
+    // compared: the exchange router words its own errors and the merge
+    // stage has its own counters.
+    let x_out = Out::default();
+    let mut x_ids = None;
+    let mut sharded = ShardedExecutor::new(
+        |_, shard_out| {
+            let (graph, ids) = union_graph_into(shard_out);
+            x_ids = Some(ids);
+            Ok(graph)
+        },
+        schema(),
+        Box::new(x_out.clone()),
+        ShardedConfig::new(CostModel::free(), EtsPolicy::None, 2),
+    )
+    .unwrap();
+    let (x_log, _, x_del) = run_script(&mut sharded, x_ids.unwrap(), &x_out);
+    let outcomes = |log: &[Result<(), String>]| log.iter().map(Result::is_ok).collect::<Vec<_>>();
+    assert_eq!(outcomes(&s_log), outcomes(&x_log), "sharded: {x_log:?}");
+    assert_eq!(s_del, x_del, "sharded deliveries");
 
     // Spot-check the interesting outcomes are what the serial contract
     // promises (so the differential test cannot vacuously pass on two

@@ -150,6 +150,47 @@ fn idle_timeout_synthesizes_heartbeat_that_unblocks_the_union() {
     );
 }
 
+/// Line A of the paper on the wall clock, on the real server: with no
+/// producer heartbeat and no idle synthesis, a silent peer holds the
+/// union indefinitely; only its end-of-stream releases the held tuples.
+#[test]
+fn no_heartbeat_and_no_idle_synthesis_holds_the_union() {
+    let mut cfg = ServerConfig::new(UNION_PROGRAM);
+    cfg.idle_timeout = None;
+    cfg.read_timeout = Duration::from_millis(10);
+    cfg.check = Some(CheckMode::Strict);
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+
+    let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
+    let silent = client(addr, "b");
+    let mut a = client(addr, "a");
+    for ts in [10u64, 20, 30] {
+        a.send(data(ts)).expect("send");
+    }
+    // Acked = ingested: the stall below is the union's, not the wire's.
+    a.flush().expect("flush");
+    assert!(
+        sub.next(Duration::from_millis(300)).is_err(),
+        "nothing may pass the union while `b` is silent"
+    );
+    assert_eq!(server.stats().synthesized_heartbeats, 0);
+
+    silent.close().expect("close b");
+    let mut got = Vec::new();
+    for _ in 0..3 {
+        let t = sub
+            .next(Duration::from_secs(10))
+            .expect("closing `b` must release the union")
+            .expect("stream still open");
+        assert!(t.is_data());
+        got.push(t.ts.as_micros());
+    }
+    assert_eq!(got, vec![10, 20, 30]);
+    drop(a);
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn late_data_under_synthesized_mark_is_fatal_in_strict_mode() {
     let mut cfg = ServerConfig::new(UNION_PROGRAM);

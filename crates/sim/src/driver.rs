@@ -14,9 +14,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use millstream_exec::{
-    Activity, ExecStats, Executor, NodeId, ParallelConfig, ParallelExecutor, QueryGraph, SourceId,
-};
+use millstream_exec::{Activity, ExecStats, Executor, NodeId, SourceId};
 use millstream_metrics::{LatencyRecorder, RunMetrics};
 use millstream_ops::SinkCollector;
 use millstream_types::{Result, Schema, TimeDelta, Timestamp, TimestampKind, Tuple};
@@ -323,9 +321,7 @@ impl Simulation {
 }
 
 /// Builds the next tuple for `s` arriving nominally at `event_time`, with
-/// `now` as the wrapper's entry clock. Shared by the serial and parallel
-/// drivers so both synthesize identical payload/timestamp sequences from
-/// the same seed.
+/// `now` as the wrapper's entry clock.
 fn synthesize_tuple(
     s: &mut StreamRuntime,
     rng: &mut SmallRng,
@@ -364,310 +360,5 @@ fn synthesize_tuple(
                 Tuple::data_with_entry(app, now, row)
             }
         }
-    }
-}
-
-/// Drives a [`ParallelExecutor`] with the same stochastic event calendar
-/// as [`Simulation`], one arrival epoch at a time.
-///
-/// Where the serial driver interleaves event delivery with *single*
-/// executor steps (modelling one CPU contended by every operator), the
-/// parallel driver has no shared CPU to contend for: each component runs
-/// on its own worker with a private virtual clock. The driver therefore
-/// advances in **epochs** — deliver everything due at the next event time,
-/// then run every component to quiescence in parallel — and stamps
-/// entry/internal timestamps with the nominal event time rather than a
-/// CPU-lagged clock. With the same seed, payload and arrival sequences are
-/// identical to the serial driver's; only the CPU-contention model
-/// differs.
-pub struct ParallelSimulation {
-    pex: ParallelExecutor,
-    events: EventQueue,
-    rng: SmallRng,
-    streams: Vec<StreamRuntime>,
-    collector: SharedLatencyCollector,
-    monitor: Option<NodeId>,
-    end: Timestamp,
-}
-
-impl ParallelSimulation {
-    /// Creates a parallel simulation over a query graph.
-    ///
-    /// The graph is partitioned into connected components and spread over
-    /// at most `config.workers` threads. Arguments mirror
-    /// [`Simulation::new`].
-    pub fn new(
-        graph: QueryGraph,
-        config: ParallelConfig,
-        streams: Vec<(SourceId, StreamSpec)>,
-        collector: SharedLatencyCollector,
-        monitor: Option<NodeId>,
-        seed: u64,
-    ) -> Result<Self> {
-        for (_, spec) in &streams {
-            spec.process.validate()?;
-        }
-        let pex = ParallelExecutor::new(graph, config);
-        if let Some(node) = monitor {
-            pex.monitor_idle(node)?;
-        }
-        Ok(ParallelSimulation {
-            pex,
-            events: EventQueue::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            streams: streams
-                .into_iter()
-                .map(|(source, spec)| StreamRuntime {
-                    spec,
-                    source,
-                    seq: 0,
-                    pending_batch: 1,
-                    last_app_ts: Timestamp::ZERO,
-                    ingested: 0,
-                    heartbeats: 0,
-                })
-                .collect(),
-            collector,
-            monitor,
-            end: Timestamp::ZERO,
-        })
-    }
-
-    /// Access to the parallel executor (e.g. to inspect the partition).
-    pub fn executor(&self) -> &ParallelExecutor {
-        &self.pex
-    }
-
-    /// Runs for `duration` of virtual time and reports the metrics.
-    pub fn run(&mut self, duration: TimeDelta) -> Result<SimReport> {
-        self.end = Timestamp::ZERO + duration;
-        self.schedule_initial(Timestamp::ZERO);
-
-        while let Some(t) = self.events.peek_time() {
-            // Every component clock reaches the epoch time before its
-            // events land, so entry stamps are monotone per source.
-            self.pex.advance_to(t)?;
-            while let Some(event) = self.events.pop_due(t) {
-                self.handle(event)?;
-            }
-            self.pex.run_until_quiescent(u64::MAX)?;
-        }
-        self.pex.finish_idle()?;
-        self.report()
-    }
-
-    fn schedule_initial(&mut self, start: Timestamp) {
-        for (i, s) in self.streams.iter_mut().enumerate() {
-            let (gap, batch) = s.spec.process.next_arrival(&mut self.rng);
-            s.pending_batch = batch;
-            let t = start + gap;
-            if t <= self.end {
-                self.events.push(Event {
-                    time: t,
-                    kind: EventKind::Arrival { stream: i },
-                });
-            }
-            if let Some(period) = s.spec.heartbeat_period {
-                let t = start + period;
-                if t <= self.end {
-                    self.events.push(Event {
-                        time: t,
-                        kind: EventKind::Heartbeat { stream: i },
-                    });
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, event: Event) -> Result<()> {
-        match event.kind {
-            EventKind::Arrival { stream } => {
-                let batch = self.streams[stream].pending_batch;
-                for _ in 0..batch {
-                    let tuple = synthesize_tuple(
-                        &mut self.streams[stream],
-                        &mut self.rng,
-                        event.time,
-                        event.time,
-                    );
-                    self.pex.ingest(self.streams[stream].source, tuple)?;
-                }
-                let (gap, next_batch) = self.streams[stream]
-                    .spec
-                    .process
-                    .next_arrival(&mut self.rng);
-                let t = event.time + gap;
-                if t <= self.end {
-                    self.streams[stream].pending_batch = next_batch;
-                    self.events.push(Event {
-                        time: t,
-                        kind: EventKind::Arrival { stream },
-                    });
-                }
-            }
-            EventKind::Heartbeat { stream } => {
-                // The wrapper's clock is the event calendar itself here:
-                // heartbeats are stamped with their nominal emission time.
-                let source = self.streams[stream].source;
-                self.pex.ingest_heartbeat(source, event.time)?;
-                self.streams[stream].heartbeats += 1;
-                let period = self.streams[stream]
-                    .spec
-                    .heartbeat_period
-                    .expect("heartbeat event only scheduled with a period");
-                let t = event.time + period;
-                if t <= self.end {
-                    self.events.push(Event {
-                        time: t,
-                        kind: EventKind::Heartbeat { stream },
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn report(&self) -> Result<SimReport> {
-        let snap = self.pex.snapshot()?;
-        // Components finish at different virtual times; the run extends to
-        // the latest of them.
-        let clock_end = snap
-            .component_clocks
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Timestamp::ZERO);
-        let idle = self
-            .monitor
-            .and_then(|n| snap.idle.iter().find(|(id, _)| *id == n))
-            .map(|(_, t)| t.summarize(clock_end))
-            .unwrap_or(millstream_metrics::IdleSummary {
-                idle_fraction: 0.0,
-                episodes: 0,
-                longest_episode_ms: 0.0,
-                total_idle_ms: 0.0,
-            });
-        Ok(SimReport {
-            metrics: RunMetrics {
-                latency: self.collector.recorder().summarize(),
-                idle,
-                // Sum of per-component peaks: an upper bound on the
-                // whole-graph peak, since component peaks need not
-                // coincide in time.
-                peak_queue_tuples: snap.component_peaks.iter().sum(),
-                punctuation_enqueued: snap.punctuation_enqueued,
-                delivered: self.collector.delivered(),
-                run_seconds: clock_end.as_secs_f64(),
-                work_units: snap.stats.work_units,
-            },
-            exec: snap.stats,
-            ets_per_stream: self
-                .streams
-                .iter()
-                .map(|s| snap.ets_per_source[s.source.index()])
-                .collect(),
-            heartbeats_per_stream: self.streams.iter().map(|s| s.heartbeats).collect(),
-            ingested_per_stream: self.streams.iter().map(|s| s.ingested).collect(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use millstream_exec::{CostModel, EtsPolicy, GraphBuilder, Input, VirtualClock};
-    use millstream_ops::{Filter, Sink};
-    use millstream_types::{DataType, Expr, Field, Schema};
-
-    use crate::workload::{ArrivalProcess, PayloadGen};
-
-    fn value_schema() -> Schema {
-        Schema::new(vec![Field::new("v", DataType::Int)])
-    }
-
-    /// Two independent filter→sink chains — a 2-component graph. Both
-    /// sinks share the collector so `delivered` counts the whole graph.
-    fn two_chain_graph(collector: SharedLatencyCollector) -> (QueryGraph, Vec<SourceId>) {
-        let schema = value_schema();
-        let mut b = GraphBuilder::new();
-        let mut sources = Vec::new();
-        for name in ["a", "b"] {
-            let s = b.source(name, schema.clone(), TimestampKind::Internal);
-            let f = b
-                .operator(
-                    Box::new(Filter::new(
-                        format!("filter_{name}"),
-                        schema.clone(),
-                        Expr::col(0).lt(Expr::lit(500)),
-                    )),
-                    vec![Input::Source(s)],
-                )
-                .unwrap();
-            b.operator(
-                Box::new(Sink::new(
-                    format!("sink_{name}"),
-                    schema.clone(),
-                    collector.clone(),
-                )),
-                vec![Input::Op(f)],
-            )
-            .unwrap();
-            sources.push(s);
-        }
-        (b.build().unwrap(), sources)
-    }
-
-    fn specs(sources: &[SourceId]) -> Vec<(SourceId, StreamSpec)> {
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                (
-                    s,
-                    StreamSpec::internal(
-                        format!("s{i}"),
-                        value_schema(),
-                        ArrivalProcess::Poisson {
-                            rate_hz: 40.0 + 10.0 * i as f64,
-                        },
-                        PayloadGen::UniformInt { modulus: 1000 },
-                    ),
-                )
-            })
-            .collect()
-    }
-
-    /// Same seed → the parallel driver ingests the same tuples and the
-    /// payload-deterministic filters deliver the same number of rows as
-    /// the serial driver, despite the different CPU-contention model.
-    #[test]
-    fn parallel_driver_matches_serial_delivery() {
-        let duration = TimeDelta::from_secs(20);
-        let seed = 7;
-
-        let serial_collector = SharedLatencyCollector::new();
-        let (graph, sources) = two_chain_graph(serial_collector.clone());
-        let executor = Executor::new(
-            graph,
-            VirtualClock::shared(),
-            CostModel::default(),
-            EtsPolicy::on_demand(),
-        );
-        let mut sim =
-            Simulation::new(executor, specs(&sources), serial_collector, None, seed).unwrap();
-        let serial = sim.run(duration).unwrap();
-
-        let par_collector = SharedLatencyCollector::new();
-        let (graph, sources) = two_chain_graph(par_collector.clone());
-        let config = ParallelConfig::new(CostModel::default(), EtsPolicy::on_demand(), 2);
-        let mut psim =
-            ParallelSimulation::new(graph, config, specs(&sources), par_collector, None, seed)
-                .unwrap();
-        let parallel = psim.run(duration).unwrap();
-
-        assert_eq!(psim.executor().num_components(), 2);
-        assert_eq!(serial.ingested_per_stream, parallel.ingested_per_stream);
-        assert_eq!(serial.metrics.delivered, parallel.metrics.delivered);
-        assert!(parallel.metrics.run_seconds > 0.0);
     }
 }

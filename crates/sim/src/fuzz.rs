@@ -51,15 +51,15 @@
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CheckMode, CostModel, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input, ParallelConfig,
-    ParallelExecutor, QueryGraph, SchedPolicy, ShardKey, ShardOutput, ShardedConfig,
-    ShardedExecutor, SourceId, VirtualClock, Watermarks,
+    CheckMode, CostModel, Engine, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input,
+    ParallelConfig, ParallelExecutor, QueryGraph, SchedPolicy, ShardKey, ShardOutput,
+    ShardedConfig, ShardedExecutor, SourceId, VirtualClock, Watermarks,
 };
 use millstream_ops::{
     Filter, LatePolicy, MultiWindowJoin, Project, Reorder, Sink, SinkCollector, TierConfig, Union,
 };
 use millstream_types::{
-    DataType, Expr, Field, Schema, TimeDelta, Timestamp, TimestampKind, Tuple, Value,
+    DataType, Error, Expr, Field, Schema, TimeDelta, Timestamp, TimestampKind, Tuple, Value,
     INLINE_ROW_CAP,
 };
 
@@ -430,8 +430,17 @@ fn payload(s: &SrcSpec, v: i64) -> Vec<Value> {
 
 struct Built {
     graph: QueryGraph,
-    /// Per component: its global source ids (in spec order) and its sink.
-    handles: Vec<(Vec<SourceId>, CollectedSink)>,
+    /// Per component: its global source ids, in spec order.
+    src_ids: Vec<Vec<SourceId>>,
+    /// Per component: its sink.
+    outs: Vec<CollectedSink>,
+}
+
+/// What every component's sink has collected.
+fn outputs(outs: &[CollectedSink]) -> Vec<Vec<(u64, i64)>> {
+    outs.iter()
+        .map(|out| out.0.lock().unwrap().clone())
+        .collect()
 }
 
 /// Appends one component's pipeline — sources, optional `Reorder` /
@@ -573,14 +582,19 @@ fn append_join_component<C: SinkCollector + 'static>(
 
 fn build(spec: &FuzzSpec, tier: Option<TierConfig>) -> Result<Built, String> {
     let mut b = GraphBuilder::new();
-    let mut handles = Vec::new();
+    let mut src_ids = Vec::new();
+    let mut outs = Vec::new();
     for (ci, comp) in spec.comps.iter().enumerate() {
         let out = CollectedSink::default();
-        let src_ids = append_component(&mut b, comp, ci, tier, out.clone())?;
-        handles.push((src_ids, out));
+        src_ids.push(append_component(&mut b, comp, ci, tier, out.clone())?);
+        outs.push(out);
     }
     let graph = b.build().map_err(|e| e.to_string())?;
-    Ok(Built { graph, handles })
+    Ok(Built {
+        graph,
+        src_ids,
+        outs,
+    })
 }
 
 /// A globally ordered ingest schedule: all events of all sources, sorted
@@ -622,6 +636,66 @@ fn advisory_feedback() -> FeedbackConfig {
     FeedbackConfig::new(Watermarks::new(1, 2))
 }
 
+/// The one event-replay loop every matrix cell shares: replays the
+/// spec's global arrival schedule through `engines` — a single engine
+/// hosting every component (serial, parallel) or one engine per component
+/// (sharded; components are independent) — draining every engine to
+/// quiescence at each arrival boundary, then closes all sources, drains
+/// again and requires a clean violation count.
+fn replay<E: Engine>(
+    spec: &FuzzSpec,
+    engines: &mut [E],
+    src_ids: &[Vec<SourceId>],
+) -> millstream_types::Result<()> {
+    let shared = engines.len() == 1;
+    let host = |comp: usize| if shared { 0 } else { comp };
+    let drain_all = |engines: &mut [E]| -> millstream_types::Result<()> {
+        for engine in engines.iter_mut() {
+            if engine.run_until_quiescent(MAX_STEPS)? >= MAX_STEPS {
+                return Err(Error::runtime(format!(
+                    "step budget ({MAX_STEPS}) exhausted without quiescence"
+                )));
+            }
+        }
+        Ok(())
+    };
+    let mut pending: Option<u64> = None;
+    for g in merged_events(spec) {
+        if pending.is_some_and(|a| a != g.arrival) {
+            drain_all(engines)?;
+        }
+        pending = Some(g.arrival);
+        let sid = src_ids[g.comp][g.src];
+        let src = &spec.comps[g.comp].sources[g.src];
+        let engine = &mut engines[host(g.comp)];
+        engine.advance_to(Timestamp::from_micros(g.arrival))?;
+        match g.ev {
+            Ev::Data { ts, v, .. } => engine.ingest(
+                sid,
+                Tuple::data(Timestamp::from_micros(ts), payload(src, v)),
+            )?,
+            Ev::Heartbeat { ts, .. } => engine.ingest_heartbeat(sid, Timestamp::from_micros(ts))?,
+        }
+    }
+    drain_all(engines)?;
+    for (comp, ids) in src_ids.iter().enumerate() {
+        for &sid in ids {
+            engines[host(comp)].close_source(sid)?;
+        }
+    }
+    drain_all(engines)?;
+    for engine in engines.iter() {
+        // Includes the sharded merge input's frontier-consistency count.
+        let violations = engine.stats()?.invariant_violations;
+        if violations != 0 {
+            return Err(Error::runtime(format!(
+                "{violations} invariant violation(s) counted"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn run_serial(
     spec: &FuzzSpec,
     policy: EtsPolicy,
@@ -641,56 +715,8 @@ fn run_serial(
     if let Some(fb) = feedback {
         exec = exec.with_feedback(fb);
     }
-
-    let drain = |exec: &mut Executor| -> Result<(), String> {
-        let taken = exec
-            .run_until_quiescent(MAX_STEPS)
-            .map_err(|e| e.to_string())?;
-        if taken >= MAX_STEPS {
-            return Err(format!(
-                "step budget ({MAX_STEPS}) exhausted without quiescence"
-            ));
-        }
-        Ok(())
-    };
-
-    let mut pending: Option<u64> = None;
-    for g in merged_events(spec) {
-        if pending.is_some_and(|a| a != g.arrival) {
-            drain(&mut exec)?;
-        }
-        pending = Some(g.arrival);
-        exec.clock().advance_to(Timestamp::from_micros(g.arrival));
-        let sid = built.handles[g.comp].0[g.src];
-        let src = &spec.comps[g.comp].sources[g.src];
-        match g.ev {
-            Ev::Data { ts, v, .. } => exec
-                .ingest(
-                    sid,
-                    Tuple::data(Timestamp::from_micros(ts), payload(src, v)),
-                )
-                .map_err(|e| e.to_string())?,
-            Ev::Heartbeat { ts, .. } => exec
-                .ingest_heartbeat(sid, Timestamp::from_micros(ts))
-                .map_err(|e| e.to_string())?,
-        }
-    }
-    drain(&mut exec)?;
-    for (src_ids, _) in &built.handles {
-        for &sid in src_ids {
-            exec.close_source(sid).map_err(|e| e.to_string())?;
-        }
-    }
-    drain(&mut exec)?;
-    let violations = exec.stats().invariant_violations;
-    if violations != 0 {
-        return Err(format!("{violations} invariant violation(s) counted"));
-    }
-    Ok(built
-        .handles
-        .iter()
-        .map(|(_, out)| out.0.lock().unwrap().clone())
-        .collect())
+    replay(spec, &mut [exec], &built.src_ids).map_err(|e| e.to_string())?;
+    Ok(outputs(&built.outs))
 }
 
 fn run_parallel(
@@ -706,51 +732,8 @@ fn run_parallel(
         .with_check_mode(CheckMode::Strict);
     config.feedback = feedback;
     let pex = ParallelExecutor::new(built.graph, config);
-
-    let mut pending: Option<u64> = None;
-    for g in merged_events(spec) {
-        if pending.is_some_and(|a| a != g.arrival) {
-            pex.run_until_quiescent(MAX_STEPS)
-                .map_err(|e| e.to_string())?;
-        }
-        pending = Some(g.arrival);
-        pex.advance_to(Timestamp::from_micros(g.arrival))
-            .map_err(|e| e.to_string())?;
-        let sid = built.handles[g.comp].0[g.src];
-        let src = &spec.comps[g.comp].sources[g.src];
-        match g.ev {
-            Ev::Data { ts, v, .. } => pex
-                .ingest(
-                    sid,
-                    Tuple::data(Timestamp::from_micros(ts), payload(src, v)),
-                )
-                .map_err(|e| e.to_string())?,
-            Ev::Heartbeat { ts, .. } => pex
-                .ingest_heartbeat(sid, Timestamp::from_micros(ts))
-                .map_err(|e| e.to_string())?,
-        }
-    }
-    pex.run_until_quiescent(MAX_STEPS)
-        .map_err(|e| e.to_string())?;
-    for (src_ids, _) in &built.handles {
-        for &sid in src_ids {
-            pex.close_source(sid).map_err(|e| e.to_string())?;
-        }
-    }
-    pex.run_until_quiescent(MAX_STEPS)
-        .map_err(|e| e.to_string())?;
-    let snap = pex.snapshot().map_err(|e| e.to_string())?;
-    if snap.stats.invariant_violations != 0 {
-        return Err(format!(
-            "{} invariant violation(s) counted",
-            snap.stats.invariant_violations
-        ));
-    }
-    Ok(built
-        .handles
-        .iter()
-        .map(|(_, out)| out.0.lock().unwrap().clone())
-        .collect())
+    replay(spec, &mut [pex], &built.src_ids).map_err(|e| e.to_string())?;
+    Ok(outputs(&built.outs))
 }
 
 /// Runs each component through a [`ShardedExecutor`]: tuples whole-row
@@ -790,9 +773,8 @@ fn run_sharded(
         let sx = ShardedExecutor::new(
             |replica, shard_out: ShardOutput| {
                 let mut b = GraphBuilder::new();
-                let sids = append_component(&mut b, comp, ci, None, shard_out).map_err(|e| {
-                    millstream_types::Error::graph(format!("shard replica build: {e}"))
-                })?;
+                let sids = append_component(&mut b, comp, ci, None, shard_out)
+                    .map_err(|e| Error::graph(format!("shard replica build: {e}")))?;
                 if replica == 0 {
                     ids = sids;
                 }
@@ -807,70 +789,8 @@ fn run_sharded(
         outs.push(out);
         src_ids.push(ids);
     }
-
-    let drain_all = |execs: &mut [ShardedExecutor]| -> Result<(), String> {
-        for sx in execs.iter_mut() {
-            let taken = sx
-                .run_until_quiescent(MAX_STEPS)
-                .map_err(|e| e.to_string())?;
-            if taken >= MAX_STEPS {
-                return Err(format!(
-                    "step budget ({MAX_STEPS}) exhausted without quiescence"
-                ));
-            }
-        }
-        Ok(())
-    };
-
-    let mut pending: Option<u64> = None;
-    for g in merged_events(spec) {
-        if pending.is_some_and(|a| a != g.arrival) {
-            drain_all(&mut execs)?;
-        }
-        pending = Some(g.arrival);
-        let sid = src_ids[g.comp][g.src];
-        let src = &spec.comps[g.comp].sources[g.src];
-        let sx = &mut execs[g.comp];
-        sx.advance_to(Timestamp::from_micros(g.arrival))
-            .map_err(|e| e.to_string())?;
-        match g.ev {
-            Ev::Data { ts, v, .. } => sx
-                .ingest(
-                    sid,
-                    Tuple::data(Timestamp::from_micros(ts), payload(src, v)),
-                )
-                .map_err(|e| e.to_string())?,
-            Ev::Heartbeat { ts, .. } => sx
-                .ingest_heartbeat(sid, Timestamp::from_micros(ts))
-                .map_err(|e| e.to_string())?,
-        }
-    }
-    drain_all(&mut execs)?;
-    for (ci, ids) in src_ids.iter().enumerate() {
-        for &sid in ids {
-            execs[ci].close_source(sid).map_err(|e| e.to_string())?;
-        }
-    }
-    drain_all(&mut execs)?;
-    for sx in &execs {
-        let snap = sx.snapshot().map_err(|e| e.to_string())?;
-        if snap.stats.invariant_violations != 0 {
-            return Err(format!(
-                "{} invariant violation(s) counted",
-                snap.stats.invariant_violations
-            ));
-        }
-        if snap.frontier_violations != 0 {
-            return Err(format!(
-                "{} frontier-consistency violation(s) at the merge input",
-                snap.frontier_violations
-            ));
-        }
-    }
-    Ok(outs
-        .iter()
-        .map(|out| out.0.lock().unwrap().clone())
-        .collect())
+    replay(spec, &mut execs, &src_ids).map_err(|e| e.to_string())?;
+    Ok(outputs(&outs))
 }
 
 /// Checks one engine run's sink outputs against the oracle.

@@ -8,9 +8,6 @@
 //!   bursty workload generators (§6's tuple generator);
 //! * [`Simulation`] — the driver that plays external wrappers, feeding the
 //!   executor and jumping the clock across idle periods;
-//! * [`ParallelSimulation`] — the same event calendar driving a
-//!   [`millstream_exec::ParallelExecutor`], one worker thread per plan
-//!   component;
 //! * [`run_union_experiment`] / [`run_join_experiment`] — the prebuilt
 //!   Fig. 4 experiment in its four §6 variants (lines A/B/C/D), the basis
 //!   for every figure reproduction in `millstream-bench`.
@@ -25,7 +22,7 @@ mod fuzz;
 mod replay;
 mod workload;
 
-pub use driver::{ParallelSimulation, SharedLatencyCollector, SimReport, Simulation, StreamSpec};
+pub use driver::{SharedLatencyCollector, SimReport, Simulation, StreamSpec};
 pub use events::{Event, EventKind, EventQueue};
 pub use experiment::{
     run_disorder_experiment, run_join_experiment, run_union_experiment, DisorderExperiment,

@@ -14,7 +14,7 @@
 //! `Value` equality and ordering compare string *contents* — so the only
 //! observable effect is fewer allocations and pointer-equal `Arc`s.
 //!
-//! This crate deliberately depends only on `std` (no `parking_lot`), so
+//! This crate deliberately depends only on `std`, so
 //! the table is a `std::sync::Mutex<HashSet<...>>`. The lock is held for
 //! a hash lookup or insert only; `Value::str` is an ingest/construction
 //! path, not a per-step operator path.
