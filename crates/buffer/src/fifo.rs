@@ -60,6 +60,26 @@ pub enum OrderPolicy {
     Accept,
 }
 
+/// The one staleness rule for punctuation: does a punctuation at `ts` say
+/// nothing new about a stream whose data has reached `data_hw` and whose
+/// punctuation has reached `punct_hw` ([`Buffer::high_water`] /
+/// [`Buffer::punct_high_water`], or a mirror of them)?
+///
+/// The comparison is deliberately asymmetric. A punctuation *at* the data
+/// high-water still says something — "no more data below `ts`", which the
+/// data tuple at `ts` itself does not promise — so only one strictly below
+/// it is stale. A punctuation *at* the punctuation high-water repeats a
+/// promise already made, so it is stale too. Every door that admits
+/// punctuation asks here: heartbeat ingest, the exchange's on-demand
+/// frontier advance, and the server's heartbeat frames and idle synthesis.
+///
+/// Pinned by the executor's `heartbeat_at_data_high_water_is_still_admitted`
+/// and `duplicate_heartbeats_are_dropped_and_counted`, and by fuzz-corpus
+/// seeds 2 and 5 (`fuzz_graphs`).
+pub fn punctuation_is_stale<T: PartialOrd>(ts: T, data_hw: Option<T>, punct_hw: Option<T>) -> bool {
+    data_hw.is_some_and(|hw| ts < hw) || punct_hw.is_some_and(|hw| ts <= hw)
+}
+
 /// A FIFO buffer connecting two operators (one arc of the query graph).
 #[derive(Debug)]
 pub struct Buffer {

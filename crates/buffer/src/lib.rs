@@ -31,7 +31,7 @@ mod sentinel;
 mod tsm;
 
 pub use feedback::{FeedbackRegisters, FeedbackSignal, PressureLevel, Watermarks};
-pub use fifo::{Buffer, OrderPolicy, PunctuationPolicy};
+pub use fifo::{punctuation_is_stale, Buffer, OrderPolicy, PunctuationPolicy};
 pub use frontier::FrontierTable;
 pub use occupancy::OccupancyTracker;
 pub use sentinel::{CheckMode, OrderSentinel, SentinelStats};

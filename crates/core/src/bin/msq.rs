@@ -4,8 +4,8 @@
 //! stream, with optional plan/profile diagnostics:
 //!
 //! ```text
-//! msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--batch K]
-//!                              [--workers N] [--shards N]
+//! msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace]
+//!                              [--batch K] [--shards N]
 //!                              [--join-spill-budget B]
 //! msq serve <query.msq> [--addr A] [--workers N] [--idle-ms MS] [--strict]
 //!                        [--io-threads N] [--ingest-shards N]
@@ -22,10 +22,6 @@
 //!   --trace     print the last scheduler activities after the run
 //!   --batch K   fuse up to K consecutive Encore steps per scheduling
 //!               decision (default 1 = per-tuple execution)
-//!   --workers N run each connected component of the plan on its own
-//!               worker thread, up to N threads (default: serial; a
-//!               single-query plan is usually one component, so this
-//!               mainly matters for multi-component plans)
 //!   --shards N  key-partition the (single-component) plan across N
 //!               worker threads behind an exchange edge, with per-worker
 //!               frontier summaries driving an order-restoring merge;
@@ -113,12 +109,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use millstream_exec::{
-    Activity, CostModel, EtsPolicy, Executor, ParallelConfig, ParallelExecutor, VirtualClock,
+    CostModel, Engine, EtsPolicy, ExecOptions, Executor, ShardedConfig, VirtualClock,
 };
 use millstream_ops::SinkCollector;
-use millstream_query::plan_program;
-use millstream_sim::parse_trace;
-use millstream_types::{Error, Result, Timestamp, Tuple};
+use millstream_query::{plan_program, PlannedQuery, PlannedSource};
+use millstream_sim::{parse_trace, replay};
+use millstream_types::{Error, Result, Schema, Timestamp, Tuple};
 
 struct Options {
     query_path: String,
@@ -128,11 +124,10 @@ struct Options {
     profile: bool,
     trace: bool,
     batch: usize,
-    workers: usize,
     shards: usize,
 }
 
-const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--workers N] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--workers N] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]\n       msq bench [--quick]";
+const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--workers N] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]\n       msq bench [--quick]";
 
 fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
     let mut positional = Vec::new();
@@ -141,7 +136,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
     let mut profile = false;
     let mut trace = false;
     let mut batch = 1usize;
-    let mut workers = 1usize;
     let mut shards = 1usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -160,18 +154,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
                     .filter(|&k| k >= 1)
                     .ok_or_else(|| {
                         format!("--batch expects a positive integer, got `{value}`\n{USAGE}")
-                    })?;
-            }
-            "--workers" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("--workers requires a value\n{USAGE}"))?;
-                workers = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| {
-                        format!("--workers expects a positive integer, got `{value}`\n{USAGE}")
                     })?;
             }
             "--shards" => {
@@ -227,7 +209,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
         profile,
         trace,
         batch,
-        workers,
         shards,
     })
 }
@@ -253,31 +234,7 @@ impl SinkCollector for PrintingCollector {
 fn run(opts: &Options) -> Result<()> {
     let query_text = std::fs::read_to_string(&opts.query_path)
         .map_err(|e| Error::config(format!("{}: {e}", opts.query_path)))?;
-
     let collector = PrintingCollector::default();
-    let planned = plan_program(&query_text, collector.clone())?;
-
-    if opts.dot {
-        if opts.shards > 1 {
-            if let Some(keys) = sharding_of(&query_text)? {
-                print!("{}", planned.graph.to_dot_sharded(opts.shards, &keys));
-                return Ok(());
-            }
-            eprintln!("# query is unshardable; printing the serial plan");
-        }
-        print!("{}", planned.graph.to_dot());
-        return Ok(());
-    }
-
-    let trace_text = std::fs::read_to_string(&opts.trace_path)
-        .map_err(|e| Error::config(format!("{}: {e}", opts.trace_path)))?;
-    let stream_refs: Vec<(&str, &millstream_types::Schema)> = planned
-        .sources
-        .iter()
-        .map(|s| (s.stream.as_str(), &s.schema))
-        .collect();
-    let trace = parse_trace(&trace_text, &stream_refs)?;
-
     let policy = if opts.ets {
         EtsPolicy::on_demand()
     } else {
@@ -285,252 +242,131 @@ fn run(opts: &Options) -> Result<()> {
     };
 
     if opts.shards > 1 {
-        match sharding_of(&query_text)? {
-            Some(keys) if planned.graph.num_components() == 1 => {
-                return run_sharded(opts, &query_text, planned, trace, keys, policy, &collector);
+        // The `--shards N` construction: the single-component plan
+        // replicated across N key-partitioned shard workers behind an
+        // exchange edge, merged back into timestamp order by per-worker
+        // frontier summaries. The replicas run cost-free, so the replay's
+        // `advance_to(arrival)` is the only thing that moves a replica
+        // clock: a record's arrival instant is its timestamp, and an
+        // on-demand ETS can never be ahead of the next record's stamp.
+        let config = ShardedConfig {
+            opts: ExecOptions {
+                encore_batch: opts.batch,
+            },
+            ..ShardedConfig::new(CostModel::free(), policy, opts.shards)
+        };
+        let sink = Box::new(collector.clone());
+        if let Some((mut sx, planned)) = millstream_core::plan_sharded(&query_text, config, sink)? {
+            if opts.dot {
+                print!("{}", sx.plan_dot());
+                return Ok(());
             }
-            _ => eprintln!("# query is unshardable; running serial"),
+            drive(
+                opts,
+                &mut sx,
+                &planned.sources,
+                &planned.output_schema,
+                &collector,
+                |at| at,
+            )?;
+            let snap = sx.snapshot()?;
+            eprintln!(
+                "\n# {} shard(s) behind the exchange: {} frontier advance(s), \
+                 {} merge floor heartbeat(s), {} frontier violation(s)",
+                sx.num_shards(),
+                snap.frontier_advances.iter().sum::<u64>(),
+                snap.merge_heartbeats,
+                snap.frontier_violations,
+            );
+            if opts.profile {
+                for (j, b) in snap.busy_nanos.iter().enumerate() {
+                    eprintln!(
+                        "#   shard {j}: {:.3} ms busy, floor {:?}, {} advance(s)",
+                        *b as f64 / 1e6,
+                        snap.floors[j].map(|t| t.as_micros()),
+                        snap.frontier_advances[j],
+                    );
+                }
+            }
+            if opts.trace {
+                eprintln!("# --trace is per-shard state; not merged under --shards");
+            }
+            return Ok(());
         }
+        eprintln!(
+            "# query is unshardable; {}",
+            if opts.dot {
+                "printing the serial plan"
+            } else {
+                "running serial"
+            }
+        );
     }
 
-    if opts.workers > 1 {
-        return run_parallel(opts, planned, trace, policy, &collector);
+    let PlannedQuery {
+        graph,
+        sources,
+        output_schema,
+        ..
+    } = plan_program(&query_text, collector.clone())?;
+    if opts.dot {
+        print!("{}", graph.to_dot());
+        return Ok(());
     }
-
-    let mut executor = Executor::new(
-        planned.graph,
-        VirtualClock::shared(),
-        CostModel::default(),
-        policy,
-    )
-    .with_encore_batch(opts.batch);
+    // The serial construction stamps each record from its own clock:
+    // timestamps are internal, and the virtual CPU the cost model charges
+    // for earlier work may have carried the clock past the arrival.
+    let clock = VirtualClock::shared();
+    let mut executor = Executor::new(graph, clock.clone(), CostModel::default(), policy)
+        .with_encore_batch(opts.batch);
     if opts.trace {
         executor.enable_trace(64);
     }
-
-    eprintln!(
-        "# {} record(s), {} stream(s), output schema {}",
-        trace.len(),
-        planned.sources.len(),
-        planned.output_schema
-    );
-
-    // Replay the trace, printing rows as the sink delivers them. Records
-    // sharing an arrival timestamp land together before the engine runs —
-    // they arrived simultaneously — so the scheduler sees real queues (and
-    // `--batch` has runs to fuse) instead of one tuple at a time.
-    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
-    let mut pending_at: Option<Timestamp> = None;
-    for rec in &trace {
-        if pending_at.is_some_and(|at| at != rec.at) {
-            loop {
-                if matches!(executor.step()?, Activity::Quiescent) {
-                    break;
-                }
-            }
-        }
-        pending_at = Some(rec.at);
-        let source = source_by_index[rec.stream];
-        executor.clock().advance_to(rec.at);
-        let ts = executor.clock().now();
-        executor.ingest(source, Tuple::data(ts, rec.values.clone()))?;
-    }
-    loop {
-        if matches!(executor.step()?, Activity::Quiescent) {
-            break;
-        }
-    }
-
-    let delivered = collector.count.load(Ordering::Relaxed);
-    let mean_ms = if delivered == 0 {
-        f64::NAN
-    } else {
-        collector.latency_sum_us.load(Ordering::Relaxed) as f64 / delivered as f64 / 1_000.0
-    };
-    eprintln!(
-        "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; on-demand ETS {}",
-        executor.stats().ets_generated
-    );
-
+    drive(
+        opts,
+        &mut executor,
+        &sources,
+        &output_schema,
+        &collector,
+        |_| clock.now(),
+    )?;
     if opts.trace {
         eprintln!("\n# last scheduler activities");
         for line in executor.render_trace().lines() {
             eprintln!("# {line}");
         }
     }
-
-    if opts.profile {
-        eprintln!("\n# per-operator profile");
-        eprintln!(
-            "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-            "operator", "steps", "consumed", "produced", "busy (us)"
-        );
-        for p in executor.profile() {
-            eprintln!(
-                "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-                p.name, p.steps, p.consumed, p.produced, p.busy_micros
-            );
-        }
-    }
     Ok(())
 }
 
-/// Runs the planner's shard-key analysis on a program text.
-fn sharding_of(query_text: &str) -> Result<Option<Vec<millstream_exec::ShardKey>>> {
-    let stmts = millstream_query::parse_program(query_text)?;
-    let mut catalog = millstream_query::Catalog::new();
-    let queries = catalog.apply(stmts)?;
-    let [query] = queries.as_slice() else {
-        return Ok(None);
-    };
-    millstream_query::shard_keys(&catalog, query)
-}
-
-/// The `--shards N` path: the single-component plan replicated across N
-/// key-partitioned shard workers behind an exchange edge, merged back into
-/// timestamp order by per-worker frontier summaries. The same epoch
-/// discipline as the other backends: records sharing an arrival timestamp
-/// land together, then a quiescence barrier runs every shard.
-fn run_sharded(
+/// What every backend shares once it is constructed: load the trace
+/// against the plan's streams, replay it (rows print as the sink delivers
+/// them), then the `# delivered …` summary and the `--profile` table.
+fn drive<E: Engine>(
     opts: &Options,
-    query_text: &str,
-    planned: millstream_query::PlannedQuery,
-    trace: Vec<millstream_sim::TraceRecord>,
-    keys: Vec<millstream_exec::ShardKey>,
-    policy: EtsPolicy,
+    engine: &mut E,
+    sources: &[PlannedSource],
+    output_schema: &Schema,
     collector: &PrintingCollector,
+    stamp: impl Fn(Timestamp) -> Timestamp,
 ) -> Result<()> {
-    let stmts = millstream_query::parse_program(query_text)?;
-    let mut catalog = millstream_query::Catalog::new();
-    let mut queries = catalog.apply(stmts)?;
-    let query = queries.pop().ok_or_else(|| Error::plan("no query"))?;
-
-    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
-    let config = millstream_exec::ShardedConfig {
-        opts: millstream_exec::ExecOptions {
-            encore_batch: opts.batch.max(1),
-        },
-        ..millstream_exec::ShardedConfig::new(CostModel::default(), policy, opts.shards)
-    }
-    .with_keys(keys);
-    let mut sx = millstream_exec::ShardedExecutor::new(
-        |_, out| millstream_query::plan_query(&catalog, &query, out).map(|p| p.graph),
-        planned.output_schema.clone(),
-        Box::new(collector.clone()),
-        config,
-    )?;
-
+    let trace_text = std::fs::read_to_string(&opts.trace_path)
+        .map_err(|e| Error::config(format!("{}: {e}", opts.trace_path)))?;
+    let streams: Vec<(&str, &Schema)> = sources
+        .iter()
+        .map(|s| (s.stream.as_str(), &s.schema))
+        .collect();
+    let trace = parse_trace(&trace_text, &streams)?;
     eprintln!(
-        "# {} record(s), {} stream(s), output schema {}; {} shard(s) behind the exchange",
+        "# {} record(s), {} stream(s), output schema {}",
         trace.len(),
-        planned.sources.len(),
-        planned.output_schema,
-        sx.num_shards(),
+        sources.len(),
+        output_schema
     );
 
-    let mut pending_at: Option<Timestamp> = None;
-    for rec in &trace {
-        if pending_at.is_some_and(|at| at != rec.at) {
-            sx.run_until_quiescent(u64::MAX)?;
-        }
-        pending_at = Some(rec.at);
-        sx.advance_to(rec.at)?;
-        sx.ingest(
-            source_by_index[rec.stream],
-            Tuple::data(rec.at, rec.values.clone()),
-        )?;
-    }
-    sx.run_until_quiescent(u64::MAX)?;
+    let source_ids: Vec<_> = sources.iter().map(|s| s.id).collect();
+    replay(engine, &source_ids, &trace, stamp)?;
 
-    let snap = sx.snapshot()?;
-    let delivered = collector.count.load(Ordering::Relaxed);
-    let mean_ms = if delivered == 0 {
-        f64::NAN
-    } else {
-        collector.latency_sum_us.load(Ordering::Relaxed) as f64 / delivered as f64 / 1_000.0
-    };
-    eprintln!(
-        "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; {} frontier advance(s), \
-         {} merge floor heartbeat(s), {} frontier violation(s)",
-        snap.frontier_advances.iter().sum::<u64>(),
-        snap.merge_heartbeats,
-        snap.frontier_violations,
-    );
-
-    if opts.trace {
-        eprintln!("# --trace is per-shard state; not merged under --shards");
-    }
-
-    if opts.profile {
-        eprintln!("\n# per-operator profile (summed across shard replicas)");
-        eprintln!(
-            "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-            "operator", "steps", "consumed", "produced", "busy (us)"
-        );
-        for p in &snap.profile {
-            eprintln!(
-                "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-                p.name, p.steps, p.consumed, p.produced, p.busy_micros
-            );
-        }
-        eprintln!("\n# per-shard busy time");
-        for (j, b) in snap.busy_nanos.iter().enumerate() {
-            eprintln!(
-                "#   shard {j}: {:.3} ms busy, floor {:?}, {} advance(s)",
-                *b as f64 / 1e6,
-                snap.floors[j].map(|t| t.as_micros()),
-                snap.frontier_advances[j],
-            );
-        }
-    }
-    Ok(())
-}
-
-/// The `--workers N` path: one worker thread per plan component. The trace
-/// replay keeps the serial driver's epoch discipline — records sharing an
-/// arrival timestamp land together, then a quiescence barrier runs every
-/// component — so output per sink is identical to the serial run.
-fn run_parallel(
-    opts: &Options,
-    planned: millstream_query::PlannedQuery,
-    trace: Vec<millstream_sim::TraceRecord>,
-    policy: EtsPolicy,
-    collector: &PrintingCollector,
-) -> Result<()> {
-    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
-    let config = ParallelConfig::new(CostModel::default(), policy, opts.workers);
-    let config = ParallelConfig {
-        opts: millstream_exec::ExecOptions {
-            encore_batch: opts.batch.max(1),
-        },
-        ..config
-    };
-    let pex = ParallelExecutor::new(planned.graph, config);
-
-    eprintln!(
-        "# {} record(s), {} stream(s), output schema {}; {} component(s) on {} worker(s)",
-        trace.len(),
-        planned.sources.len(),
-        planned.output_schema,
-        pex.num_components(),
-        pex.num_workers(),
-    );
-
-    let mut pending_at: Option<Timestamp> = None;
-    for rec in &trace {
-        if pending_at.is_some_and(|at| at != rec.at) {
-            pex.run_until_quiescent(u64::MAX)?;
-        }
-        pending_at = Some(rec.at);
-        pex.advance_to(rec.at)?;
-        pex.ingest(
-            source_by_index[rec.stream],
-            Tuple::data(rec.at, rec.values.clone()),
-        )?;
-    }
-    pex.run_until_quiescent(u64::MAX)?;
-
-    let snap = pex.snapshot()?;
     let delivered = collector.count.load(Ordering::Relaxed);
     let mean_ms = if delivered == 0 {
         f64::NAN
@@ -539,12 +375,8 @@ fn run_parallel(
     };
     eprintln!(
         "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; on-demand ETS {}",
-        snap.stats.ets_generated
+        engine.stats()?.ets_generated
     );
-
-    if opts.trace {
-        eprintln!("# --trace is per-component state; not merged under --workers");
-    }
 
     if opts.profile {
         eprintln!("\n# per-operator profile");
@@ -552,7 +384,7 @@ fn run_parallel(
             "# {:<14} {:>8} {:>10} {:>10} {:>12}",
             "operator", "steps", "consumed", "produced", "busy (us)"
         );
-        for p in &snap.profile {
+        for p in engine.profile()? {
             eprintln!(
                 "# {:<14} {:>8} {:>10} {:>10} {:>12}",
                 p.name, p.steps, p.consumed, p.produced, p.busy_micros

@@ -55,7 +55,7 @@
 
 mod runner;
 
-pub use runner::QueryRunner;
+pub use runner::{plan_sharded, QueryRunner};
 
 pub use millstream_buffer as buffer;
 pub use millstream_exec as exec;
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use millstream_metrics::{LatencyRecorder, RunMetrics};
     pub use millstream_ops::{
         Filter, JoinSpec, LatePolicy, MultiWindowJoin, Operator, Project, Reorder, Sink,
-        SinkCollector, SlidingAggregate, Split, Union, VecCollector, WindowAggregate, WindowJoin,
+        SinkCollector, SlidingAggregate, Split, Union, VecCollector, WindowJoin,
     };
     pub use millstream_sim::{
         run_disorder_experiment, run_join_experiment, run_union_experiment, ArrivalProcess,

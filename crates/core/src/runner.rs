@@ -8,11 +8,12 @@
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CostModel, Engine, EtsPolicy, Executor, OpProfile, ParallelConfig, ParallelExecutor,
-    ShardedConfig, ShardedExecutor, VirtualClock,
+    CostModel, Engine, EtsPolicy, Executor, OpProfile, ShardedConfig, ShardedExecutor, VirtualClock,
 };
 use millstream_ops::{SinkCollector, VecCollector};
-use millstream_query::{plan_program, plan_query, shard_keys, Catalog, PlannedSource};
+use millstream_query::{
+    plan_program, plan_query, shard_keys, Catalog, PlannedQuery, PlannedSource,
+};
 use millstream_types::{Error, Result, Schema, Timestamp, Tuple, Value};
 
 /// A `SinkCollector` that shares its deliveries with the runner.
@@ -44,9 +45,8 @@ impl SinkCollector for SharedVec {
 /// ```
 pub struct QueryRunner {
     engine: Box<dyn Engine>,
-    /// Worker threads in use, exchange shards in use and the plan DOT,
-    /// captured at construction: the engine is only driven from here on.
-    workers: usize,
+    /// Exchange shards in use and the plan DOT, captured at construction:
+    /// the engine is only driven from here on.
     shards: usize,
     plan_dot: String,
     sources: Vec<PlannedSource>,
@@ -58,13 +58,11 @@ pub struct QueryRunner {
 impl QueryRunner {
     /// Compiles `program` (CREATE STREAM statements + one query).
     ///
-    /// Honors two environment variables: `MILLSTREAM_SHARDS` ≥ 2 selects
-    /// the key-partitioned intra-component backend (the programmatic
-    /// equivalent of `msq --shards N`; unshardable queries transparently
-    /// fall back to the serial executor), and otherwise
-    /// `MILLSTREAM_WORKERS` ≥ 1 selects the parallel per-component backend
-    /// (`msq --workers N`). With neither set the serial executor runs the
-    /// whole graph.
+    /// Honors the environment variable `MILLSTREAM_SHARDS`: a value ≥ 2
+    /// selects the key-partitioned intra-component backend (the
+    /// programmatic equivalent of `msq --shards N`; unshardable queries
+    /// transparently fall back to the serial executor). Otherwise the
+    /// serial executor runs the whole graph.
     ///
     /// Independently, `MILLSTREAM_JOIN_SPILL` (the env spelling of
     /// `msq --join-spill-budget`) gives every join input a tiered state:
@@ -73,69 +71,35 @@ impl QueryRunner {
     /// any setting; only peak resident join state changes
     /// ([`millstream_ops::TierConfig`]).
     pub fn new(program: &str) -> Result<QueryRunner> {
-        if let Some(shards) = std::env::var("MILLSTREAM_SHARDS")
+        match std::env::var("MILLSTREAM_SHARDS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&s| s >= 2)
         {
-            return QueryRunner::new_sharded(program, shards);
-        }
-        match std::env::var("MILLSTREAM_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-        {
-            Some(workers) => QueryRunner::new_parallel(program, workers),
+            Some(shards) => QueryRunner::new_sharded(program, shards),
             None => QueryRunner::new_serial(program),
         }
     }
 
-    /// Compiles `program` onto the sharded intra-component backend: the
-    /// planner derives per-source partition keys
-    /// ([`millstream_query::shard_keys`]) and the plan is replicated once
-    /// per shard behind a key-partitioned exchange edge, with frontier
-    /// summaries driving the order-restoring merge (`msq --shards N`).
-    /// Queries the analysis deems unshardable (window cross products, bare
-    /// aggregates, conflicting keys, latent streams) and multi-component
-    /// plans fall back to the serial executor — check
+    /// Compiles `program` onto the sharded intra-component backend
+    /// ([`plan_sharded`]; `msq --shards N`), falling back to the serial
+    /// executor when the program cannot be sharded — check
     /// [`QueryRunner::shards`] to see which backend actually runs.
     pub fn new_sharded(program: &str, shards: usize) -> Result<QueryRunner> {
-        let stmts = millstream_query::parse_program(program)?;
-        let mut catalog = Catalog::new();
-        let mut queries = catalog.apply(stmts)?;
-        if queries.len() != 1 {
-            return Err(Error::plan(format!(
-                "program contains {} queries; plan one at a time",
-                queries.len()
-            )));
-        }
-        let query = queries.pop().expect("len checked");
-        let Some(keys) = shard_keys(&catalog, &query)? else {
+        let output = SharedVec::default();
+        // Same discipline as the serial backend: explicit timestamps, no
+        // wall-clock ETS — frontier summaries do the unblocking.
+        let config = ShardedConfig::new(CostModel::free(), EtsPolicy::None, shards);
+        let Some((sx, planned)) = plan_sharded(program, config, Box::new(output.clone()))? else {
             return QueryRunner::new_serial(program);
         };
-        // Probe plan: reject multi-component graphs (those belong to the
-        // per-component backend) and capture sources/output schema.
-        let probe = plan_query(&catalog, &query, VecCollector::default())?;
-        if probe.graph.num_components() != 1 {
-            return QueryRunner::new_serial(program);
-        }
-        let output = SharedVec::default();
-        let sx = ShardedExecutor::new(
-            |_, out| plan_query(&catalog, &query, out).map(|p| p.graph),
-            probe.output_schema.clone(),
-            Box::new(output.clone()),
-            // Same discipline as the serial backend: explicit timestamps,
-            // no wall-clock ETS — frontier summaries do the unblocking.
-            ShardedConfig::new(CostModel::free(), EtsPolicy::None, shards).with_keys(keys),
-        )?;
         Ok(QueryRunner {
-            workers: sx.num_shards(),
             shards: sx.num_shards(),
             plan_dot: sx.plan_dot().to_string(),
             engine: Box::new(sx),
-            sources: probe.sources,
+            sources: planned.sources,
             output,
-            output_schema: probe.output_schema,
+            output_schema: planned.output_schema,
             drained: 0,
         })
     }
@@ -156,7 +120,6 @@ impl QueryRunner {
         );
         Ok(QueryRunner {
             engine: Box::new(executor),
-            workers: 1,
             shards: 1,
             plan_dot,
             sources: planned.sources,
@@ -164,35 +127,6 @@ impl QueryRunner {
             output_schema: planned.output_schema,
             drained: 0,
         })
-    }
-
-    /// Compiles `program` onto the parallel per-component backend with up
-    /// to `workers` threads (components are multiplexed when fewer;
-    /// `msq --workers N`).
-    pub fn new_parallel(program: &str, workers: usize) -> Result<QueryRunner> {
-        let output = SharedVec::default();
-        let planned = plan_program(program, output.clone())?;
-        // Rendered before partitioning: the whole graph.
-        let plan_dot = planned.graph.to_dot();
-        let pex = ParallelExecutor::new(
-            planned.graph,
-            ParallelConfig::new(CostModel::free(), EtsPolicy::None, workers),
-        );
-        Ok(QueryRunner {
-            workers: pex.num_workers(),
-            shards: 1,
-            plan_dot,
-            engine: Box::new(pex),
-            sources: planned.sources,
-            output,
-            output_schema: planned.output_schema,
-            drained: 0,
-        })
-    }
-
-    /// Worker threads in use (1 means the serial backend).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Exchange shards in use: >1 only on the sharded backend (so 1 after
@@ -284,6 +218,45 @@ impl QueryRunner {
         self.drained = 0;
         Ok(self.drain())
     }
+}
+
+/// Plans `program` onto the sharded intra-component backend: the planner
+/// derives per-source partition keys ([`shard_keys`]) and the plan is
+/// replicated once per shard behind a key-partitioned exchange edge whose
+/// order-restoring merge delivers to `collector`. `config` carries the
+/// caller's cost model, ETS policy, shard count and tuning; its `keys`
+/// are filled in here. Returns the engine together with the plan it
+/// replicates (for the sources and output schema), or `None` when the
+/// program cannot be sharded: the key analysis deems the query
+/// unshardable (window cross products, bare aggregates, conflicting keys,
+/// latent streams), it plans to more than one component (those belong to
+/// `ParallelExecutor`), or it does not hold exactly one query — the
+/// caller's serial fallback reports that.
+pub fn plan_sharded(
+    program: &str,
+    config: ShardedConfig,
+    collector: Box<dyn SinkCollector>,
+) -> Result<Option<(ShardedExecutor, PlannedQuery)>> {
+    let stmts = millstream_query::parse_program(program)?;
+    let mut catalog = Catalog::new();
+    let queries = catalog.apply(stmts)?;
+    let [query] = queries.as_slice() else {
+        return Ok(None);
+    };
+    let Some(keys) = shard_keys(&catalog, query)? else {
+        return Ok(None);
+    };
+    let probe = plan_query(&catalog, query, VecCollector::default())?;
+    if probe.graph.num_components() != 1 {
+        return Ok(None);
+    }
+    let sx = ShardedExecutor::new(
+        |_, out| plan_query(&catalog, query, out).map(|p| p.graph),
+        probe.output_schema.clone(),
+        collector,
+        config.with_keys(keys),
+    )?;
+    Ok(Some((sx, probe)))
 }
 
 #[cfg(test)]
@@ -456,50 +429,6 @@ mod tests {
         assert_eq!(out.len(), 3, "nothing lost");
         let ts: Vec<u64> = out.iter().map(|t| t.ts.as_micros()).collect();
         assert_eq!(ts, vec![50_000, 100_000, 150_000], "order restored");
-    }
-
-    #[test]
-    fn parallel_backend_matches_serial() {
-        let program = "CREATE STREAM a (v INT);
-             CREATE STREAM b (v INT);
-             SELECT v FROM a WHERE v >= 10 UNION SELECT v FROM b;";
-        let drive = |mut q: QueryRunner| -> (Vec<Tuple>, Vec<OpProfile>) {
-            q.push("a", 10, vec![Value::Int(5)]).unwrap();
-            q.push("a", 20, vec![Value::Int(15)]).unwrap();
-            q.push("b", 30, vec![Value::Int(1)]).unwrap();
-            q.advance_time(40).unwrap();
-            let profile = q.profile();
-            (q.finish().unwrap(), profile)
-        };
-        let serial = QueryRunner::new_serial(program).unwrap();
-        assert_eq!(serial.workers(), 1);
-        let parallel = QueryRunner::new_parallel(program, 4).unwrap();
-        assert_eq!(
-            parallel.workers(),
-            1,
-            "one query = one component; extra workers are not spawned"
-        );
-        assert_eq!(serial.plan_dot(), parallel.plan_dot());
-        let (s_out, s_prof) = drive(serial);
-        let (p_out, p_prof) = drive(parallel);
-        assert_eq!(s_out, p_out);
-        assert_eq!(s_prof, p_prof, "identical work on both backends");
-    }
-
-    #[test]
-    fn parallel_backend_rejects_out_of_order_push() {
-        let mut q = QueryRunner::new_parallel(
-            "CREATE STREAM a (v INT);
-             CREATE STREAM b (v INT);
-             SELECT v FROM a UNION SELECT v FROM b;",
-            2,
-        )
-        .unwrap();
-        q.push("a", 100, vec![Value::Int(1)]).unwrap();
-        assert!(matches!(
-            q.push("a", 50, vec![Value::Int(2)]).unwrap_err(),
-            Error::OutOfOrder { .. }
-        ));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! the same way — advance the clock, ingest data or a heartbeat, run to
 //! quiescence, close — and differ only in how they are *constructed*.
 //! [`Engine`] is that shared loop vocabulary, so a driver (the
-//! `QueryRunner`, the differential fuzzer's replay) is written once over
-//! `dyn Engine` instead of once per backend. Every method delegates to the
-//! inherent method of the same name; construction, configuration and
-//! backend-specific introspection (snapshots, ingest handles, frontier
-//! tables) stay on the concrete types.
+//! `QueryRunner`, the trace replay behind `msq`, the differential fuzzer's
+//! replay) is written once over `dyn Engine` instead of once per backend.
+//! Every method delegates to the inherent method of the same name;
+//! construction, configuration and backend-specific introspection
+//! (snapshots, frontier tables) stay on the concrete types.
 
 use millstream_types::{Result, Timestamp, Tuple};
 

@@ -900,7 +900,7 @@ impl ShardedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use millstream_ops::{AggExpr, AggFunc, Filter, WindowAggregate};
+    use millstream_ops::{AggExpr, AggFunc, Filter, SlidingAggregate};
     use millstream_types::{DataType, Expr, Field, TimeDelta, Value};
 
     fn schema() -> Schema {
@@ -1028,9 +1028,10 @@ mod tests {
             let mut b = GraphBuilder::new();
             let s = b.source("S", schema(), TimestampKind::Internal);
             let a = b.operator(
-                Box::new(WindowAggregate::new(
+                Box::new(SlidingAggregate::new(
                     "Σ",
                     &schema(),
+                    TimeDelta::from_millis(1),
                     TimeDelta::from_millis(1),
                     vec![("k".into(), Expr::col(0))],
                     vec![AggExpr {

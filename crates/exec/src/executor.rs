@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use millstream_buffer::{Buffer, CheckMode, SentinelStats};
+use millstream_buffer::{punctuation_is_stale, Buffer, CheckMode, SentinelStats, StarveList};
 use millstream_metrics::IdleTracker;
 use millstream_ops::{BatchOutcome, OpContext, Operator, Poll, StepOutcome};
 use millstream_types::{Error, Result, Timestamp, Tuple};
@@ -289,10 +289,9 @@ pub struct Executor {
     trace: Option<std::collections::VecDeque<(Timestamp, Activity)>>,
     trace_capacity: usize,
     /// Scratch storage reused across backtracks so the steady-state
-    /// scheduling loop never allocates: the DFS stack over predecessor
-    /// chains and the visited set guarding multi-sink hand-offs.
+    /// scheduling loop never allocates: the depth-first stack over
+    /// predecessor chains.
     bt_stack: Vec<Pred>,
-    bt_visited: std::collections::HashSet<NodeId>,
     /// Feedback-punctuation channel (None = no feedback propagation).
     feedback: Option<FeedbackConfig>,
     /// Last pressure level delivered to each operator (wire encoding) —
@@ -347,7 +346,6 @@ impl Executor {
             trace: None,
             trace_capacity: 0,
             bt_stack: Vec::new(),
-            bt_visited: std::collections::HashSet::new(),
             feedback: None,
             node_pressure: vec![0; num_ops],
             pressure_scratch: Vec::new(),
@@ -658,12 +656,10 @@ impl Executor {
 
     /// Ingests a heartbeat punctuation at a source — the periodic-ETS
     /// baseline of [Johnson et al., VLDB'05] (experiment line B). Stale
-    /// heartbeats are dropped at the door (and counted in
-    /// [`ExecStats::dropped_stale_heartbeats`]): one below the buffer's
-    /// data high-water mark carries no order information, and one at or
-    /// below an already-asserted punctuation mark is a duplicate ETS — a
-    /// line-B run would otherwise push a redundant punctuation through the
-    /// whole graph every period. Like [`Executor::ingest`], heartbeats on
+    /// heartbeats ([`punctuation_is_stale`]) are dropped at the door and
+    /// counted in [`ExecStats::dropped_stale_heartbeats`] — a line-B run
+    /// would otherwise push a redundant punctuation through the whole
+    /// graph every period. Like [`Executor::ingest`], heartbeats on
     /// a closed source are a runtime error: end-of-stream already asserted
     /// `Timestamp::MAX`.
     pub fn ingest_heartbeat(&mut self, source: SourceId, ts: Timestamp) -> Result<()> {
@@ -677,8 +673,7 @@ impl Executor {
         let buffer = &self.graph.buffers[s.buffer.0];
         let stale = {
             let b = buffer.borrow();
-            b.high_water().is_some_and(|hw| ts < hw)
-                || b.punct_high_water().is_some_and(|hw| ts <= hw)
+            punctuation_is_stale(ts, b.high_water(), b.punct_high_water())
         };
         if stale {
             self.stats.dropped_stale_heartbeats += 1;
@@ -735,149 +730,71 @@ impl Executor {
 
     fn step_untraced(&mut self) -> Result<Activity> {
         self.check_clock()?;
-        if self.sched == SchedPolicy::RoundRobin {
-            return self.step_round_robin();
-        }
-        let Some(node) = self.current.or_else(|| self.find_entry_or_starved()) else {
-            self.current = None;
-            self.refresh_idle();
-            return Ok(Activity::Quiescent);
-        };
-        self.current = Some(node);
-
         let now = self.clock.now();
-        let poll = {
-            let QueryGraph { ops, buffers, .. } = &mut self.graph;
-            poll_node(ops, buffers, node, now)
+        // The scheduling policy decides only *which node is next*.
+        // Depth-first continues where the NOS rules left `current` (which
+        // may have starved since) and, on (re)activation, enters at the
+        // first runnable node; round-robin takes the first runnable node
+        // from its rotation cursor.
+        let next = match (self.sched, self.current) {
+            (SchedPolicy::DepthFirst, Some(node)) => Some((node, self.poll(node, now))),
+            (SchedPolicy::DepthFirst, None) => self.first_ready(0, now).map(|n| (n, Poll::Ready)),
+            (SchedPolicy::RoundRobin, _) => self
+                .first_ready(self.rr_cursor, now)
+                .map(|n| (n, Poll::Ready)),
         };
-        match poll {
-            Poll::Ready => {
-                // The batched Encore path: run up to `encore_batch`
-                // consecutive steps of this operator as one scheduling
-                // decision. The batch stops at every per-tuple NOS boundary
-                // (yield, starvation), so `select_next` sees the same state
-                // it would after single-stepping — outputs are identical.
-                // Operators that read the clock are not batch-safe and run
-                // one step at a time.
-                let max_steps = if self.graph.ops[node.0].op.batch_safe() {
-                    self.opts.encore_batch.max(1)
-                } else {
-                    1
-                };
-                let batch = {
-                    let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                    if max_steps > 1 {
-                        exec_node_batch(ops, buffers, node, now, max_steps)?
-                    } else {
-                        // encore_batch == 1 (or a clock-reading operator):
-                        // take the plain per-tuple step, so per-tuple
-                        // execution stays the unmodified legacy path.
-                        let mut one = BatchOutcome::default();
-                        one.record(exec_node(ops, buffers, node, now)?);
-                        one
-                    }
-                };
-                let cost = self.cost.batch_cost(batch.steps, batch.total_work());
-                self.clock.advance(cost);
-                self.stats.steps += batch.steps as u64;
-                self.stats.batches += 1;
-                self.stats.work_units += batch.total_work() as u64;
-                self.charge(node, &batch, cost);
-                self.check_tsm(node)?;
-                self.select_next(node);
-                self.refresh_idle();
-                Ok(Activity::Executed {
-                    node,
-                    outcome: batch.as_step_outcome(),
-                })
-            }
-            Poll::Starved { starving } => {
-                // Reuse the visited set across steps; its capacity sticks,
-                // so steady-state backtracking never allocates.
-                let mut visited = std::mem::take(&mut self.bt_visited);
-                visited.clear();
-                visited.insert(node);
-                let activity = self.backtrack(node, &starving, &mut visited);
-                self.bt_visited = visited;
-                let activity = activity?;
-                self.refresh_idle();
-                Ok(activity)
-            }
-        }
+        let activity = match next {
+            Some((node, Poll::Ready)) => self.run(node)?,
+            Some((node, Poll::Starved { starving })) => self.backtrack(Some((node, starving)))?,
+            None => self.backtrack(None)?,
+        };
+        self.refresh_idle();
+        Ok(activity)
     }
 
-    /// One round-robin scheduling step: run the next runnable operator in
-    /// rotation; when none is runnable, fall back to the backtracking/ETS
-    /// machinery from a starved operator with pending input.
-    fn step_round_robin(&mut self) -> Result<Activity> {
-        let n = self.graph.ops.len();
+    /// Fig. 3's execution step — the one place an operator runs and its
+    /// work is charged — followed by the policy's continuation
+    /// ([`Executor::select_next`]).
+    fn run(&mut self, node: NodeId) -> Result<Activity> {
         let now = self.clock.now();
-        let mut chosen = None;
-        {
+        // The batched Encore path: run up to `encore_batch` consecutive
+        // steps of this operator as one scheduling decision. The batch
+        // stops at every per-tuple NOS boundary (yield, starvation), so
+        // `select_next` sees the same state it would after
+        // single-stepping — outputs are identical. Operators that read
+        // the clock are not batch-safe and run one step at a time, and
+        // round-robin stays strictly per-tuple: fusing Encore runs would
+        // starve the rotation's fairness.
+        let max_steps =
+            if self.sched == SchedPolicy::DepthFirst && self.graph.ops[node.0].op.batch_safe() {
+                self.opts.encore_batch.max(1)
+            } else {
+                1
+            };
+        let batch = {
             let QueryGraph { ops, buffers, .. } = &mut self.graph;
-            for k in 0..n {
-                let i = (self.rr_cursor + k) % n;
-                if poll_node(ops, buffers, NodeId(i), now).is_ready() {
-                    chosen = Some(NodeId(i));
-                    break;
-                }
+            if max_steps > 1 {
+                exec_node_batch(ops, buffers, node, now, max_steps)?
+            } else {
+                // The plain per-tuple step, so per-tuple execution stays
+                // the unmodified legacy path.
+                let mut one = BatchOutcome::default();
+                one.record(exec_node(ops, buffers, node, now)?);
+                one
             }
-        }
-        match chosen {
-            Some(node) => {
-                self.rr_cursor = (node.0 + 1) % n;
-                // Round-robin stays strictly per-tuple: fusing Encore runs
-                // would starve the rotation's fairness, so `encore_batch`
-                // is deliberately ignored here.
-                let outcome = {
-                    let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                    exec_node(ops, buffers, node, now)?
-                };
-                let mut batch = BatchOutcome::default();
-                batch.record(outcome);
-                let cost = self.cost.step_cost(outcome.total_work());
-                self.clock.advance(cost);
-                self.stats.steps += 1;
-                self.stats.batches += 1;
-                self.stats.work_units += outcome.total_work() as u64;
-                self.charge(node, &batch, cost);
-                self.check_tsm(node)?;
-                self.refresh_idle();
-                Ok(Activity::Executed { node, outcome })
-            }
-            None => {
-                // No runnable operator: reuse the DFS starvation handling —
-                // try *every* starved-with-pending node, since only some of
-                // their sources may hold ETS budget (multi-sink graphs).
-                let candidates: Vec<NodeId> = {
-                    let QueryGraph { ops, buffers, .. } = &self.graph;
-                    (0..n)
-                        .map(NodeId)
-                        .filter(|&i| {
-                            ops[i.0]
-                                .inputs
-                                .iter()
-                                .any(|b| !buffers[b.0].borrow().is_empty())
-                        })
-                        .collect()
-                };
-                for node in candidates {
-                    let poll = {
-                        let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                        poll_node(ops, buffers, node, now)
-                    };
-                    if let Poll::Starved { starving } = poll {
-                        let activity = self.backtrack_rr(node, &starving)?;
-                        if !matches!(activity, Activity::Quiescent) {
-                            self.refresh_idle();
-                            return Ok(activity);
-                        }
-                    }
-                }
-                self.refresh_idle();
-                Ok(Activity::Quiescent)
-            }
-        }
+        };
+        let cost = self.cost.batch_cost(batch.steps, batch.total_work());
+        self.clock.advance(cost);
+        self.stats.steps += batch.steps as u64;
+        self.stats.batches += 1;
+        self.stats.work_units += batch.total_work() as u64;
+        self.charge(node, &batch, cost);
+        self.check_tsm(node)?;
+        self.select_next(node);
+        Ok(Activity::Executed {
+            node,
+            outcome: batch.as_step_outcome(),
+        })
     }
 
     /// Clock-monotonicity check: the virtual clock must never run
@@ -940,62 +857,6 @@ impl Executor {
             }
         }
         Ok(())
-    }
-
-    /// Round-robin variant of backtracking: identical source/ETS handling,
-    /// but a runnable predecessor is simply left for the next rotation.
-    fn backtrack_rr(&mut self, from: NodeId, starving: &[usize]) -> Result<Activity> {
-        let mut stack = std::mem::take(&mut self.bt_stack);
-        let result = self.backtrack_rr_with(from, starving, &mut stack);
-        stack.clear();
-        self.bt_stack = stack;
-        result
-    }
-
-    fn backtrack_rr_with(
-        &mut self,
-        from: NodeId,
-        starving: &[usize],
-        stack: &mut Vec<Pred>,
-    ) -> Result<Activity> {
-        stack.clear();
-        stack.extend(
-            starving
-                .iter()
-                .rev()
-                .map(|&j| self.graph.ops[from.0].preds[j]),
-        );
-        while let Some(pred) = stack.pop() {
-            self.stats.backtracks += 1;
-            self.clock.advance(self.cost.backtrack);
-            match pred {
-                Pred::Op(p) => {
-                    let now = self.clock.now();
-                    let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                    if let Poll::Starved { starving } = poll_node(ops, buffers, p, now) {
-                        for &j in starving.iter().rev() {
-                            stack.push(ops[p.0].preds[j]);
-                        }
-                    }
-                }
-                Pred::Source(sid) => {
-                    let now = self.clock.now();
-                    let buffer = self.graph.sources[sid.0].buffer;
-                    if !self.graph.buffers[buffer.0].borrow().is_empty() {
-                        continue;
-                    }
-                    let source = &mut self.graph.sources[sid.0];
-                    if !source.ets_budget_used {
-                        if let Some(ts) = self.policy.ets_for(source, now) {
-                            source.ets_budget_used = true;
-                            self.emit_ets(sid, ts)?;
-                            return Ok(Activity::EtsGenerated { source: sid, ts });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Activity::Quiescent)
     }
 
     /// Emits the on-demand ETS `ts` at source `sid`: bumps the source's
@@ -1119,11 +980,15 @@ impl Executor {
         self.pressure_scratch = scratch;
     }
 
-    /// NOS continuation after executing `node` (Fig. 3 step 2).
+    /// The continuation step (Fig. 3 step 2): where the policy goes after
+    /// executing `node`. Round-robin moves its rotation cursor past it;
+    /// depth-first applies the NOS rules.
     fn select_next(&mut self, node: NodeId) {
-        let now = self.clock.now();
-        let QueryGraph { ops, buffers, .. } = &mut self.graph;
-        let n = &ops[node.0];
+        if self.sched == SchedPolicy::RoundRobin {
+            self.rr_cursor = (node.0 + 1) % self.graph.ops.len();
+            return;
+        }
+        let n = &self.graph.ops[node.0];
         // Forward: if yield then next := succ — the consumer of the first
         // output port holding tuples. (The operator before a sink needs no
         // special case: the sink operator itself has no output, so
@@ -1133,182 +998,146 @@ impl Executor {
         let forward = n
             .outputs
             .iter()
-            .position(|b| !buffers[b.0].borrow().is_empty())
+            .position(|b| !self.graph.buffers[b.0].borrow().is_empty())
             .map(|port| n.succs[port]);
-        if let Some(succ) = forward {
-            self.current = Some(succ);
-            return;
-        }
-        // Encore: else if more then next := self.
-        if poll_node(ops, buffers, node, now).is_ready() {
-            self.current = Some(node);
-            return;
-        }
-        // Backtrack handled lazily: leave `current` at this node; the next
-        // step() will poll it, find it starved and walk the preds.
-        self.current = Some(node);
+        // Encore (else if more then next := self) and Backtrack both stay
+        // on this node: the next step polls it and either runs it again
+        // or, finding it starved, walks its preds.
+        self.current = Some(forward.unwrap_or(node));
     }
 
-    /// The Backtrack rule: walk predecessors of the starving inputs until a
-    /// runnable operator is found or a source generates an ETS. Returns the
-    /// resulting activity (an ETS event, or quiescence handling). `visited`
-    /// guards against revisiting starved operators when one dead path hands
-    /// over to another (multi-sink graphs).
-    fn backtrack(
-        &mut self,
-        from: NodeId,
-        starving: &[usize],
-        visited: &mut std::collections::HashSet<NodeId>,
-    ) -> Result<Activity> {
-        let mut stack = std::mem::take(&mut self.bt_stack);
-        let result = self.backtrack_with(from, starving, visited, &mut stack);
-        stack.clear();
-        self.bt_stack = stack;
-        result
-    }
-
-    fn backtrack_with(
-        &mut self,
-        from: NodeId,
-        starving: &[usize],
-        visited: &mut std::collections::HashSet<NodeId>,
-        stack: &mut Vec<Pred>,
-    ) -> Result<Activity> {
-        // Depth-first over the predecessor chains of the starving inputs.
-        stack.clear();
-        stack.extend(
-            starving
-                .iter()
-                .rev()
-                .map(|&j| self.graph.ops[from.0].preds[j]),
-        );
-        // The graph is a DAG with single-consumer buffers, so each pred is
-        // visited at most once per backtrack; no visited-set needed.
-        while let Some(pred) = stack.pop() {
-            self.stats.backtracks += 1;
-            self.clock.advance(self.cost.backtrack);
-            match pred {
-                Pred::Op(p) => {
-                    let now = self.clock.now();
-                    let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                    match poll_node(ops, buffers, p, now) {
-                        Poll::Ready => {
-                            self.current = Some(p);
-                            // Resume execution there on the next step.
-                            return self.step_resumed(p);
+    /// The Backtrack rule (§3.2) with the §4 extension, for both policies:
+    /// walk the predecessors of the starving inputs depth-first until a
+    /// runnable operator is found or an empty source generates an ETS.
+    /// The walk starts at `from` (depth-first's starved `current`) and,
+    /// when every path from there is dead, hands over to each other
+    /// starved operator with queued input in id order — another part of
+    /// the graph may still hold work or ETS budget (multi-sink graphs).
+    ///
+    /// The policy enters as one datum: depth-first *resumes* a runnable
+    /// operator the walk comes across; round-robin leaves it for the
+    /// rotation and only looks for an ETS.
+    fn backtrack(&mut self, from: Option<(NodeId, StarveList)>) -> Result<Activity> {
+        let resume = self.sched == SchedPolicy::DepthFirst;
+        let origin = from.as_ref().map(|(node, _)| *node);
+        let mut from = from;
+        let mut scan = 0;
+        while let Some((node, starving)) =
+            from.take().or_else(|| self.next_starved(&mut scan, origin))
+        {
+            self.bt_stack.clear();
+            self.push_starving_preds(node, &starving);
+            // The graph is a DAG with single-consumer buffers, so each pred
+            // is visited at most once per walk; no visited-set needed.
+            while let Some(pred) = self.bt_stack.pop() {
+                self.stats.backtracks += 1;
+                self.clock.advance(self.cost.backtrack);
+                let now = self.clock.now();
+                match pred {
+                    Pred::Op(p) => match self.poll(p, now) {
+                        Poll::Ready if resume => return self.resume(p),
+                        Poll::Ready => {}
+                        Poll::Starved { starving } => self.push_starving_preds(p, &starving),
+                    },
+                    Pred::Source(sid) => {
+                        let consumer = self.graph.sources[sid.0].consumer;
+                        let buffer = self.graph.sources[sid.0].buffer;
+                        // A non-empty source buffer can only be reached
+                        // here when the consumer is the starved operator
+                        // itself (e.g. a union wired straight to sources);
+                        // resume it only if it is actually runnable.
+                        if !self.graph.buffers[buffer.0].borrow().is_empty() {
+                            if resume && self.poll(consumer, now).is_ready() {
+                                return self.resume(consumer);
+                            }
+                            continue;
                         }
-                        Poll::Starved { starving } => {
-                            for &j in starving.iter().rev() {
-                                stack.push(ops[p.0].preds[j]);
+                        // Empty input buffer at a source: the §4 moment —
+                        // generate an ETS on demand and send it down this
+                        // path. No ETS possible here: fall through to the
+                        // other starving paths on the stack.
+                        let source = &mut self.graph.sources[sid.0];
+                        if !source.ets_budget_used {
+                            if let Some(ts) = self.policy.ets_for(source, now) {
+                                source.ets_budget_used = true;
+                                self.emit_ets(sid, ts)?;
+                                self.current = Some(consumer);
+                                return Ok(Activity::EtsGenerated { source: sid, ts });
                             }
                         }
                     }
                 }
-                Pred::Source(sid) => {
-                    let now = self.clock.now();
-                    let consumer = self.graph.sources[sid.0].consumer;
-                    let buffer = self.graph.sources[sid.0].buffer;
-                    // A non-empty source buffer can only be reached here
-                    // when the consumer is the starved operator itself
-                    // (e.g. a union wired straight to sources); resume it
-                    // only if it is actually runnable.
-                    if !self.graph.buffers[buffer.0].borrow().is_empty() {
-                        let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                        if poll_node(ops, buffers, consumer, now).is_ready() {
-                            self.current = Some(consumer);
-                            return self.step_resumed(consumer);
-                        }
-                        continue;
-                    }
-                    // Empty input buffer at a source: the §4 moment —
-                    // generate an ETS on demand and send it down this path.
-                    let source = &mut self.graph.sources[sid.0];
-                    if !source.ets_budget_used {
-                        if let Some(ts) = self.policy.ets_for(source, now) {
-                            source.ets_budget_used = true;
-                            self.emit_ets(sid, ts)?;
-                            self.current = Some(consumer);
-                            return Ok(Activity::EtsGenerated { source: sid, ts });
-                        }
-                    }
-                    // No ETS possible here; fall through to other starving
-                    // paths on the stack.
+            }
+            // Every starving path from `node` is dead. Depth-first has only
+            // looked along `current`'s chain so far: input may have arrived
+            // elsewhere in the graph, so try any runnable node first.
+            if resume {
+                if let Some(next) = self.first_ready(0, self.clock.now()) {
+                    return self.resume(next);
                 }
             }
         }
-        // Every starving path from `from` is dead. Another part of the
-        // graph may still have work (multi-sink graphs): first any runnable
-        // node, else another starved-with-pending node whose sources may
-        // still hold ETS budget. `visited` bounds the hand-offs.
-        if let Some(next) = self.find_entry() {
-            self.current = Some(next);
-            return self.step_untraced();
-        }
-        let now = self.clock.now();
-        let next_starved = {
-            let QueryGraph { ops, buffers, .. } = &mut self.graph;
-            (0..ops.len()).map(NodeId).find(|n| {
-                !visited.contains(n)
-                    && ops[n.0]
-                        .inputs
-                        .iter()
-                        .any(|b| !buffers[b.0].borrow().is_empty())
-                    && !poll_node(ops, buffers, *n, now).is_ready()
-            })
-        };
-        match next_starved {
-            Some(n) => {
-                visited.insert(n);
-                let starving = {
-                    let QueryGraph { ops, buffers, .. } = &mut self.graph;
-                    match poll_node(ops, buffers, n, now) {
-                        Poll::Starved { starving } => starving,
-                        Poll::Ready => return Ok(Activity::Quiescent),
-                    }
-                };
-                self.backtrack_with(n, &starving, visited, stack)
-            }
-            None => {
-                self.current = None;
-                Ok(Activity::Quiescent)
-            }
-        }
+        self.current = None;
+        Ok(Activity::Quiescent)
     }
 
-    /// After backtracking lands on a runnable node, immediately execute it
-    /// (the paper repeats the NOS step on the predecessor, which then runs).
-    fn step_resumed(&mut self, _node: NodeId) -> Result<Activity> {
-        self.step_untraced()
+    /// Stacks the predecessors feeding `node`'s starving inputs, first
+    /// starving input on top.
+    fn push_starving_preds(&mut self, node: NodeId, starving: &StarveList) {
+        let preds = &self.graph.ops[node.0].preds;
+        self.bt_stack
+            .extend(starving.iter().rev().map(|&j| preds[j]));
     }
 
-    /// Finds a runnable operator (its `more` condition holds). Used as the
-    /// backtrack fallback: it must never return a starved node, or
-    /// backtracking would re-enter it forever.
-    fn find_entry(&mut self) -> Option<NodeId> {
+    /// Backtracking landed on a runnable node: execute it right away (the
+    /// paper repeats the NOS step on the predecessor, which then runs).
+    fn resume(&mut self, node: NodeId) -> Result<Activity> {
+        self.current = Some(node);
+        self.run(node)
+    }
+
+    /// The next hand-over point of a dead backtrack: the first node at or
+    /// after `*scan` (other than `origin`, already walked) that holds
+    /// queued input yet is starved — e.g. an IWP operator wired directly
+    /// to its sources. Walks only poll, so one ascending pass sees every
+    /// candidate exactly once.
+    fn next_starved(
+        &mut self,
+        scan: &mut usize,
+        origin: Option<NodeId>,
+    ) -> Option<(NodeId, StarveList)> {
         let now = self.clock.now();
         let QueryGraph { ops, buffers, .. } = &mut self.graph;
-        (0..ops.len())
-            .map(NodeId)
-            .find(|&n| poll_node(ops, buffers, n, now).is_ready())
-    }
-
-    /// Entry-point selection when the executor is (re)activated: prefer a
-    /// runnable operator, but fall back to a *starved operator with queued
-    /// input* — e.g. an IWP operator wired directly to its sources. Entering
-    /// it triggers the Backtrack rule, which is where on-demand ETS
-    /// generation happens; the backtrack's own fallback is ready-only, so
-    /// this cannot loop.
-    fn find_entry_or_starved(&mut self) -> Option<NodeId> {
-        if let Some(n) = self.find_entry() {
-            return Some(n);
-        }
-        let QueryGraph { ops, buffers, .. } = &self.graph;
-        (0..ops.len()).map(NodeId).find(|&n| {
-            ops[n.0]
+        while *scan < ops.len() {
+            let node = NodeId(*scan);
+            *scan += 1;
+            let pending = ops[node.0]
                 .inputs
                 .iter()
-                .any(|b| !buffers[b.0].borrow().is_empty())
-        })
+                .any(|b| !buffers[b.0].borrow().is_empty());
+            if pending && Some(node) != origin {
+                if let Poll::Starved { starving } = poll_node(ops, buffers, node, now) {
+                    return Some((node, starving));
+                }
+            }
+        }
+        None
+    }
+
+    /// The first runnable operator (its `more` condition holds) in id
+    /// order from `start`, wrapping around.
+    fn first_ready(&mut self, start: usize, now: Timestamp) -> Option<NodeId> {
+        let QueryGraph { ops, buffers, .. } = &mut self.graph;
+        let n = ops.len();
+        (0..n)
+            .map(|k| NodeId((start + k) % n))
+            .find(|&node| poll_node(ops, buffers, node, now).is_ready())
+    }
+
+    /// Polls `node`'s `more` condition.
+    fn poll(&mut self, node: NodeId, now: Timestamp) -> Poll {
+        let QueryGraph { ops, buffers, .. } = &mut self.graph;
+        poll_node(ops, buffers, node, now)
     }
 }
 
@@ -1756,8 +1585,9 @@ mod tests {
         let hb = Timestamp::from_micros(200);
         f.exec.ingest_heartbeat(f.s2, hb).unwrap();
         let queued = f.exec.graph().total_queued();
-        // The same heartbeat again adds no information: dropped at the
-        // door, not pushed through the graph.
+        // The same heartbeat again adds no information
+        // (`punctuation_is_stale`): dropped at the door, not pushed
+        // through the graph.
         f.exec.ingest_heartbeat(f.s2, hb).unwrap();
         assert_eq!(f.exec.graph().total_queued(), queued);
         assert_eq!(f.exec.stats().dropped_stale_heartbeats, 1);
@@ -1780,7 +1610,8 @@ mod tests {
         f.exec.clock().advance_to(Timestamp::from_micros(100));
         f.exec.ingest(f.s2, data(100, 1)).unwrap();
         let queued = f.exec.graph().total_queued();
-        // ts == data high-water: asserts silence up to 100 — informative.
+        // ts == data high-water: asserts silence up to 100 — informative
+        // (the asymmetry documented at `punctuation_is_stale`).
         f.exec
             .ingest_heartbeat(f.s2, Timestamp::from_micros(100))
             .unwrap();

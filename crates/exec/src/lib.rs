@@ -41,5 +41,5 @@ pub use graph::{
 pub use millstream_buffer::{
     CheckMode, FeedbackRegisters, FeedbackSignal, PressureLevel, SentinelStats, Watermarks,
 };
-pub use parallel::{IngestHandle, ParallelConfig, ParallelExecutor, ParallelSnapshot};
+pub use parallel::{ParallelConfig, ParallelExecutor, ParallelSnapshot};
 pub use strategy::{frontier_advance, EtsPolicy};

@@ -30,8 +30,8 @@
 //! then blocks on every worker's reply. Because components are
 //! independent, a component that reports quiescence cannot be re-awakened
 //! by another component's progress, so one pass per component is a true
-//! global quiescence check. Worker-side errors (e.g. out-of-order ingest
-//! through a fire-and-forget handle) are stashed and surfaced at the next
+//! global quiescence check. Worker-side errors (e.g. an out-of-order
+//! tuple in a fire-and-forget ingest) are stashed and surfaced at the next
 //! barrier.
 
 use std::panic::AssertUnwindSafe;
@@ -123,9 +123,9 @@ impl ParallelConfig {
 /// [`ParallelExecutor`] (per-component parallelism) and
 /// [`crate::ShardedExecutor`] (intra-component exchange edges): on drop the
 /// pool sends an explicit stop command to every worker and joins the
-/// threads. The explicit stop beats dropping the senders — cloned handles
-/// (e.g. [`IngestHandle`]) may still hold a channel open, and a worker
-/// blocked in `recv()` would never observe a disconnect.
+/// threads. The explicit stop beats dropping the senders: a worker blocked
+/// in `recv()` retires on a command it can see, not on every clone of its
+/// channel having been dropped.
 pub(crate) struct WorkerPool<C: Send + 'static> {
     senders: Vec<Sender<C>>,
     threads: Vec<JoinHandle<()>>,
@@ -184,18 +184,13 @@ impl<C: Send + 'static> Drop for WorkerPool<C> {
     }
 }
 
-/// Commands crossing from the coordinator (or ingest handles) to a worker.
+/// Commands crossing from the coordinator to a worker.
 enum Cmd {
-    /// Ingest a data tuple at a component's local source.
-    Ingest {
-        comp: usize,
-        source: SourceId,
-        tuple: Tuple,
-    },
     /// Ingest a run of data tuples at a component's local source in one
-    /// command — the coordinator's coalesced fast path. Applied via
-    /// [`Executor::ingest_batch`], so it is semantically one `Ingest` per
-    /// tuple at a fraction of the channel round trips.
+    /// command — the coordinator's coalesced path. Applied via
+    /// [`Executor::ingest_batch`], so it is semantically one
+    /// [`Executor::ingest`] per tuple at a fraction of the channel round
+    /// trips.
     IngestBatch {
         comp: usize,
         source: SourceId,
@@ -226,8 +221,7 @@ enum Cmd {
     Snapshot {
         reply: Sender<(Vec<CompSnapshot>, u64)>,
     },
-    /// Exit the worker loop. Sent by [`ParallelExecutor::drop`] so workers
-    /// retire even while cloned [`IngestHandle`]s keep the channel open.
+    /// Exit the worker loop. Sent when the [`WorkerPool`] drops.
     Stop,
 }
 
@@ -284,18 +278,6 @@ fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
     while let Ok(cmd) = rx.recv() {
         let started = std::time::Instant::now();
         match cmd {
-            Cmd::Ingest {
-                comp,
-                source,
-                tuple,
-            } => {
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let slot = slots.iter_mut().find(|s| s.comp == comp).expect("routed");
-                    slot.exec.ingest(source, tuple)
-                }))
-                .unwrap_or_else(|p| Err(panic_error(p)));
-                stash(r, &mut pending_err);
-            }
             Cmd::IngestBatch {
                 comp,
                 source,
@@ -400,68 +382,6 @@ fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
     }
 }
 
-/// A cloneable, `Send`-able ingest handle bound to one source. Sends are
-/// fire-and-forget over the owning worker's FIFO channel; errors (closed
-/// source, out-of-order tuple) surface at the next
-/// [`ParallelExecutor::run_until_quiescent`] barrier.
-#[derive(Clone)]
-pub struct IngestHandle {
-    tx: Sender<Cmd>,
-    comp: usize,
-    source: SourceId,
-}
-
-impl IngestHandle {
-    /// Ingests a data tuple.
-    pub fn ingest(&self, tuple: Tuple) -> Result<()> {
-        self.tx
-            .send(Cmd::Ingest {
-                comp: self.comp,
-                source: self.source,
-                tuple,
-            })
-            .map_err(|_| disconnected())
-    }
-
-    /// Ingests a run of data tuples as one [`Cmd::IngestBatch`] — a
-    /// single channel round trip regardless of run length. The run must
-    /// respect the source's timestamp order, exactly as the same tuples
-    /// fed through repeated [`IngestHandle::ingest`] calls would.
-    pub fn ingest_batch(&self, tuples: Vec<Tuple>) -> Result<()> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
-        self.tx
-            .send(Cmd::IngestBatch {
-                comp: self.comp,
-                source: self.source,
-                tuples,
-            })
-            .map_err(|_| disconnected())
-    }
-
-    /// Ingests a heartbeat punctuation.
-    pub fn heartbeat(&self, ts: Timestamp) -> Result<()> {
-        self.tx
-            .send(Cmd::Heartbeat {
-                comp: self.comp,
-                source: self.source,
-                ts,
-            })
-            .map_err(|_| disconnected())
-    }
-
-    /// Declares end-of-stream on the source.
-    pub fn close(&self) -> Result<()> {
-        self.tx
-            .send(Cmd::Close {
-                comp: self.comp,
-                source: self.source,
-            })
-            .map_err(|_| disconnected())
-    }
-}
-
 fn disconnected() -> Error {
     Error::runtime("parallel worker disconnected")
 }
@@ -517,9 +437,8 @@ pub struct ParallelExecutor {
     /// as one [`Cmd::IngestBatch`] when full or before any other command,
     /// preserving the per-worker FIFO discipline.
     pending: Mutex<Vec<Vec<Tuple>>>,
-    /// Lifetime count of commands sent over the worker channels by this
-    /// coordinator (ingest handles excluded — they own their channel
-    /// clones). The batching regression test pins round trips per tuple.
+    /// Lifetime count of commands sent over the worker channels. The
+    /// batching regression test pins round trips per tuple.
     commands_sent: AtomicU64,
     /// Global source id → (component, local source id).
     source_route: Vec<(usize, SourceId)>,
@@ -625,8 +544,7 @@ impl ParallelExecutor {
     }
 
     /// Commands this coordinator has sent over the worker channels —
-    /// coalesced batches count once. Ingest-handle traffic is not
-    /// included.
+    /// coalesced batches count once.
     pub fn commands_sent(&self) -> u64 {
         self.commands_sent.load(Ordering::Relaxed)
     }
@@ -664,20 +582,6 @@ impl ParallelExecutor {
             )?;
         }
         Ok(())
-    }
-
-    /// A cloneable, `Send`-able ingest handle for a global source.
-    ///
-    /// Handle traffic bypasses the coordinator's coalescing buffer; mixing
-    /// `ingest` and handle sends **for the same source** may reorder them
-    /// relative to each other (each path is individually FIFO).
-    pub fn ingest_handle(&self, source: SourceId) -> IngestHandle {
-        let (comp, local) = self.source_route[source.0];
-        IngestHandle {
-            tx: self.sender_for(comp).clone(),
-            comp,
-            source: local,
-        }
     }
 
     /// Ingests a data tuple at a global source (fire-and-forget; errors
@@ -1012,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn handles_route_by_component_and_workers_multiplex() {
+    fn sources_route_by_component_and_workers_multiplex() {
         let (g, [s1, s2, s3], out1, out2) = build();
         // One worker hosting both components still works (multiplexed).
         let pex = ParallelExecutor::new(
@@ -1022,20 +926,14 @@ mod tests {
         assert_eq!(pex.num_workers(), 1);
         assert_eq!(pex.component_of(s1), 0);
         assert_eq!(pex.component_of(s2), 1);
-        let h1 = pex.ingest_handle(s1);
-        let h2 = pex.ingest_handle(s2);
-        let h3 = pex.ingest_handle(s3);
-        let feeder = std::thread::spawn(move || {
-            for i in 0..5u64 {
-                h1.ingest(data(i)).unwrap();
-                h2.ingest(data(i)).unwrap();
-                h3.ingest(data(i)).unwrap();
+        for i in 0..5u64 {
+            for s in [s1, s2, s3] {
+                pex.ingest(s, data(i)).unwrap();
             }
-            h1.close().unwrap();
-            h2.close().unwrap();
-            h3.close().unwrap();
-        });
-        feeder.join().unwrap();
+        }
+        for s in [s1, s2, s3] {
+            pex.close_source(s).unwrap();
+        }
         pex.run_until_quiescent(1_000_000).unwrap();
         assert_eq!(out1.0.lock().unwrap().len(), 5);
         assert_eq!(out2.0.lock().unwrap().len(), 10);

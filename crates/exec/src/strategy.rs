@@ -15,6 +15,7 @@
 //! promise `t + (now − a) − δ` — every future tuple must carry at least
 //! that timestamp.
 
+use millstream_buffer::punctuation_is_stale;
 use millstream_types::{TimeDelta, Timestamp, TimestampKind};
 
 use crate::graph::SourceState;
@@ -100,21 +101,15 @@ impl EtsPolicy {
 /// suppressed rather than burning a run cycle.
 ///
 /// Returns the heartbeat timestamp to inject, or `None` when `frontier`
-/// is unknown or stale against the local data/punctuation high waters.
-/// Note the asymmetry: a frontier *equal* to the data high water is still
-/// useful (it promises "no more data below `f`", which the data tuple at
-/// `f` itself does not), while one equal to the punctuation high water is
-/// not (that exact promise was already made).
+/// is unknown or stale against the local data/punctuation high waters
+/// ([`punctuation_is_stale`]: equal to the data high water is still
+/// useful, equal to the punctuation high water is not).
 pub fn frontier_advance(
     frontier: Option<Timestamp>,
     data_high_water: Option<Timestamp>,
     punct_high_water: Option<Timestamp>,
 ) -> Option<Timestamp> {
-    let f = frontier?;
-    if data_high_water.is_some_and(|hw| f < hw) || punct_high_water.is_some_and(|hw| f <= hw) {
-        return None;
-    }
-    Some(f)
+    frontier.filter(|&f| !punctuation_is_stale(f, data_high_water, punct_high_water))
 }
 
 #[cfg(test)]

@@ -241,14 +241,13 @@ fn batched_ingest_matches_tuple_at_a_time() {
         pex_a.ingest(a2, data(ts(1, i))).unwrap();
     }
 
-    // Batched: the same tuples in runs of 25, S1 through the coordinator
-    // (merging with its coalescing buffer), S2 through a handle.
+    // Batched: the same tuples in runs of 25 through the coordinator, S1
+    // merging with its coalescing buffer.
     let (graph, [b1, b2], out_b) = union_graph();
     let pex_b = ParallelExecutor::new(
         graph,
         ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
     );
-    let h2 = pex_b.ingest_handle(b2);
     // Seed the coalescing buffer so at least one batch exercises the
     // merge-with-pending branch instead of the ship-as-is fast path.
     pex_b.ingest(b1, data(ts(0, 0))).unwrap();
@@ -260,7 +259,7 @@ fn batched_ingest_matches_tuple_at_a_time() {
                 .collect()
         };
         pex_b.ingest_batch(b1, run(0, 1)).unwrap();
-        h2.ingest_batch(run(1, 0)).unwrap();
+        pex_b.ingest_batch(b2, run(1, 0)).unwrap();
     }
 
     for (pex, [s1, s2]) in [(&pex_a, [a1, a2]), (&pex_b, [b1, b2])] {
@@ -280,9 +279,9 @@ fn batched_ingest_matches_tuple_at_a_time() {
         pex_b.snapshot().unwrap().stats,
         "batched ingest changes no counter"
     );
-    // 100 coordinator-side tuples crossed in ≤ 5 IngestBatch commands
-    // (1 seed-flush + 4 runs); everything else is advance/close/run
-    // traffic, nowhere near one command per tuple.
+    // 200 tuples crossed in ≤ 9 IngestBatch commands (1 seed-flush + 4
+    // runs per source); everything else is advance/close/run traffic,
+    // nowhere near one command per tuple.
     assert!(
         pex_b.commands_sent() <= 20,
         "batched path sent {} commands",

@@ -72,7 +72,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use millstream_buffer::{CheckMode, OrderSentinel, PressureLevel, SentinelStats, Watermarks};
+use millstream_buffer::{
+    punctuation_is_stale, CheckMode, OrderSentinel, PressureLevel, SentinelStats, Watermarks,
+};
 use millstream_exec::{
     CostModel, EtsPolicy, ExecStats, FeedbackConfig, NodeId, ParallelConfig, ParallelExecutor,
     SourceId,
@@ -1017,9 +1019,7 @@ fn apply_item(
                 .ingest_heartbeat(source, ts)
                 .map_err(|e| reject(ErrorCode::Engine, e))?;
             let port = &mut eng.ports[port_idx];
-            let stale =
-                port.data_hw.is_some_and(|hw| us < hw) || port.punct_hw.is_some_and(|p| us <= p);
-            if !stale {
+            if !punctuation_is_stale(us, port.data_hw, port.punct_hw) {
                 port.punct_hw = Some(us);
             }
             stats.heartbeats_in.fetch_add(1, Ordering::SeqCst);

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use millstream_buffer::PressureLevel;
+use millstream_buffer::{punctuation_is_stale, PressureLevel};
 use millstream_types::{Result, Schema, TimeDelta, Timestamp};
 
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
@@ -52,6 +52,13 @@ const SHARD_CAP: usize = 8192;
 
 /// Items the pump drains into one engine critical section.
 const PUMP_BATCH: usize = 1024;
+
+/// Wire-arrival instants the pump keeps waiting for a sink delivery
+/// (256 KiB, allocated once). An arrival the query filtered out is never
+/// matched; past this bound the oldest one ages out unrecorded, so the
+/// ledger — and with it the server's resident set — does not grow with
+/// the tuples processed.
+const ARRIVAL_LEDGER_CAP: usize = 1 << 14;
 
 /// Poller park bounds: a poller that made progress re-polls immediately;
 /// an idle one backs off exponentially between these bounds.
@@ -731,8 +738,8 @@ pub(super) fn pump_loop(shared: &Arc<Shared>) {
     // attribution pairs each delivery with (a close approximation of)
     // its own arrival — giving true per-tuple wire→sink latency even
     // when an operator holds tuples across many sections waiting for
-    // the frontier.
-    let mut awaiting_delivery: VecDeque<Instant> = VecDeque::new();
+    // the frontier. Bounded: see `ARRIVAL_LEDGER_CAP`.
+    let mut awaiting_delivery: VecDeque<Instant> = VecDeque::with_capacity(ARRIVAL_LEDGER_CAP);
     loop {
         if shared.terminate.load(Ordering::SeqCst) {
             return;
@@ -762,12 +769,22 @@ pub(super) fn pump_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Appends one arrival to the ledger; at [`ARRIVAL_LEDGER_CAP`] the oldest
+/// ages out first, so the ledger never reallocates.
+fn push_arrival(awaiting: &mut VecDeque<Instant>, arrival: Instant) {
+    if awaiting.len() == ARRIVAL_LEDGER_CAP {
+        awaiting.pop_front();
+    }
+    awaiting.push_back(arrival);
+}
+
 /// Matches every delivery since `before` with the oldest unmatched
 /// arrival instant and records one wire→sink latency sample per tuple —
 /// with the engine lock released (the recorder's thread-local depth
 /// check enforces that). If the graph filtered tuples out, leftover
-/// arrivals simply age out unrecorded; deliveries beyond the arrival
-/// ledger (none in practice) are skipped rather than misattributed.
+/// arrivals age out unrecorded once the ledger is full
+/// ([`ARRIVAL_LEDGER_CAP`]); deliveries beyond the arrival ledger (only
+/// after such an age-out) are skipped rather than misattributed.
 fn record_deliveries(shared: &Arc<Shared>, awaiting: &mut VecDeque<Instant>, before: u64) {
     let after = shared.broadcast.delivered();
     let mut remaining = after.saturating_sub(before);
@@ -861,7 +878,7 @@ fn process_batch(
                 Ok(entered_graph) => {
                     outcomes[oidx].ack_seq = Some(seq);
                     if entered_graph {
-                        awaiting_delivery.push_back(arrival);
+                        push_arrival(awaiting_delivery, arrival);
                     }
                 }
                 Err(rej) => {
@@ -968,10 +985,7 @@ fn synthesize_idle_sweep(shared: &Arc<Shared>) -> Result<()> {
             // asserts something new for this source.
             let target = eng.max_ts;
             let port = &eng.ports[idx];
-            let fresh = target > 0
-                && port.data_hw.is_none_or(|hw| target >= hw)
-                && port.punct_hw.is_none_or(|p| target > p);
-            if !fresh {
+            if target == 0 || punctuation_is_stale(target, port.data_hw, port.punct_hw) {
                 idx += shards;
                 continue;
             }
@@ -994,4 +1008,26 @@ fn synthesize_idle_sweep(shared: &Arc<Shared>) -> Result<()> {
         eng.run()?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A query that filters tuples out leaves their arrivals unmatched for
+    /// the life of the server; the ledger must hold its size — no growth,
+    /// no reallocation — and keep the newest arrivals.
+    #[test]
+    fn arrival_ledger_is_bounded_and_never_reallocates() {
+        let mut ledger = VecDeque::with_capacity(ARRIVAL_LEDGER_CAP);
+        let cap = ledger.capacity();
+        let first = Instant::now();
+        push_arrival(&mut ledger, first);
+        for _ in 0..3 * ARRIVAL_LEDGER_CAP {
+            push_arrival(&mut ledger, first + Duration::from_secs(1));
+        }
+        assert_eq!(ledger.len(), ARRIVAL_LEDGER_CAP);
+        assert_eq!(ledger.capacity(), cap);
+        assert!(ledger.front().is_some_and(|&a| a > first));
+    }
 }

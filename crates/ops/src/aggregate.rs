@@ -1,22 +1,7 @@
-//! Windowed grouped aggregation — a punctuation-consuming extension
-//! operator.
-//!
-//! The paper restricts its discussion to union and join "due to space
-//! limitations" but notes that *other* IWP/punctuation-sensitive operators
-//! exist. Tumbling-window aggregation is the classic one: results for a
-//! window `[k·w, (k+1)·w)` can only be emitted once time provably passed
-//! `(k+1)·w`, which a sparse stream may take arbitrarily long to witness
-//! with data — exactly the situation ETS punctuation fixes. This operator
-//! flushes closed windows whenever a data tuple *or punctuation* advances
-//! stream time, making it a direct beneficiary of on-demand ETS.
+//! Aggregate functions and their running partial states, folded per group
+//! by the windowed [`SlidingAggregate`](crate::SlidingAggregate).
 
-use std::collections::BTreeMap;
-
-use millstream_types::{
-    DataType, Error, Expr, Field, Result, Row, Schema, TimeDelta, Timestamp, Tuple, Value,
-};
-
-use crate::context::{OpContext, Operator, Poll, StepOutcome};
+use millstream_types::{DataType, Error, Expr, Result, Value};
 
 /// An aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,399 +155,5 @@ impl AggState {
                 }
             }
         }
-    }
-}
-
-/// Tumbling-window grouped aggregation.
-#[derive(Debug)]
-pub struct WindowAggregate {
-    name: String,
-    window: TimeDelta,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggExpr>,
-    schema: Schema,
-    /// Start of the currently open window, set by the first tuple.
-    window_start: Option<Timestamp>,
-    /// Group key → per-aggregate running states. Keys are [`Row`]s so
-    /// narrow group keys are built and looked up without heap allocation.
-    groups: BTreeMap<Row, Vec<AggState>>,
-    windows_flushed: u64,
-}
-
-impl WindowAggregate {
-    /// Creates a tumbling-window aggregate. `input_schema` is used to infer
-    /// the output schema; `group_names` names the group-by output columns.
-    pub fn new(
-        name: impl Into<String>,
-        input_schema: &Schema,
-        window: TimeDelta,
-        group_by: Vec<(String, Expr)>,
-        aggs: Vec<AggExpr>,
-    ) -> Result<Self> {
-        if window.is_zero() {
-            return Err(Error::config("aggregate window must be positive"));
-        }
-        let mut fields = Vec::with_capacity(1 + group_by.len() + aggs.len());
-        fields.push(Field::new("window_start", DataType::Int));
-        for (n, e) in &group_by {
-            fields.push(Field::new(n.clone(), e.infer_type(input_schema)?));
-        }
-        for a in &aggs {
-            let arg_ty = match a.func {
-                AggFunc::Count => DataType::Int,
-                _ => a.arg.infer_type(input_schema)?,
-            };
-            fields.push(Field::new(a.name.clone(), a.func.result_type(arg_ty)));
-        }
-        Ok(WindowAggregate {
-            name: name.into(),
-            window,
-            group_by: group_by.into_iter().map(|(_, e)| e).collect(),
-            aggs,
-            schema: Schema::new(fields),
-            window_start: None,
-            groups: BTreeMap::new(),
-            windows_flushed: 0,
-        })
-    }
-
-    /// Number of windows flushed so far.
-    pub fn windows_flushed(&self) -> u64 {
-        self.windows_flushed
-    }
-
-    /// Number of currently open groups.
-    pub fn open_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Flushes every window that provably closed given stream time reached
-    /// `ts`. Output tuples are stamped with the window end.
-    fn flush_until(&mut self, ctx: &OpContext<'_>, ts: Timestamp) -> Result<usize> {
-        let mut produced = 0;
-        while let Some(start) = self.window_start {
-            // Saturating arithmetic: an end-of-stream punctuation may carry
-            // Timestamp::MAX. A saturated start means everything flushed.
-            if start == Timestamp::MAX {
-                break;
-            }
-            let end = start.saturating_add(self.window);
-            if ts < end {
-                break;
-            }
-            let groups = std::mem::take(&mut self.groups);
-            for (key, states) in groups {
-                let mut row = Row::builder(1 + key.len() + states.len());
-                row.push(Value::Int(start.as_micros() as i64));
-                row.extend_from_slice(&key);
-                for s in states {
-                    row.push(s.finish());
-                }
-                ctx.output_mut(0).push(Tuple::data(end, row.finish()))?;
-                produced += 1;
-            }
-            self.windows_flushed += 1;
-            // Advance directly to the window containing `ts` (empty windows
-            // in between produce no rows).
-            let gap = ts.duration_since(end).as_micros() / self.window.as_micros();
-            let next = end.saturating_add(self.window.saturating_mul(gap));
-            // No forward progress is possible once the boundary saturates;
-            // park at MAX so later punctuation cannot spin here.
-            if next <= start {
-                self.window_start = Some(Timestamp::MAX);
-                break;
-            }
-            self.window_start = Some(next);
-            if ts < next.saturating_add(self.window) {
-                break;
-            }
-        }
-        Ok(produced)
-    }
-}
-
-impl Operator for WindowAggregate {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_inputs(&self) -> usize {
-        1
-    }
-
-    fn is_time_driven(&self) -> bool {
-        true
-    }
-
-    /// The open window flushes at its end — a timestamp *behind* the input
-    /// that will close it — so the window end is a hold on future output.
-    fn frontier_hold(&self) -> Option<Timestamp> {
-        match self.window_start {
-            Some(start) if start != Timestamp::MAX => Some(start.saturating_add(self.window)),
-            _ => None,
-        }
-    }
-
-    fn output_schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn poll(&mut self, ctx: &OpContext<'_>) -> Poll {
-        if ctx.input(0).is_empty() {
-            Poll::starved_on(0)
-        } else {
-            Poll::Ready
-        }
-    }
-
-    fn step(&mut self, ctx: &OpContext<'_>) -> Result<StepOutcome> {
-        let Some(tuple) = ctx.input_mut(0).pop() else {
-            return Ok(StepOutcome::default());
-        };
-
-        if self.window_start.is_none() {
-            // Align windows to the first observed timestamp, rounded down
-            // to a window multiple for reproducibility.
-            let m = self.window.as_micros();
-            let aligned = (tuple.ts.as_micros() / m) * m;
-            self.window_start = Some(Timestamp::from_micros(aligned));
-        }
-
-        let mut produced = self.flush_until(ctx, tuple.ts)?;
-
-        match tuple.values() {
-            None => {
-                // Punctuation: everything before it is flushed; forward the
-                // ETS downstream.
-                ctx.output_mut(0).push(tuple)?;
-                produced += 1;
-            }
-            Some(row) => {
-                let mut key = Row::builder(self.group_by.len());
-                for g in &self.group_by {
-                    key.push(g.eval(row)?);
-                }
-                let states = self
-                    .groups
-                    .entry(key.finish())
-                    .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect());
-                for (state, agg) in states.iter_mut().zip(self.aggs.iter()) {
-                    let v = match agg.func {
-                        AggFunc::Count => Value::Int(1),
-                        _ => agg.arg.eval(row)?,
-                    };
-                    state.update(v)?;
-                }
-            }
-        }
-        Ok(StepOutcome {
-            consumed: 1,
-            produced,
-            work: produced,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use millstream_buffer::Buffer;
-    use std::cell::RefCell;
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::Int),
-        ])
-    }
-
-    fn agg() -> WindowAggregate {
-        WindowAggregate::new(
-            "γ",
-            &schema(),
-            TimeDelta::from_micros(100),
-            vec![("k".into(), Expr::col(0))],
-            vec![
-                AggExpr {
-                    func: AggFunc::Count,
-                    arg: Expr::col(1),
-                    name: "n".into(),
-                },
-                AggExpr {
-                    func: AggFunc::Sum,
-                    arg: Expr::col(1),
-                    name: "total".into(),
-                },
-                AggExpr {
-                    func: AggFunc::Avg,
-                    arg: Expr::col(1),
-                    name: "mean".into(),
-                },
-            ],
-        )
-        .unwrap()
-    }
-
-    fn data(ts: u64, k: i64, v: i64) -> Tuple {
-        Tuple::data(
-            Timestamp::from_micros(ts),
-            vec![Value::Int(k), Value::Int(v)],
-        )
-    }
-
-    fn run(a: &mut WindowAggregate, tuples: Vec<Tuple>) -> Vec<Tuple> {
-        let input = RefCell::new(Buffer::new("in"));
-        let output = RefCell::new(Buffer::new("out"));
-        for t in tuples {
-            input.borrow_mut().push(t).unwrap();
-        }
-        let inputs = [&input];
-        let outputs = [&output];
-        let ctx = OpContext::new(&inputs, &outputs, Timestamp::ZERO);
-        while a.poll(&ctx).is_ready() {
-            a.step(&ctx).unwrap();
-        }
-        let mut out = vec![];
-        while let Some(t) = output.borrow_mut().pop() {
-            out.push(t);
-        }
-        out
-    }
-
-    #[test]
-    fn output_schema_shape() {
-        let a = agg();
-        let s = a.output_schema();
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.field(0).unwrap().name, "window_start");
-        assert_eq!(s.field(2).unwrap().name, "n");
-        assert_eq!(s.field(4).unwrap().data_type, DataType::Float);
-    }
-
-    #[test]
-    fn flushes_on_window_boundary_crossing() {
-        let mut a = agg();
-        let out = run(
-            &mut a,
-            vec![data(10, 1, 5), data(20, 1, 7), data(150, 1, 100)],
-        );
-        // Window [0,100) closes when ts 150 arrives.
-        assert_eq!(out.len(), 1);
-        let row = out[0].values().unwrap();
-        assert_eq!(row[0], Value::Int(0)); // window_start
-        assert_eq!(row[1], Value::Int(1)); // group key
-        assert_eq!(row[2], Value::Int(2)); // count
-        assert_eq!(row[3], Value::Int(12)); // sum
-        assert_eq!(row[4], Value::Float(6.0)); // avg
-        assert_eq!(out[0].ts.as_micros(), 100, "stamped with window end");
-        assert_eq!(a.open_groups(), 1, "the 150-tuple opened a new window");
-    }
-
-    #[test]
-    fn groups_are_separate() {
-        let mut a = agg();
-        let out = run(
-            &mut a,
-            vec![data(10, 1, 5), data(20, 2, 7), data(150, 1, 0)],
-        );
-        assert_eq!(out.len(), 2);
-        // BTreeMap gives deterministic key order.
-        assert_eq!(out[0].values().unwrap()[1], Value::Int(1));
-        assert_eq!(out[1].values().unwrap()[1], Value::Int(2));
-    }
-
-    #[test]
-    fn punctuation_flushes_and_forwards() {
-        let mut a = agg();
-        let out = run(
-            &mut a,
-            vec![
-                data(10, 1, 5),
-                Tuple::punctuation(Timestamp::from_micros(250)),
-            ],
-        );
-        // The ETS at 250 closes window [0,100): one result + the forwarded
-        // punctuation.
-        assert_eq!(out.len(), 2);
-        assert!(out[0].is_data());
-        assert_eq!(out[0].ts.as_micros(), 100);
-        assert!(out[1].is_punctuation());
-        assert_eq!(out[1].ts.as_micros(), 250);
-        assert_eq!(a.open_groups(), 0);
-    }
-
-    #[test]
-    fn skips_empty_windows() {
-        let mut a = agg();
-        let out = run(&mut a, vec![data(10, 1, 5), data(1_050, 1, 1)]);
-        assert_eq!(out.len(), 1, "empty windows produce no rows");
-        assert_eq!(a.windows_flushed(), 1);
-    }
-
-    #[test]
-    fn min_max_and_null_handling() {
-        let s = schema();
-        let mut a = WindowAggregate::new(
-            "γ",
-            &s,
-            TimeDelta::from_micros(100),
-            vec![],
-            vec![
-                AggExpr {
-                    func: AggFunc::Min,
-                    arg: Expr::col(1),
-                    name: "lo".into(),
-                },
-                AggExpr {
-                    func: AggFunc::Max,
-                    arg: Expr::col(1),
-                    name: "hi".into(),
-                },
-            ],
-        )
-        .unwrap();
-        let null_tuple = Tuple::data(Timestamp::from_micros(15), vec![Value::Int(0), Value::Null]);
-        let out = run(
-            &mut a,
-            vec![data(10, 0, 9), null_tuple, data(20, 0, 3), data(130, 0, 1)],
-        );
-        assert_eq!(out.len(), 1);
-        let row = out[0].values().unwrap();
-        assert_eq!(row[1], Value::Int(3));
-        assert_eq!(row[2], Value::Int(9));
-    }
-
-    #[test]
-    fn zero_window_rejected() {
-        let err =
-            WindowAggregate::new("γ", &schema(), TimeDelta::ZERO, vec![], vec![]).unwrap_err();
-        assert!(matches!(err, Error::Config(_)));
-    }
-
-    #[test]
-    fn survives_end_of_stream_punctuation_at_max() {
-        // Timestamp::MAX is the natural end-of-stream marker; boundary
-        // arithmetic must saturate rather than overflow.
-        let mut a = agg();
-        let out = run(
-            &mut a,
-            vec![data(10, 1, 5), Tuple::punctuation(Timestamp::MAX)],
-        );
-        assert_eq!(out.len(), 2, "flush + forwarded EOS");
-        assert!(out[0].is_data());
-        assert!(out[1].is_punctuation());
-    }
-
-    #[test]
-    fn window_alignment_is_stable() {
-        let mut a = agg();
-        // First tuple at 250 → window [200, 300).
-        let out = run(
-            &mut a,
-            vec![data(250, 1, 1), data(299, 1, 1), data(305, 1, 1)],
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].values().unwrap()[0], Value::Int(200));
-        assert_eq!(out[0].values().unwrap()[2], Value::Int(2));
     }
 }

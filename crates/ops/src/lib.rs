@@ -4,9 +4,9 @@
 //! paper's Fig. 1 / Fig. 6 execution rules:
 //!
 //! * non-IWP operators: [`Filter`] (selection), [`Project`],
-//!   [`WindowAggregate`] (tumbling), [`SlidingAggregate`] (pane-based
-//!   overlapping windows), and [`Reorder`] (slack-based order restoration
-//!   for disordered external streams);
+//!   [`SlidingAggregate`] (pane-based windowed aggregation, tumbling or
+//!   overlapping), and [`Reorder`] (slack-based order restoration for
+//!   disordered external streams);
 //! * IWP operators: [`Union`] (n-ary merging, with latent-timestamp mode),
 //!   [`WindowJoin`] (binary symmetric) and [`MultiWindowJoin`] (n-ary
 //!   symmetric), all built on TSM registers and the relaxed `more`
@@ -35,7 +35,7 @@ mod spill;
 mod split;
 mod union;
 
-pub use aggregate::{AggExpr, AggFunc, WindowAggregate};
+pub use aggregate::{AggExpr, AggFunc};
 pub use context::{BatchOutcome, OpContext, Operator, Poll, StepOutcome};
 pub use filter::{DropBehavior, Filter};
 pub use join::{JoinSpec, WindowJoin};

@@ -1,4 +1,12 @@
-//! Sliding-window grouped aggregation, computed over **panes**.
+//! Windowed grouped aggregation — a punctuation-consuming extension
+//! operator — computed over **panes**.
+//!
+//! The paper restricts its discussion to union and join "due to space
+//! limitations" but notes that *other* IWP/punctuation-sensitive operators
+//! exist. Windowed aggregation is the classic one: results for a window
+//! ending at `e` can only be emitted once time provably passed `e`, which
+//! a sparse stream may take arbitrarily long to witness with data —
+//! exactly the situation ETS punctuation fixes.
 //!
 //! A sliding window of length `W` advancing every `S` (with `W = k·S`) is
 //! evaluated pane-wise: the stream is cut into disjoint `S`-sized panes,
@@ -6,12 +14,12 @@
 //! boundary `e` merges the `k` panes covering `[e − W, e)`. Each input
 //! tuple is folded into exactly one pane, so the cost per window is `O(k)`
 //! merges instead of re-scanning `W` worth of tuples — the classic
-//! paired/pane optimization for overlapping windows.
+//! paired/pane optimization for overlapping windows. A tumbling window is
+//! the one-pane case `W = S`.
 //!
-//! Like the tumbling [`WindowAggregate`](crate::WindowAggregate), emission
-//! is driven by stream time — data *or punctuation* crossing a slide
-//! boundary — which is precisely where on-demand ETS pays off on sparse
-//! streams.
+//! Emission is driven by stream time — data *or punctuation* crossing a
+//! slide boundary — which is precisely where on-demand ETS pays off on
+//! sparse streams.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -26,7 +34,8 @@ use crate::context::{OpContext, Operator, Poll, StepOutcome};
 /// touching the heap.
 type Groups = BTreeMap<Row, Vec<AggState>>;
 
-/// Pane-based sliding-window grouped aggregation.
+/// Pane-based windowed grouped aggregation: sliding for `W = k·S`,
+/// tumbling for `W = S`.
 pub struct SlidingAggregate {
     name: String,
     window: TimeDelta,
@@ -308,7 +317,8 @@ mod tests {
         )
     }
 
-    fn run(a: &mut SlidingAggregate, tuples: Vec<Tuple>) -> Vec<(i64, i64, i64, i64)> {
+    /// Feeds `tuples` through `a` and returns everything it emitted.
+    fn drain(a: &mut SlidingAggregate, tuples: Vec<Tuple>) -> Vec<Tuple> {
         let input = RefCell::new(Buffer::new("in"));
         let output = RefCell::new(Buffer::new("out"));
         for t in tuples {
@@ -320,18 +330,53 @@ mod tests {
         while a.poll(&ctx).is_ready() {
             a.step(&ctx).unwrap();
         }
-        let mut rows = vec![];
+        let mut out = vec![];
         while let Some(t) = output.borrow_mut().pop() {
-            if let Some(r) = t.values() {
-                rows.push((
+            out.push(t);
+        }
+        out
+    }
+
+    /// The data rows `a` emits for `tuples`, as (window_start, k, n, s).
+    fn run(a: &mut SlidingAggregate, tuples: Vec<Tuple>) -> Vec<(i64, i64, i64, i64)> {
+        drain(a, tuples)
+            .iter()
+            .filter_map(|t| t.values())
+            .map(|r| {
+                (
                     r[0].as_int().unwrap(),
                     r[1].as_int().unwrap(),
                     r[2].as_int().unwrap(),
                     r[3].as_int().unwrap(),
-                ));
-            }
+                )
+            })
+            .collect()
+    }
+
+    /// `func` over column `v`.
+    fn agg(func: AggFunc, name: &str) -> AggExpr {
+        AggExpr {
+            func,
+            arg: Expr::col(1),
+            name: name.into(),
         }
-        rows
+    }
+
+    /// A tumbling window (`W = S` = 100 µs) grouped by `k`.
+    fn tumbling() -> SlidingAggregate {
+        SlidingAggregate::new(
+            "γ",
+            &schema(),
+            TimeDelta::from_micros(100),
+            TimeDelta::from_micros(100),
+            vec![("k".into(), Expr::col(0))],
+            vec![
+                agg(AggFunc::Count, "n"),
+                agg(AggFunc::Sum, "total"),
+                agg(AggFunc::Avg, "mean"),
+            ],
+        )
+        .unwrap()
     }
 
     fn eos(ts: u64) -> Tuple {
@@ -351,7 +396,7 @@ mod tests {
             )
         };
         assert!(mk(100, 0).is_err());
-        assert!(mk(0, 10).is_err());
+        assert!(matches!(mk(0, 10), Err(Error::Config(_))));
         assert!(mk(100, 30).is_err(), "not a multiple");
         assert!(mk(100, 50).is_ok());
         assert_eq!(mk(100, 25).unwrap().panes_per_window(), 4);
@@ -402,24 +447,15 @@ mod tests {
     #[test]
     fn punctuation_drives_emission_and_is_forwarded() {
         let mut s = sliding(100, 100);
-        let input = RefCell::new(Buffer::new("in"));
-        let output = RefCell::new(Buffer::new("out"));
-        input.borrow_mut().push(data(10, 1, 5)).unwrap();
-        input.borrow_mut().push(eos(500)).unwrap();
-        let inputs = [&input];
-        let outputs = [&output];
-        let ctx = OpContext::new(&inputs, &outputs, Timestamp::ZERO);
-        while s.poll(&ctx).is_ready() {
-            s.step(&ctx).unwrap();
-        }
-        let mut tuples = vec![];
-        while let Some(t) = output.borrow_mut().pop() {
-            tuples.push(t);
-        }
+        let tuples = drain(&mut s, vec![data(10, 1, 5), eos(500)]);
+        // The ETS at 500 closes window [0,100): one result + the forwarded
+        // punctuation.
         assert_eq!(tuples.len(), 2);
         assert!(tuples[0].is_data());
+        assert_eq!(tuples[0].ts.as_micros(), 100);
         assert!(tuples[1].is_punctuation());
         assert_eq!(tuples[1].ts.as_micros(), 500);
+        assert!(s.current.is_empty(), "no group left open");
     }
 
     #[test]
@@ -450,24 +486,13 @@ mod tests {
             }],
         )
         .unwrap();
-        let input = RefCell::new(Buffer::new("in"));
-        let output = RefCell::new(Buffer::new("out"));
         // Pane [0,100): 10; pane [100,200): 30 → window [0,200) avg = 20.
-        input.borrow_mut().push(data(50, 0, 10)).unwrap();
-        input.borrow_mut().push(data(150, 0, 30)).unwrap();
-        input.borrow_mut().push(eos(1_000)).unwrap();
-        let inputs = [&input];
-        let outputs = [&output];
-        let ctx = OpContext::new(&inputs, &outputs, Timestamp::ZERO);
-        while s.poll(&ctx).is_ready() {
-            s.step(&ctx).unwrap();
-        }
-        let mut avgs = vec![];
-        while let Some(t) = output.borrow_mut().pop() {
-            if let Some(r) = t.values() {
-                avgs.push((r[0].as_int().unwrap(), r[1].as_float().unwrap()));
-            }
-        }
+        let out = drain(&mut s, vec![data(50, 0, 10), data(150, 0, 30), eos(1_000)]);
+        let avgs: Vec<(i64, f64)> = out
+            .iter()
+            .filter_map(|t| t.values())
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_float().unwrap()))
+            .collect();
         assert!(avgs.contains(&(0, 20.0)), "avgs {avgs:?}");
     }
 
@@ -480,6 +505,16 @@ mod tests {
         );
         // Both overlapping windows containing the tuple flush.
         assert_eq!(rows.len(), 2, "rows {rows:?}");
+
+        // Timestamp::MAX is the natural end-of-stream marker; boundary
+        // arithmetic must saturate rather than overflow.
+        let out = drain(
+            &mut tumbling(),
+            vec![data(10, 1, 5), Tuple::punctuation(Timestamp::MAX)],
+        );
+        assert_eq!(out.len(), 2, "flush + forwarded EOS");
+        assert!(out[0].is_data());
+        assert!(out[1].is_punctuation());
     }
 
     #[test]
@@ -495,5 +530,89 @@ mod tests {
         for w in rows.windows(2) {
             assert!(w[0].0 <= w[1].0, "rows {rows:?}");
         }
+    }
+
+    #[test]
+    fn output_schema_shape() {
+        let a = tumbling();
+        let s = a.output_schema();
+        assert_eq!(s.len(), 5);
+        assert_eq!(s.field(0).unwrap().name, "window_start");
+        assert_eq!(s.field(2).unwrap().name, "n");
+        assert_eq!(s.field(4).unwrap().data_type, DataType::Float);
+    }
+
+    #[test]
+    fn tumbling_flushes_on_window_boundary_crossing() {
+        let mut a = tumbling();
+        let out = drain(
+            &mut a,
+            vec![data(10, 1, 5), data(20, 1, 7), data(150, 1, 100)],
+        );
+        // Window [0,100) closes when ts 150 arrives.
+        assert_eq!(out.len(), 1);
+        let row = out[0].values().unwrap();
+        assert_eq!(row[0], Value::Int(0)); // window_start
+        assert_eq!(row[1], Value::Int(1)); // group key
+        assert_eq!(row[2], Value::Int(2)); // count
+        assert_eq!(row[3], Value::Int(12)); // sum
+        assert_eq!(row[4], Value::Float(6.0)); // avg
+        assert_eq!(out[0].ts.as_micros(), 100, "stamped with window end");
+        assert_eq!(a.current.len(), 1, "the 150-tuple opened a new window");
+        assert_eq!(a.retained_panes(), 0, "one pane per window: none kept");
+    }
+
+    #[test]
+    fn tumbling_groups_are_separate() {
+        let out = drain(
+            &mut tumbling(),
+            vec![data(10, 1, 5), data(20, 2, 7), data(150, 1, 0)],
+        );
+        assert_eq!(out.len(), 2);
+        // BTreeMap gives deterministic key order.
+        assert_eq!(out[0].values().unwrap()[1], Value::Int(1));
+        assert_eq!(out[1].values().unwrap()[1], Value::Int(2));
+    }
+
+    #[test]
+    fn tumbling_skips_empty_windows() {
+        let mut a = tumbling();
+        let out = drain(&mut a, vec![data(10, 1, 5), data(1_050, 1, 1)]);
+        assert_eq!(out.len(), 1, "empty windows produce no rows");
+        assert_eq!(a.windows_emitted(), 1);
+    }
+
+    #[test]
+    fn min_max_and_null_handling() {
+        let mut a = SlidingAggregate::new(
+            "γ",
+            &schema(),
+            TimeDelta::from_micros(100),
+            TimeDelta::from_micros(100),
+            vec![],
+            vec![agg(AggFunc::Min, "lo"), agg(AggFunc::Max, "hi")],
+        )
+        .unwrap();
+        let null_tuple = Tuple::data(Timestamp::from_micros(15), vec![Value::Int(0), Value::Null]);
+        let out = drain(
+            &mut a,
+            vec![data(10, 0, 9), null_tuple, data(20, 0, 3), data(130, 0, 1)],
+        );
+        assert_eq!(out.len(), 1);
+        let row = out[0].values().unwrap();
+        assert_eq!(row[1], Value::Int(3));
+        assert_eq!(row[2], Value::Int(9));
+    }
+
+    #[test]
+    fn window_alignment_is_stable() {
+        // First tuple at 250 → window [200, 300).
+        let out = drain(
+            &mut tumbling(),
+            vec![data(250, 1, 1), data(299, 1, 1), data(305, 1, 1)],
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].values().unwrap()[0], Value::Int(200));
+        assert_eq!(out[0].values().unwrap()[2], Value::Int(2));
     }
 }

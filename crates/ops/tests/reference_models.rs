@@ -16,8 +16,7 @@ use proptest::prelude::*;
 
 use millstream_buffer::Buffer;
 use millstream_ops::{
-    AggExpr, AggFunc, JoinSpec, OpContext, Operator, SlidingAggregate, Union, WindowAggregate,
-    WindowJoin,
+    AggExpr, AggFunc, JoinSpec, OpContext, Operator, SlidingAggregate, Union, WindowJoin,
 };
 use millstream_types::{DataType, Expr, Field, Schema, TimeDelta, Timestamp, Tuple, Value};
 
@@ -206,14 +205,15 @@ proptest! {
         }
     }
 
-    /// Tumbling aggregate ≡ batch group-by per window.
+    /// Tumbling aggregate (`W = S`) ≡ batch group-by per window.
     #[test]
     fn aggregate_matches_batch_group_by(input in stream(80), w in 3u64..25) {
         let in_schema = Schema::new(vec![Field::new("v", DataType::Int)]);
         let window = TimeDelta::from_micros(w);
-        let mut agg = WindowAggregate::new(
+        let mut agg = SlidingAggregate::new(
             "γ",
             &in_schema,
+            window,
             window,
             vec![],
             vec![

@@ -3,14 +3,15 @@
 //! Planning follows the paper's graph shapes: per-branch selections are
 //! placed *before* the merging union (Fig. 4), joins consume their sources
 //! directly with the `WHERE` residual applied after (Fig. 1 semantics), and
-//! grouped aggregation becomes a tumbling [`WindowAggregate`].
+//! grouped aggregation becomes a windowed [`SlidingAggregate`] (tumbling
+//! when the window equals its period).
 
 use std::collections::HashMap;
 
 use millstream_exec::{GraphBuilder, Input, NodeId, QueryGraph, ShardKey, SourceId};
 use millstream_ops::{
     AggExpr, AggFunc, Filter, JoinSpec, MultiWindowJoin, Operator, Project, Reorder, Sink,
-    SinkCollector, SlidingAggregate, Split, Union, WindowAggregate, WindowJoin,
+    SinkCollector, SlidingAggregate, Split, Union, WindowJoin,
 };
 use millstream_types::{
     BinOp, DataType, Error, Expr, Result, Schema, TimeDelta, TimestampKind, Value,
@@ -789,21 +790,13 @@ impl PlanCtx<'_> {
             }
         }
         let name = self.next_name("γ");
-        // `GROUP BY … WINDOW w EVERY s` plans a pane-based sliding window;
-        // without the WINDOW clause the window tumbles with the period.
-        let (op, out_schema): (Box<dyn Operator>, Schema) = match group.window {
-            Some(window) if window != group.every => {
-                let agg = SlidingAggregate::new(name, schema, window, group.every, keys, aggs)?;
-                let out = agg.output_schema().clone();
-                (Box::new(agg), out)
-            }
-            _ => {
-                let agg = WindowAggregate::new(name, schema, group.every, keys, aggs)?;
-                let out = agg.output_schema().clone();
-                (Box::new(agg), out)
-            }
-        };
-        let node = self.builder.operator(op, vec![input])?;
+        // `GROUP BY … WINDOW w EVERY s` is a pane-based sliding window;
+        // without the WINDOW clause the window tumbles with the period —
+        // the one-pane case of the same operator.
+        let window = group.window.unwrap_or(group.every);
+        let agg = SlidingAggregate::new(name, schema, window, group.every, keys, aggs)?;
+        let out_schema = agg.output_schema().clone();
+        let node = self.builder.operator(Box::new(agg), vec![input])?;
         Ok((node, out_schema))
     }
 }

@@ -29,5 +29,5 @@ pub use experiment::{
     DisorderReport, JoinExperiment, Strategy, UnionExperiment,
 };
 pub use fuzz::{describe_seed, fuzz_range, fuzz_seed, FuzzSummary};
-pub use replay::{parse_trace, replay, ReplayReport, TraceRecord};
+pub use replay::{parse_trace, replay, TraceRecord};
 pub use workload::{ArrivalProcess, PayloadGen};

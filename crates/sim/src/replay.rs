@@ -5,13 +5,11 @@
 //! lineage system, Gigascope, ran on recorded network traffic). This module
 //! provides a minimal trace format — CSV lines of
 //! `timestamp_micros,stream,v1,v2,…` — and a deterministic replayer that
-//! delivers the trace through the same executor/ETS machinery as the
-//! stochastic driver.
+//! delivers the trace through any [`Engine`], with the same ETS machinery
+//! as the stochastic driver.
 
-use millstream_exec::{Activity, Executor, SourceId};
+use millstream_exec::{Engine, SourceId};
 use millstream_types::{DataType, Error, Result, Schema, Timestamp, Tuple, Value};
-
-use crate::driver::SharedLatencyCollector;
 
 /// One trace record: arrival instant, stream index, row values.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,28 +98,26 @@ pub fn parse_trace(text: &str, streams: &[(&str, &Schema)]) -> Result<Vec<TraceR
     Ok(out)
 }
 
-/// The result of a replay run.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Data tuples delivered at the sink.
-    pub delivered: u64,
-    /// Mean output latency in milliseconds.
-    pub mean_latency_ms: f64,
-    /// Records ingested.
-    pub ingested: u64,
-    /// On-demand ETS generated during the replay.
-    pub ets_generated: u64,
-}
-
-/// Replays a trace through an executor. `sources[i]` receives the records
-/// with `stream == i`; internal timestamps are stamped on delivery.
-pub fn replay(
-    executor: &mut Executor,
+/// Replays a trace through any engine — the one trace-replay loop in the
+/// tree. `sources[i]` receives the records with `stream == i`. Records
+/// sharing an arrival instant land together before the engine runs — they
+/// arrived simultaneously — so the scheduler sees real queues (and Encore
+/// batching has runs to fuse); the engine then drains to quiescence once
+/// per arrival epoch.
+///
+/// `stamp` turns a record's arrival instant into its tuple timestamp, and
+/// is called after the engine's clock has been advanced to that instant.
+/// Whoever built the engine knows the answer: a serial executor charging
+/// virtual CPU stamps from its own clock (which the cost of earlier work
+/// may have pushed past the arrival), an engine whose clocks only this
+/// loop moves passes the arrival through.
+pub fn replay<E: Engine + ?Sized>(
+    engine: &mut E,
     sources: &[SourceId],
     trace: &[TraceRecord],
-    collector: &SharedLatencyCollector,
-) -> Result<ReplayReport> {
-    let mut ingested = 0;
+    stamp: impl Fn(Timestamp) -> Timestamp,
+) -> Result<()> {
+    let mut epoch: Option<Timestamp> = None;
     for rec in trace {
         let Some(&source) = sources.get(rec.stream) else {
             return Err(Error::config(format!(
@@ -130,30 +126,22 @@ pub fn replay(
                 sources.len()
             )));
         };
-        executor.clock().advance_to(rec.at);
-        let ts = executor.clock().now();
-        executor.ingest(source, Tuple::data(ts, rec.values.clone()))?;
-        ingested += 1;
-        // Drain the wave exactly like the stochastic driver does.
-        loop {
-            if matches!(executor.step()?, Activity::Quiescent) {
-                break;
-            }
+        if epoch.is_some_and(|at| at != rec.at) {
+            engine.run_until_quiescent(u64::MAX)?;
         }
+        epoch = Some(rec.at);
+        engine.advance_to(rec.at)?;
+        engine.ingest(source, Tuple::data(stamp(rec.at), rec.values.clone()))?;
     }
-    let recorder = collector.recorder();
-    Ok(ReplayReport {
-        delivered: collector.delivered(),
-        mean_latency_ms: recorder.mean().map_or(f64::NAN, |d| d.as_millis_f64()),
-        ingested,
-        ets_generated: executor.stats().ets_generated,
-    })
+    engine.run_until_quiescent(u64::MAX)?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use millstream_exec::{CostModel, EtsPolicy, GraphBuilder, Input, VirtualClock};
+    use crate::driver::SharedLatencyCollector;
+    use millstream_exec::{CostModel, EtsPolicy, Executor, GraphBuilder, Input, VirtualClock};
     use millstream_ops::{Sink, Union};
     use millstream_types::{Field, TimestampKind};
 
@@ -213,9 +201,10 @@ mod tests {
             vec![Input::Op(u)],
         )
         .unwrap();
+        let clock = VirtualClock::shared();
         let mut exec = Executor::new(
             b.build().unwrap(),
-            VirtualClock::shared(),
+            clock.clone(),
             CostModel::default(),
             EtsPolicy::on_demand(),
         );
@@ -224,10 +213,10 @@ mod tests {
             &[("web", &s), ("api", &s)],
         )
         .unwrap();
-        let report = replay(&mut exec, &[s1, s2], &trace, &collector).unwrap();
-        assert_eq!(report.ingested, 3);
-        assert_eq!(report.delivered, 3, "on-demand ETS flushes every wave");
-        assert!(report.ets_generated > 0);
-        assert!(report.mean_latency_ms < 1.0);
+        replay(&mut exec, &[s1, s2], &trace, |_| clock.now()).unwrap();
+        assert_eq!(collector.delivered(), 3, "on-demand ETS flushes every wave");
+        assert!(exec.stats().ets_generated > 0);
+        let mean = collector.recorder().mean().expect("three deliveries");
+        assert!(mean.as_millis_f64() < 1.0);
     }
 }
