@@ -107,7 +107,7 @@ fn build() -> (GraphBuilder, SourceId, SourceId, Count) {
 }
 
 /// Builds the join rig: two sources feeding a keyed symmetric
-/// `WindowJoin` into a counting sink. The join probe path is the target
+/// `MultiWindowJoin` into a counting sink. The join probe path is the target
 /// of the clone-elimination fix — this rig is what the CI alloc-budget
 /// job watches so a per-probe clone (or per-match row spill) regression
 /// shows up as allocs per delivered result.
@@ -120,13 +120,16 @@ fn build_join() -> (GraphBuilder, SourceId, SourceId, Count) {
     let out = Count::default();
     let mut b = GraphBuilder::new();
     let s1 = b.source("J1", schema.clone(), TimestampKind::Internal);
-    let s2 = b.source("J2", schema, TimestampKind::Internal);
-    let spec = JoinSpec::symmetric(TimeDelta::from_millis(JOIN_WINDOW_MS)).with_key(0, 0);
+    let s2 = b.source("J2", schema.clone(), TimestampKind::Internal);
+    let join = MultiWindowJoin::new(
+        "⋈",
+        &[schema.clone(), schema],
+        vec![TimeDelta::from_millis(JOIN_WINDOW_MS); 2],
+        None,
+    )
+    .with_keys(vec![0, 0]);
     let j = b
-        .operator(
-            Box::new(WindowJoin::new("⋈", joined.clone(), spec)),
-            vec![Input::Source(s1), Input::Source(s2)],
-        )
+        .operator(Box::new(join), vec![Input::Source(s1), Input::Source(s2)])
         .unwrap();
     b.operator(
         Box::new(Sink::new("sink⋈", joined, out.clone())),

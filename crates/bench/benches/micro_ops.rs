@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use millstream_buffer::Buffer;
 use millstream_exec::{CostModel, EtsPolicy, Executor, GraphBuilder, Input, VirtualClock};
 use millstream_ops::{
-    AggExpr, AggFunc, Filter, JoinSpec, OpContext, Operator, Reorder, Sink, SlidingAggregate,
-    Union, VecCollector, WindowJoin,
+    AggExpr, AggFunc, Filter, MultiWindowJoin, OpContext, Operator, Reorder, Sink,
+    SlidingAggregate, Union, VecCollector,
 };
 use millstream_types::{
     DataType, Expr, Field, Schema, TimeDelta, Timestamp, TimestampKind, Tuple, Value,
@@ -82,11 +82,13 @@ fn bench_join_probe(c: &mut Criterion) {
                 let a = RefCell::new(Buffer::new("a"));
                 let bb = RefCell::new(Buffer::new("b"));
                 let out = RefCell::new(Buffer::new("out"));
-                let mut j = WindowJoin::new(
+                let mut j = MultiWindowJoin::new(
                     "⋈",
-                    schema().join(&schema(), "a", "b"),
-                    JoinSpec::symmetric(TimeDelta::from_secs(10)).with_key(0, 0),
-                );
+                    &[schema(), schema()],
+                    vec![TimeDelta::from_secs(10); 2],
+                    None,
+                )
+                .with_keys(vec![0, 0]);
                 // Preload W(B) with 64 tuples by running them through.
                 {
                     let inputs = [&a, &bb];

@@ -137,7 +137,6 @@ fn main() {
     cfg.check = Some(CheckMode::Strict);
     cfg.io_threads = 4;
     cfg.ingest_shards = 8;
-    cfg.workers = 2;
     // The byte-compare needs zero shedding: queue every output.
     cfg.subscriber_queue = total + 64;
     // Pacing would throttle the flood nondeterministically; the feedback

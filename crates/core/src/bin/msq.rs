@@ -7,7 +7,7 @@
 //! msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace]
 //!                              [--batch K] [--shards N]
 //!                              [--join-spill-budget B]
-//! msq serve <query.msq> [--addr A] [--workers N] [--idle-ms MS] [--strict]
+//! msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict]
 //!                        [--io-threads N] [--ingest-shards N]
 //! msq send <addr> <stream> <trace.csv> [--window N]
 //! msq tail <addr> [--patience-ms MS]
@@ -44,7 +44,10 @@
 //!             line), then drains gracefully — open sources are closed so
 //!             the final ETS reaches every subscriber.
 //!   --addr A        bind address (default 127.0.0.1:7171; port 0 = OS pick)
-//!   --workers N     parallel-executor worker threads (default 2)
+//!   --workers N     accepted (a positive integer) and ignored — it never
+//!                   had an effect: the query is one component and runs
+//!                   on the pump thread. Not in the usage line; kept so
+//!                   existing scripts keep working
 //!   --idle-ms MS    synthesize a source heartbeat after MS of network
 //!                   silence on a producer connection (default: off)
 //!   --strict        run with MILLSTREAM_CHECK=strict wire sentinels
@@ -127,7 +130,7 @@ struct Options {
     shards: usize,
 }
 
-const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--workers N] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]\n       msq bench [--quick]";
+const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]\n       msq bench [--quick]";
 
 fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
     let mut positional = Vec::new();
@@ -436,6 +439,8 @@ fn run_serve(args: &[String]) -> Result<()> {
                     .clone();
             }
             "--workers" => {
+                // Validated and stored, but nothing reads it (see the
+                // header): the server has no engine worker threads.
                 workers = it
                     .next()
                     .and_then(|v| v.parse().ok())

@@ -75,8 +75,8 @@ pub mod prelude {
     };
     pub use millstream_metrics::{LatencyRecorder, RunMetrics};
     pub use millstream_ops::{
-        Filter, JoinSpec, LatePolicy, MultiWindowJoin, Operator, Project, Reorder, Sink,
-        SinkCollector, SlidingAggregate, Split, Union, VecCollector, WindowJoin,
+        Filter, LatePolicy, MultiWindowJoin, Operator, Project, Reorder, Sink, SinkCollector,
+        SlidingAggregate, Split, Union, VecCollector,
     };
     pub use millstream_sim::{
         run_disorder_experiment, run_join_experiment, run_union_experiment, ArrivalProcess,

@@ -44,7 +44,6 @@ use crossbeam::channel::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use millstream_buffer::{CheckMode, FeedbackRegisters, OccupancyTracker, PressureLevel};
-use millstream_metrics::IdleTracker;
 use millstream_types::{Error, Result, Timestamp, Tuple};
 
 use crate::clock::{CostModel, VirtualClock};
@@ -206,10 +205,6 @@ enum Cmd {
     Close { comp: usize, source: SourceId },
     /// Advance every hosted component's clock to `ts`.
     AdvanceTo(Timestamp),
-    /// Begin idle-waiting tracking for a component-local node.
-    MonitorIdle { comp: usize, node: NodeId },
-    /// Finalize idle trackers at the current component clocks.
-    FinishIdle,
     /// Run every hosted component until quiescent (or `max_steps` each)
     /// and reply with the total steps taken, or the first stashed error.
     Run {
@@ -237,7 +232,6 @@ struct CompSnapshot {
     peak_queued: usize,
     total_queued: usize,
     punct_enqueued: u64,
-    idle: Vec<(NodeId, IdleTracker)>,
 }
 
 /// A component hosted by a worker thread.
@@ -312,15 +306,6 @@ fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
                     slot.exec.refresh_idle();
                 }
             }
-            Cmd::MonitorIdle { comp, node } => {
-                let slot = slots.iter_mut().find(|s| s.comp == comp).expect("routed");
-                slot.exec.monitor_idle(node);
-            }
-            Cmd::FinishIdle => {
-                for slot in &mut slots {
-                    slot.exec.finish_idle();
-                }
-            }
             Cmd::Run { max_steps, reply } => {
                 let result = match pending_err.take() {
                     Some(e) => Err(e),
@@ -366,12 +351,6 @@ fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
                         peak_queued: slot.exec.graph().tracker().peak(),
                         total_queued: slot.exec.graph().total_queued(),
                         punct_enqueued: slot.exec.graph().tracker().punctuation_enqueued(),
-                        idle: slot
-                            .exec
-                            .graph()
-                            .node_ids()
-                            .filter_map(|n| slot.exec.idle_tracker(n).map(|t| (n, t.clone())))
-                            .collect(),
                     })
                     .collect();
                 let _ = reply.send((snaps, busy_nanos));
@@ -418,8 +397,6 @@ pub struct ParallelSnapshot {
     pub total_queued: usize,
     /// Lifetime punctuation enqueued, summed over all components.
     pub punctuation_enqueued: u64,
-    /// Idle trackers of monitored nodes, by **global** node id.
-    pub idle: Vec<(NodeId, IdleTracker)>,
     /// Wall-clock nanoseconds each worker thread has spent processing
     /// commands (everything outside the blocking `recv()`); subtract from
     /// elapsed wall time for the worker's idle share.
@@ -442,8 +419,6 @@ pub struct ParallelExecutor {
     commands_sent: AtomicU64,
     /// Global source id → (component, local source id).
     source_route: Vec<(usize, SourceId)>,
-    /// Global node id → (component, local node id).
-    node_route: Vec<(usize, NodeId)>,
     /// Component → worker index.
     comp_worker: Vec<usize>,
     /// Component → local→global node ids (for profile merging).
@@ -473,7 +448,6 @@ impl ParallelExecutor {
 
         let mut comp_nodes = Vec::with_capacity(count);
         let mut comp_sources = Vec::with_capacity(count);
-        let mut node_route = vec![(0usize, NodeId(0)); num_ops];
         let mut comp_worker = Vec::with_capacity(count);
         let mut comp_trackers = Vec::with_capacity(count);
         let mut comp_feedback = Vec::with_capacity(count);
@@ -486,9 +460,6 @@ impl ParallelExecutor {
                 sources,
                 ..
             } = part;
-            for (local, &global) in nodes.iter().enumerate() {
-                node_route[global.0] = (c, NodeId(local));
-            }
             let mut exec = Executor::new(graph, VirtualClock::shared(), config.cost, config.policy)
                 .with_sched_policy(config.sched)
                 .with_exec_options(config.opts);
@@ -513,7 +484,6 @@ impl ParallelExecutor {
             pending: Mutex::new(vec![Vec::new(); num_sources]),
             commands_sent: AtomicU64::new(0),
             source_route: partition.source_map,
-            node_route,
             comp_worker,
             comp_nodes,
             comp_sources,
@@ -679,19 +649,6 @@ impl ParallelExecutor {
         self.broadcast(|| Cmd::AdvanceTo(ts))
     }
 
-    /// Begins idle-waiting tracking for a global node.
-    pub fn monitor_idle(&self, node: NodeId) -> Result<()> {
-        self.flush_pending()?;
-        let (comp, local) = self.node_route[node.0];
-        self.send(comp, Cmd::MonitorIdle { comp, node: local })
-    }
-
-    /// Finalizes idle trackers at the current component clocks.
-    pub fn finish_idle(&self) -> Result<()> {
-        self.flush_pending()?;
-        self.broadcast(|| Cmd::FinishIdle)
-    }
-
     /// The quiescence barrier: every worker runs each hosted component
     /// until quiescent (or `max_steps` per component), in parallel; the
     /// call returns once **all** components are quiescent, with the total
@@ -781,7 +738,6 @@ impl ParallelExecutor {
         let mut component_peaks = vec![0usize; self.num_components()];
         let mut total_queued = 0;
         let mut punctuation_enqueued = 0;
-        let mut idle = Vec::new();
         let mut worker_busy_nanos = Vec::with_capacity(self.pool.len());
         for rx in replies {
             let (snaps, busy) = rx.recv().map_err(|_| disconnected())?;
@@ -803,12 +759,8 @@ impl ParallelExecutor {
                 component_peaks[snap.comp] = snap.peak_queued;
                 total_queued += snap.total_queued;
                 punctuation_enqueued += snap.punct_enqueued;
-                for (local, tracker) in snap.idle {
-                    idle.push((self.comp_nodes[snap.comp][local.0], tracker));
-                }
             }
         }
-        idle.sort_by_key(|(n, _)| n.0);
         Ok(ParallelSnapshot {
             stats,
             profile: profile
@@ -823,7 +775,6 @@ impl ParallelExecutor {
             component_peaks,
             total_queued,
             punctuation_enqueued,
-            idle,
             worker_busy_nanos,
         })
     }

@@ -3,12 +3,15 @@
 //!
 //! ## Threading model
 //!
-//! One accept thread, a **fixed pool of nonblocking poller threads**
-//! ([`ServerConfig::io_threads`]), one **ingest pump** thread, and the
-//! [`ParallelExecutor`]'s own component workers. Pollers own the sockets:
-//! they run every producer's [`FrameReader`] across readiness events
-//! (partial frames survive between polls), validate frame order at the
-//! socket boundary, and push decoded frames onto per-shard ingest queues
+//! One accept thread (`msq-accept`), a **fixed pool of nonblocking poller
+//! threads** (`msq-poll-N`, [`ServerConfig::io_threads`]) and one **ingest
+//! pump** thread (`msq-pump`), which is also the engine thread: the planned
+//! query is one connected component, so it runs on a serial
+//! [`Executor`] inline in the pump — the paper's §3 model, one thread
+//! walking one query graph. Pollers own the sockets: they run every
+//! producer's [`FrameReader`] across readiness events (partial frames
+//! survive between polls), validate frame order at the socket boundary,
+//! and push decoded frames onto per-shard ingest queues
 //! ([`ServerConfig::ingest_shards`]). The pump drains whole shard batches
 //! and enters the engine **once per batch** — `{ingest*, advance clock,
 //! run-to-quiescence}` — instead of once per frame, so the engine critical
@@ -16,13 +19,14 @@
 //! batch was running. Cumulative [`Frame::Ack`]s (one per connection per
 //! batch, carrying the final `high_water`) and per-producer error
 //! attribution are preserved: every queued item remembers its connection,
-//! so an engine rejection is routed back to exactly the connections whose
-//! frames were in the failing section.
+//! so a frame the engine refuses at ingest fails exactly the connection
+//! that sent it, and only a failed run is charged to every connection
+//! with frames in the section.
 //!
-//! Subscribers get a dedicated blocking writer thread each, but fan-out is
-//! shared: the sink encodes each output frame **once** into an
-//! `Arc<[u8]>` slab that every subscriber queue references, so a thousand
-//! tails cost one encode per tuple, not a thousand.
+//! Subscribers get a dedicated blocking writer thread each (`msq-sub-N`),
+//! but fan-out is shared: the sink encodes each output frame **once** into
+//! an `Arc<[u8]>` slab that every subscriber queue references, so a
+//! thousand tails cost one encode per tuple, not a thousand.
 //!
 //! ## Backpressure and feedback punctuation
 //!
@@ -67,6 +71,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -76,8 +81,7 @@ use millstream_buffer::{
     punctuation_is_stale, CheckMode, OrderSentinel, PressureLevel, SentinelStats, Watermarks,
 };
 use millstream_exec::{
-    CostModel, EtsPolicy, ExecStats, FeedbackConfig, NodeId, ParallelConfig, ParallelExecutor,
-    SourceId,
+    CostModel, EtsPolicy, ExecStats, Executor, FeedbackConfig, NodeId, SourceId, VirtualClock,
 };
 use millstream_metrics::{IdleSummary, IdleTracker, LatencyRecorder, LatencySummary};
 use millstream_ops::SinkCollector;
@@ -103,7 +107,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// The query program (DDL + one query) the server hosts.
     pub program: String,
-    /// Worker threads for the parallel executor.
+    /// Has no effect, and never had one: the hosted program is one query,
+    /// so one connected component, which runs on the pump thread. Still a
+    /// field because `benchmark/` sets it.
     pub workers: usize,
     /// Nonblocking poller threads multiplexing all producer sockets.
     pub io_threads: usize,
@@ -123,10 +129,10 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Invariant-checking override; `None` inherits `MILLSTREAM_CHECK`.
     pub check: Option<CheckMode>,
-    /// Engine-side feedback punctuation. `Some` (the default) has every
-    /// component executor publish queue pressure, which the server
-    /// translates into producer-side pacing ([`Frame::Feedback`] frames);
-    /// `None` disables the feedback path entirely.
+    /// Engine-side feedback punctuation. `Some` (the default) has the
+    /// executor publish queue pressure, which the server translates into
+    /// producer-side pacing ([`Frame::Feedback`] frames); `None` disables
+    /// the feedback path entirely.
     pub feedback: Option<FeedbackConfig>,
     /// What to do with a subscriber that overflows its bounded queue.
     pub overflow: OverflowPolicy,
@@ -318,29 +324,33 @@ struct Port {
 
 /// The engine and every piece of state its lock protects.
 struct Engine {
-    exec: ParallelExecutor,
+    exec: Executor,
     ports: Vec<Port>,
     by_name: HashMap<String, usize>,
     output_schema: Schema,
     monitor: Option<NodeId>,
     /// Server stream time: max data timestamp accepted (micros).
     max_ts: u64,
-    /// High-water of the engine's virtual clock (micros).
-    clock_us: u64,
 }
 
 impl Engine {
-    /// Advances the executor clock monotonically to `ts` micros.
-    fn advance_clock(&mut self, ts: u64) -> Result<()> {
-        if ts > self.clock_us {
-            self.clock_us = ts;
-            self.exec.advance_to(Timestamp::from_micros(ts))?;
-        }
-        Ok(())
+    /// Advances the executor clock to `ts` micros (the clock never goes
+    /// backwards) and re-evaluates the monitored operator at the new time.
+    fn advance_clock(&mut self, ts: u64) {
+        self.exec.clock().advance_to(Timestamp::from_micros(ts));
+        self.exec.refresh_idle();
     }
 
+    /// Runs the graph to quiescence. An operator panic fails the section
+    /// like any other engine error instead of unwinding through the pump
+    /// and poisoning the engine lock (the panic hook has already printed
+    /// the payload to stderr).
     fn run(&mut self) -> Result<()> {
-        self.exec.run_until_quiescent(RUN_BUDGET).map(|_| ())
+        catch_unwind(AssertUnwindSafe(|| {
+            self.exec.run_until_quiescent(RUN_BUDGET)
+        }))
+        .unwrap_or_else(|_| Err(Error::runtime("engine panicked while running the section")))
+        .map(|_| ())
     }
 }
 
@@ -691,12 +701,18 @@ impl Server {
         let check = cfg.check.unwrap_or_else(CheckMode::from_env);
         let broadcast = Broadcast::new(cfg.overflow, cfg.subscriber_queue);
         let planned = plan_program(&cfg.program, broadcast.clone())?;
-        let mut pcfg = ParallelConfig::new(CostModel::free(), EtsPolicy::None, cfg.workers.max(1));
-        pcfg.check = Some(check);
-        pcfg.feedback = cfg.feedback;
-        let exec = ParallelExecutor::new(planned.graph, pcfg);
+        let mut exec = Executor::new(
+            planned.graph,
+            VirtualClock::shared(),
+            CostModel::free(),
+            EtsPolicy::None,
+        )
+        .with_check_mode(check);
+        if let Some(fb) = cfg.feedback {
+            exec = exec.with_feedback(fb);
+        }
         if let Some(node) = planned.monitor {
-            exec.monitor_idle(node)?;
+            exec.monitor_idle(node);
         }
         let started = Instant::now();
         let sentinel = SentinelStats::shared();
@@ -733,7 +749,6 @@ impl Server {
             output_schema: planned.output_schema,
             monitor: planned.monitor,
             max_ts: 0,
-            clock_us: 0,
         };
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| Error::runtime(format!("bind {}: {e}", cfg.addr)))?;
@@ -760,18 +775,22 @@ impl Server {
         });
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || ingest::accept_loop(listener, shared))
+            spawn_named("msq-accept".into(), move || {
+                ingest::accept_loop(listener, shared)
+            })
         };
         let mut pollers = Vec::with_capacity(io_threads);
         for idx in 0..io_threads {
             let s = Arc::clone(&shared);
-            let h = std::thread::spawn(move || ingest::poller_loop(&s, idx));
+            let h = spawn_named(format!("msq-poll-{idx}"), move || {
+                ingest::poller_loop(&s, idx)
+            });
             shared.pool.register_waker(idx, h.thread().clone());
             pollers.push(h);
         }
         let pump = {
             let s = Arc::clone(&shared);
-            std::thread::spawn(move || ingest::pump_loop(&s))
+            spawn_named("msq-pump".into(), move || ingest::pump_loop(&s))
         };
         Ok(Server {
             shared,
@@ -835,21 +854,12 @@ impl Server {
                 eng.ports[i].idle.finish(now_us);
             }
             eng.run()?;
-            eng.exec.finish_idle()?;
-            let snapshot = eng.exec.snapshot()?;
-            let clock = snapshot
-                .component_clocks
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(Timestamp::ZERO);
-            let monitor_idle_fraction = eng.monitor.and_then(|m| {
-                snapshot
-                    .idle
-                    .iter()
-                    .find(|(n, _)| *n == m)
-                    .map(|(_, t)| t.idle_fraction(clock))
-            });
+            eng.exec.finish_idle();
+            let clock = eng.exec.clock().now();
+            let monitor_idle_fraction = eng
+                .monitor
+                .and_then(|m| eng.exec.idle_tracker(m))
+                .map(|t| t.idle_fraction(clock));
             let ports = eng
                 .ports
                 .iter()
@@ -863,7 +873,7 @@ impl Server {
                     idle: p.idle.summarize(now_us),
                 })
                 .collect::<Vec<_>>();
-            (ports, snapshot.stats, monitor_idle_fraction)
+            (ports, eng.exec.stats(), monitor_idle_fraction)
         };
         // End every subscriber stream (final punctuation, then EOF) —
         // *before* assembling the report, so the shed/peak totals include
@@ -892,6 +902,16 @@ impl Server {
             monitor_idle_fraction,
         })
     }
+}
+
+/// [`std::thread::spawn`] with a name. Server thread names stay within the
+/// kernel's 15-byte `comm`, so `/proc/<pid>/task/*/comm` and `top -H` tell
+/// the accept, poller, pump and subscriber threads apart.
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("spawn server thread")
 }
 
 /// Sends a terminal error frame; the connection closes right after.

@@ -14,9 +14,10 @@
 //!   per-port FIFO contract survives the split. Queues are bounded:
 //!   pollers simply stop reading a connection whose shard is full, which
 //!   turns into TCP backpressure on the producer.
-//! - **The pump** ([`pump_loop`]) drains batches and enters the engine
-//!   once per batch: every frame is applied (ingest / heartbeat / close —
-//!   validation identical to the old per-frame path), then one
+//! - **The pump** ([`pump_loop`]) is the engine thread: it drains batches
+//!   and runs each section inline on the serial executor — every frame is
+//!   applied (ingest / heartbeat / close, one executor call per frame, so
+//!   a refusal lands on the connection that sent the frame), then one
 //!   `advance_clock` to the batch's max timestamp and one
 //!   run-to-quiescence. Outcomes are routed back per connection: one
 //!   cumulative [`Frame::Ack`] (or an attributed [`Frame::Error`]) per
@@ -40,7 +41,7 @@ use millstream_types::{Result, Schema, TimeDelta, Timestamp};
 
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
 
-use super::{pacing_window, Shared, HANDSHAKE_DEADLINE};
+use super::{pacing_window, spawn_named, Shared, HANDSHAKE_DEADLINE};
 
 /// Frames a poller reads from one connection per step before yielding to
 /// the next connection (fairness under flood).
@@ -48,7 +49,10 @@ const FRAMES_PER_STEP: usize = 64;
 
 /// Bound on one shard queue; a full shard stops reads from its
 /// connections (TCP backpressure) rather than queueing unbounded input.
-const SHARD_CAP: usize = 8192;
+/// Each ring is allocated once at this size (672 KiB), so a shard's
+/// footprint does not depend on how deep a burst happened to get before
+/// the pump caught up.
+const SHARD_CAP: usize = 4096;
 
 /// Items the pump drains into one engine critical section.
 const PUMP_BATCH: usize = 1024;
@@ -208,7 +212,7 @@ impl ShardQueues {
     pub(super) fn new(shards: usize) -> ShardQueues {
         ShardQueues {
             qs: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
+                .map(|_| Mutex::new(VecDeque::with_capacity(SHARD_CAP)))
                 .collect(),
             queued: AtomicU64::new(0),
             processed: AtomicU64::new(0),
@@ -354,12 +358,15 @@ impl IoPool {
 /// `Vec<JoinHandle>` grew without bound until shutdown.
 pub(super) struct ConnRegistry {
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Threads adopted so far: the `N` of the next `msq-sub-N`.
+    adopted: AtomicU64,
 }
 
 impl ConnRegistry {
     pub(super) fn new() -> ConnRegistry {
         ConnRegistry {
             handles: Mutex::new(Vec::new()),
+            adopted: AtomicU64::new(0),
         }
     }
 
@@ -488,7 +495,8 @@ fn spawn_subscriber(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let shared2 = Arc::clone(shared);
-    let handle = std::thread::spawn(move || {
+    let n = shared.registry.adopted.fetch_add(1, Ordering::Relaxed);
+    let handle = spawn_named(format!("msq-sub-{n}"), move || {
         let _ = super::serve_subscriber(&shared2, stream);
         shared2.stats.conns_active.fetch_sub(1, Ordering::SeqCst);
     });
@@ -888,10 +896,11 @@ fn process_batch(
             }
         }
         if need_run {
-            let res = eng.advance_clock(batch_max).and_then(|()| eng.run());
-            if let Err(e) = res {
-                // A failed section is attributed to every connection that
-                // contributed to it; nothing in it is acked.
+            eng.advance_clock(batch_max);
+            if let Err(e) = eng.run() {
+                // A failed run cannot be pinned on one frame: it is
+                // attributed to every connection that contributed to the
+                // section, and nothing in it is acked.
                 for out in &mut outcomes {
                     if out.fatal.is_none() {
                         out.fatal = Some((ErrorCode::Engine, e.to_string()));
@@ -902,7 +911,10 @@ fn process_batch(
             }
         }
         level = if shared.cfg.feedback.is_some() {
-            eng.exec.max_pressure().max(shared.broadcast.pressure())
+            eng.exec
+                .feedback_registers()
+                .max_level()
+                .max(shared.broadcast.pressure())
         } else {
             PressureLevel::Normal
         };
@@ -1004,7 +1016,7 @@ fn synthesize_idle_sweep(shared: &Arc<Shared>) -> Result<()> {
         }
     }
     if synthesized_any {
-        eng.advance_clock(batch_max)?;
+        eng.advance_clock(batch_max);
         eng.run()?;
     }
     Ok(())

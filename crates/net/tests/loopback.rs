@@ -1,10 +1,15 @@
 //! Loopback integration tests for the wire protocol: real sockets, the
 //! `msq serve` engine host, and the `msq send` client machinery.
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use millstream_buffer::CheckMode;
-use millstream_net::{ClientConfig, Server, ServerConfig, StreamClient, Subscription};
+use millstream_net::{
+    write_frame, ClientConfig, Frame, FrameReader, Role, Server, ServerConfig, ServerReport,
+    StreamClient, Subscription, PROTOCOL_VERSION,
+};
 use millstream_types::{Timestamp, Tuple, TupleBody, Value};
 
 const UNION_PROGRAM: &str = "\
@@ -18,6 +23,27 @@ fn data(ts: u64) -> Tuple {
 
 fn client(addr: std::net::SocketAddr, stream: &str) -> StreamClient {
     StreamClient::connect(ClientConfig::new(addr.to_string(), stream)).expect("connect")
+}
+
+/// A bare socket past the handshake, for tests that need to see (or
+/// write) the exact frames a client library would hide.
+fn raw_connect(addr: std::net::SocketAddr, role: Role, stream: &str) -> (TcpStream, FrameReader) {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    write_frame(
+        &mut raw,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            role,
+            stream: stream.into(),
+            schema: None,
+            resume_hint: 0,
+        },
+    )
+    .unwrap();
+    let mut reader = FrameReader::new();
+    let ack = reader.read_blocking(&mut raw).unwrap().expect("hello ack");
+    assert!(matches!(ack, Frame::HelloAck { .. }), "{ack:?}");
+    (raw, reader)
 }
 
 /// Collects data tuples until end-of-stream; punctuation marks are
@@ -300,26 +326,8 @@ fn handshake_rejections_are_structured() {
 
 #[test]
 fn frame_order_violation_closes_the_connection() {
-    use millstream_net::{write_frame, Frame, FrameReader, Role, PROTOCOL_VERSION};
     let server = Server::start(ServerConfig::new(UNION_PROGRAM)).expect("server");
-    let addr = server.addr();
-    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
-    raw.set_read_timeout(Some(Duration::from_millis(25)))
-        .unwrap();
-    write_frame(
-        &mut raw,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-            role: Role::Producer,
-            stream: "a".into(),
-            schema: None,
-            resume_hint: 0,
-        },
-    )
-    .unwrap();
-    let mut reader = FrameReader::new();
-    let ack = reader.read_blocking(&mut raw).unwrap().expect("hello ack");
-    assert!(matches!(ack, Frame::HelloAck { .. }));
+    let (mut raw, mut reader) = raw_connect(server.addr(), Role::Producer, "a");
     write_frame(
         &mut raw,
         &Frame::Data {
@@ -448,4 +456,102 @@ fn ingest_sections_batch_frames() {
         "sections can never outnumber frames: {:?}",
         report.stats
     );
+}
+
+/// One strictly serialized two-producer script (every frame acked before
+/// the next is sent, so every engine section holds exactly one frame and
+/// the run is deterministic) against a server configured with `workers`.
+/// Returns every byte a subscriber received after its handshake, and the
+/// shutdown report.
+fn serialized_script(workers: usize) -> (Vec<u8>, ServerReport) {
+    let mut cfg = ServerConfig::new(UNION_PROGRAM);
+    cfg.workers = workers;
+    cfg.check = Some(CheckMode::Strict);
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+    let (mut sub, _) = raw_connect(addr, Role::Subscriber, "");
+    let mut a = client(addr, "a");
+    let mut b = client(addr, "b");
+    for round in 0..40u64 {
+        let ts = 100 * (round + 1);
+        a.send(data(ts)).expect("send a");
+        a.flush().expect("ack a");
+        if round % 4 == 3 {
+            // `b` is the sparse side: mostly heartbeats, some data.
+            b.send(data(ts + 1)).expect("send b");
+        } else {
+            b.heartbeat(Timestamp::from_micros(ts + 1)).expect("hb b");
+        }
+        b.flush().expect("ack b");
+    }
+    a.close().expect("close a");
+    b.close().expect("close b");
+    let report = server.shutdown().expect("shutdown");
+    let mut bytes = Vec::new();
+    sub.read_to_end(&mut bytes).expect("subscriber stream");
+    (bytes, report)
+}
+
+/// `ServerConfig::workers` has no effect: the hosted query is one
+/// component on the pump thread whatever it says.
+#[test]
+fn workers_setting_changes_nothing() {
+    let (bytes1, report1) = serialized_script(1);
+    let (bytes4, report4) = serialized_script(4);
+    assert_eq!(report1.stats.delivered, 50, "40 from a, 10 from b");
+    assert!(!bytes1.is_empty());
+    assert_eq!(bytes1, bytes4, "subscriber streams differ");
+    assert_eq!(report1.exec, report4.exec);
+}
+
+/// A frame refused when it is applied fails the connection that sent it
+/// and no other: the peer producer's frames queued alongside are acked,
+/// and the offender's own earlier frame keeps its ack.
+#[test]
+fn refused_frame_fails_only_its_own_connection() {
+    let mut cfg = ServerConfig::new(UNION_PROGRAM);
+    cfg.check = Some(CheckMode::Strict);
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+    let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
+
+    let mut b = client(addr, "b");
+    b.send(data(20)).expect("send b");
+    b.send(data(40)).expect("send b");
+    // One write, three frames: good data, a DATA frame smuggling a
+    // punctuation tuple (what `Executor::ingest` refuses), more data.
+    let (mut raw, mut reader) = raw_connect(addr, Role::Producer, "a");
+    let mut burst = Vec::new();
+    for (seq, tuple) in [
+        (1, data(10)),
+        (2, Tuple::punctuation(Timestamp::from_micros(25))),
+        (3, data(30)),
+    ] {
+        burst.extend(Frame::Data { seq, tuple }.encode().unwrap());
+    }
+    std::io::Write::write_all(&mut raw, &burst).unwrap();
+    b.flush().expect("b's frames are acked");
+
+    assert!(matches!(
+        reader.read_blocking(&mut raw).unwrap(),
+        Some(Frame::Ack { seq: 1, .. })
+    ));
+    match reader.read_blocking(&mut raw).unwrap() {
+        Some(Frame::Error { message, .. }) => {
+            assert!(message.contains("carries punctuation"), "{message}")
+        }
+        other => panic!("expected the refusal, got {other:?}"),
+    }
+    let rb = b.close().expect("close b");
+    assert_eq!(rb.acked, rb.sent);
+    assert_eq!(rb.reconnects, 0);
+
+    let report = server.shutdown().expect("shutdown");
+    let (got, _) = drain(&mut sub);
+    assert_eq!(
+        got,
+        vec![10, 20, 40],
+        "frames after the refusal are dropped"
+    );
+    assert_eq!(report.stats.tuples_ingested, 3);
 }

@@ -1,8 +1,8 @@
 //! Shared join-state layer: key-partitioned hash indexes with
 //! punctuation-driven purge and a tiered cold store.
 //!
-//! Both [`crate::WindowJoin`] and [`crate::MultiWindowJoin`] keep one
-//! [`JoinState`] per input. Two storage modes:
+//! [`crate::MultiWindowJoin`] keeps one [`JoinState`] per input. Two
+//! storage modes:
 //!
 //! * **Keyed** — an equi-key column partitions the window into hash
 //!   buckets (`key value → Vec<Tuple>` in timestamp order). A probe

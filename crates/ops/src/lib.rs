@@ -7,9 +7,9 @@
 //!   [`SlidingAggregate`] (pane-based windowed aggregation, tumbling or
 //!   overlapping), and [`Reorder`] (slack-based order restoration for
 //!   disordered external streams);
-//! * IWP operators: [`Union`] (n-ary merging, with latent-timestamp mode),
-//!   [`WindowJoin`] (binary symmetric) and [`MultiWindowJoin`] (n-ary
-//!   symmetric), all built on TSM registers and the relaxed `more`
+//! * IWP operators: [`Union`] (n-ary merging, with latent-timestamp mode)
+//!   and [`MultiWindowJoin`] (symmetric window join over two or more
+//!   inputs), both built on TSM registers and the relaxed `more`
 //!   condition;
 //! * [`Sink`] with pluggable [`SinkCollector`]s (punctuation elimination,
 //!   latency capture).
@@ -24,7 +24,6 @@
 mod aggregate;
 mod context;
 mod filter;
-mod join;
 mod join_state;
 mod multijoin;
 mod project;
@@ -38,7 +37,6 @@ mod union;
 pub use aggregate::{AggExpr, AggFunc};
 pub use context::{BatchOutcome, OpContext, Operator, Poll, StepOutcome};
 pub use filter::{DropBehavior, Filter};
-pub use join::{JoinSpec, WindowJoin};
 pub use join_state::{JoinState, SpillStats, TierConfig};
 pub use multijoin::MultiWindowJoin;
 pub use project::Project;

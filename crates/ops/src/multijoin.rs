@@ -1,15 +1,25 @@
-//! N-ary symmetric window join — the multi-way case the paper's §2 leaves
-//! out "for simplicity of discussion … whose treatment is however similar
-//! to that of binary joins".
+//! Symmetric window join (⋈) — the second IWP operator of the paper, over
+//! two or more inputs.
+//!
+//! The binary case implements the widely accepted semantics of Kang,
+//! Naughton and Viglas (ICDE'03) adopted by the paper (Fig. 1), revised
+//! with TSM registers and punctuation handling per Fig. 6; the multi-way
+//! case is the one the paper's §2 leaves out "for simplicity of discussion
+//! … whose treatment is however similar to that of binary joins" — here it
+//! is the same operator at a higher arity.
 //!
 //! Each of the k inputs keeps its own time window; a new data tuple at τ
-//! (the TSM minimum, as in the binary case) probes the other windows,
-//! emitting one output row per combination that satisfies the join
-//! condition. The output row concatenates the inputs' columns in input
-//! order; the timestamp comes from the probe, so the output stays
-//! timestamp-ordered. Punctuation handling follows Fig. 6 verbatim: a
-//! punctuation witness of τ is consumed, expires every window, and is
-//! forwarded.
+//! (the TSM minimum) probes the other windows, emitting one output row per
+//! combination that satisfies the join condition, then slides into its own
+//! window. The output row concatenates the inputs' columns in input order
+//! whichever input probed; the timestamp comes from the probe, so the
+//! output stays timestamp-ordered. When the τ-witness is **punctuation** it
+//! is consumed, expires every window, and is forwarded — "when we cannot
+//! generate a data tuple, we simply produce a punctuation tuple for the
+//! benefit of the IWP operators down the path". Forwarded punctuation is
+//! deduplicated against a *punctuation* high-water only: data emissions at
+//! τ must not swallow a later punctuation witness at τ, or downstream IWP
+//! operators never learn τ is closed.
 //!
 //! Window state lives in the shared [`JoinState`] layer. With an equi-key
 //! class ([`MultiWindowJoin::with_keys`]) every window is hash-partitioned
@@ -544,19 +554,23 @@ mod tests {
         Tuple::punctuation(Timestamp::from_micros(ts))
     }
 
-    struct Rig3 {
+    struct Rig {
         bufs: Vec<RefCell<Buffer>>,
         out: RefCell<Buffer>,
     }
 
-    impl Rig3 {
-        fn new() -> Self {
-            Rig3 {
-                bufs: (0..3)
+    impl Rig {
+        fn new(arity: usize) -> Self {
+            Rig {
+                bufs: (0..arity)
                     .map(|i| RefCell::new(Buffer::new(format!("in{i}"))))
                     .collect(),
                 out: RefCell::new(Buffer::new("out")),
             }
+        }
+
+        fn push(&self, input: usize, t: Tuple) {
+            self.bufs[input].borrow_mut().push(t).unwrap();
         }
 
         fn drain(&self, j: &mut MultiWindowJoin) -> Vec<Tuple> {
@@ -583,6 +597,20 @@ mod tests {
         )
     }
 
+    /// The binary join: arity 2, one `k` column per side.
+    fn join2(window_us: u64, condition: Option<Expr>) -> MultiWindowJoin {
+        MultiWindowJoin::new(
+            "⋈",
+            &[schema(), schema()],
+            vec![TimeDelta::from_micros(window_us); 2],
+            condition,
+        )
+    }
+
+    fn data_rows(out: &[Tuple]) -> Vec<&Tuple> {
+        out.iter().filter(|t| t.is_data()).collect()
+    }
+
     #[test]
     fn output_schema_concatenates_with_qualifiers() {
         let j = join3(None);
@@ -598,7 +626,7 @@ mod tests {
 
     #[test]
     fn three_way_match_within_windows() {
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         // Equality across all three inputs via a condition expression.
         let cond = Expr::col(0)
             .eq(Expr::col(1))
@@ -625,7 +653,7 @@ mod tests {
         // The same equi-join expressed as hash keys and as a condition
         // must produce the same multiset of rows.
         let run = |keyed: bool| {
-            let rig = Rig3::new();
+            let rig = Rig::new(3);
             let mut j = if keyed {
                 join3(None).with_keys(vec![0, 0, 0])
             } else {
@@ -665,7 +693,7 @@ mod tests {
 
     #[test]
     fn cross_product_counts_combinations() {
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let mut j = join3(None);
         // Two tuples in each of inputs 0 and 1, then one probe on input 2.
         for ts in [1u64, 2] {
@@ -686,7 +714,7 @@ mod tests {
 
     #[test]
     fn expiry_prunes_old_windows() {
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let mut j = join3(None);
         rig.bufs[0].borrow_mut().push(data(1, 1)).unwrap();
         rig.bufs[1].borrow_mut().push(data(2, 2)).unwrap();
@@ -705,7 +733,7 @@ mod tests {
 
     #[test]
     fn punctuation_flows_and_dedupes() {
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let mut j = join3(None);
         for b in &rig.bufs {
             b.borrow_mut().push(punct(50)).unwrap();
@@ -720,7 +748,7 @@ mod tests {
     fn punctuation_after_same_ts_data_is_forwarded() {
         // Regression: a data emission at τ used to advance the shared
         // high-water, swallowing a punctuation witness at the same τ.
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let cond = Expr::col(0)
             .eq(Expr::col(1))
             .and(Expr::col(1).eq(Expr::col(2)));
@@ -742,7 +770,7 @@ mod tests {
 
     #[test]
     fn starves_until_all_inputs_heard() {
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let mut j = join3(None);
         rig.bufs[0].borrow_mut().push(data(1, 1)).unwrap();
         rig.bufs[1].borrow_mut().push(data(1, 1)).unwrap();
@@ -759,129 +787,97 @@ mod tests {
     }
 
     #[test]
-    fn binary_case_agrees_with_window_join() {
-        use crate::join::{JoinSpec, WindowJoin};
-        // Same workload through MultiWindowJoin(k=2) and WindowJoin.
-        let tuples_a: Vec<(u64, i64)> = vec![(1, 5), (3, 6), (7, 5), (9, 6)];
-        let tuples_b: Vec<(u64, i64)> = vec![(2, 5), (6, 6), (8, 5)];
-        let w = TimeDelta::from_micros(4);
-
-        let run_multi = || {
-            let a = RefCell::new(Buffer::new("a"));
-            let b = RefCell::new(Buffer::new("b"));
-            let out = RefCell::new(Buffer::new("out"));
-            let mut j = MultiWindowJoin::new("m", &[schema(), schema()], vec![w, w], None)
-                .with_keys(vec![0, 0]);
-            for &(ts, v) in &tuples_a {
-                a.borrow_mut().push(data(ts, v)).unwrap();
-            }
-            for &(ts, v) in &tuples_b {
-                b.borrow_mut().push(data(ts, v)).unwrap();
-            }
-            a.borrow_mut().push(punct(100)).unwrap();
-            b.borrow_mut().push(punct(100)).unwrap();
-            let inputs = [&a, &b];
-            let outputs = [&out];
-            let ctx = OpContext::new(&inputs, &outputs, Timestamp::ZERO);
-            while j.poll(&ctx).is_ready() {
-                j.step(&ctx).unwrap();
-            }
-            let mut rows = vec![];
-            while let Some(t) = out.borrow_mut().pop() {
-                if t.is_data() {
-                    rows.push((t.ts.as_micros(), t.values().unwrap().to_vec()));
-                }
-            }
-            rows
-        };
-
-        let run_binary = || {
-            let a = RefCell::new(Buffer::new("a"));
-            let b = RefCell::new(Buffer::new("b"));
-            let out = RefCell::new(Buffer::new("out"));
-            let mut j = WindowJoin::new(
-                "b",
-                schema().join(&schema(), "a", "b"),
-                JoinSpec::symmetric(w).with_key(0, 0),
-            );
-            for &(ts, v) in &tuples_a {
-                a.borrow_mut().push(data(ts, v)).unwrap();
-            }
-            for &(ts, v) in &tuples_b {
-                b.borrow_mut().push(data(ts, v)).unwrap();
-            }
-            a.borrow_mut().push(punct(100)).unwrap();
-            b.borrow_mut().push(punct(100)).unwrap();
-            let inputs = [&a, &b];
-            let outputs = [&out];
-            let ctx = OpContext::new(&inputs, &outputs, Timestamp::ZERO);
-            while j.poll(&ctx).is_ready() {
-                j.step(&ctx).unwrap();
-            }
-            let mut rows = vec![];
-            while let Some(t) = out.borrow_mut().pop() {
-                if t.is_data() {
-                    rows.push((t.ts.as_micros(), t.values().unwrap().to_vec()));
-                }
-            }
-            rows
-        };
-
-        assert_eq!(run_multi(), run_binary());
+    fn binary_window_expiry_prevents_stale_matches() {
+        let rig = Rig::new(2);
+        let mut j = join2(10, None).with_keys(vec![0, 0]);
+        rig.push(0, data(1, 7));
+        rig.push(1, data(50, 7));
+        // Give input 0 a second tuple so τ reaches 50.
+        rig.push(0, data(60, 8));
+        let out = rig.drain(&mut j);
+        assert!(out.is_empty(), "ts 1 expired before probe at 50");
+        assert_eq!(j.window_len(1), 1);
     }
 
     #[test]
-    fn condition_binary_case_agrees_with_window_join() {
-        use crate::join::{JoinSpec, WindowJoin};
-        // The pre-existing form: equality as a condition, no keys.
-        let w = TimeDelta::from_micros(4);
-        let a = RefCell::new(Buffer::new("a"));
-        let b = RefCell::new(Buffer::new("b"));
-        let out = RefCell::new(Buffer::new("out"));
-        let cond = Expr::col(0).eq(Expr::col(1));
-        let mut multi = MultiWindowJoin::new("m", &[schema(), schema()], vec![w, w], Some(cond));
-        let mut binary = WindowJoin::new(
-            "b",
-            schema().join(&schema(), "a", "b"),
-            JoinSpec::symmetric(w).with_key(0, 0),
+    fn binary_residual_predicate_filters_pairs() {
+        let rig = Rig::new(2);
+        // Join where in0.k < in1.k (columns 0 and 1 of the joined row).
+        let mut j = join2(100, Some(Expr::col(0).lt(Expr::col(1))));
+        rig.push(0, data(1, 5));
+        rig.push(0, punct(5));
+        rig.push(1, data(2, 3));
+        rig.push(1, data(2, 9));
+        let out = rig.drain(&mut j);
+        let datas = data_rows(&out);
+        assert_eq!(datas.len(), 1);
+        assert_eq!(
+            datas[0].values().unwrap(),
+            &[Value::Int(5), Value::Int(9)],
+            "row layout is input order regardless of probe side"
         );
-        let drive = |j: &mut dyn Operator,
-                     a: &RefCell<Buffer>,
-                     b: &RefCell<Buffer>,
-                     out: &RefCell<Buffer>| {
-            for &(ts, v) in &[(1u64, 5i64), (3, 6), (7, 5), (9, 6)] {
-                a.borrow_mut().push(data(ts, v)).unwrap();
-            }
-            for &(ts, v) in &[(2u64, 5i64), (6, 6), (8, 5)] {
-                b.borrow_mut().push(data(ts, v)).unwrap();
-            }
-            a.borrow_mut().push(punct(100)).unwrap();
-            b.borrow_mut().push(punct(100)).unwrap();
-            let inputs = [a, b];
-            let outputs = [out];
-            let ctx = OpContext::new(&inputs, &outputs, Timestamp::ZERO);
-            while j.poll(&ctx).is_ready() {
-                j.step(&ctx).unwrap();
-            }
-            let mut rows = vec![];
-            while let Some(t) = out.borrow_mut().pop() {
-                if t.is_data() {
-                    rows.push((t.ts.as_micros(), t.values().unwrap().to_vec()));
-                }
-            }
-            rows
-        };
-        let m_rows = drive(&mut multi, &a, &b, &out);
-        let a2 = RefCell::new(Buffer::new("a"));
-        let b2 = RefCell::new(Buffer::new("b"));
-        let out2 = RefCell::new(Buffer::new("out"));
-        let b_rows = drive(&mut binary, &a2, &b2, &out2);
-        assert_eq!(m_rows, b_rows);
+    }
+
+    #[test]
+    fn binary_punctuation_expires_windows() {
+        let rig = Rig::new(2);
+        let mut j = join2(10, None);
+        rig.push(0, data(1, 1));
+        rig.push(0, punct(3));
+        rig.push(1, data(2, 2));
+        rig.drain(&mut j);
+        assert_eq!(j.window_len(0), 1);
+        assert_eq!(j.window_len(1), 1);
+        // ETS far in the future on both inputs expires everything.
+        rig.push(0, punct(1_000));
+        rig.push(1, punct(1_000));
+        rig.drain(&mut j);
+        assert_eq!(j.window_len(0), 0);
+        assert_eq!(j.window_len(1), 0);
+    }
+
+    #[test]
+    fn binary_nulls_never_join_on_key() {
+        let rig = Rig::new(2);
+        let mut j = join2(100, None).with_keys(vec![0, 0]);
+        rig.push(0, Tuple::data(Timestamp::from_micros(1), vec![Value::Null]));
+        rig.push(1, Tuple::data(Timestamp::from_micros(2), vec![Value::Null]));
+        let out = rig.drain(&mut j);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn binary_simultaneous_tuples_join_both_ways() {
+        let rig = Rig::new(2);
+        let mut j = join2(100, None);
+        rig.push(0, data(5, 1));
+        rig.push(1, data(5, 2));
+        let out = rig.drain(&mut j);
+        // One of the two orders: first probe sees an empty opposite window,
+        // second probe matches — exactly one result either way.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].ts.as_micros(), 5);
+    }
+
+    #[test]
+    fn binary_keyed_probe_touches_only_its_bucket() {
+        let rig = Rig::new(2);
+        let mut j = join2(1_000, None).with_keys(vec![0, 0]);
+        // 20 tuples across 4 keys in input 0's window, then one probe for
+        // key 2.
+        for ts in 0..20u64 {
+            rig.push(0, data(ts, (ts % 4) as i64));
+        }
+        rig.push(0, punct(50));
+        rig.push(1, data(30, 2));
+        let out = rig.drain(&mut j);
+        assert_eq!(data_rows(&out).len(), 5, "ts {{2, 6, 10, 14, 18}} match");
+        assert_eq!(j.probes(), 5, "hash probe examined only the key-2 bucket");
     }
 
     #[test]
     fn adaptive_order_prefers_small_windows() {
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let mut j = join3(None).with_keys(vec![0, 0, 0]);
         // Input 2 accumulates far more state than inputs 0 and 1; after a
         // re-plan it must be probed last.
@@ -913,7 +909,7 @@ mod tests {
         // sweep, so no sweep ran — kept its stale count and was ranked
         // as the fattest input, pushing the genuinely cheapest store to
         // the end of the enumeration order.
-        let rig = Rig3::new();
+        let rig = Rig::new(3);
         let mut j = MultiWindowJoin::new(
             "⋈3",
             &[schema(), schema(), schema()],

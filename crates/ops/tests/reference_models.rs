@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use millstream_buffer::Buffer;
 use millstream_ops::{
-    AggExpr, AggFunc, JoinSpec, OpContext, Operator, SlidingAggregate, Union, WindowJoin,
+    AggExpr, AggFunc, MultiWindowJoin, OpContext, Operator, SlidingAggregate, Union,
 };
 use millstream_types::{DataType, Expr, Field, Schema, TimeDelta, Timestamp, Tuple, Value};
 
@@ -109,13 +109,9 @@ proptest! {
     /// which for symmetric windows is exactly the timestamp-distance test).
     #[test]
     fn join_matches_nested_loop(a in stream(40), b in stream(40), w in 1u64..20) {
-        let out_schema = schema().join(&schema(), "a", "b");
         let window = TimeDelta::from_micros(w);
-        let mut j = WindowJoin::new(
-            "⋈",
-            out_schema,
-            JoinSpec::symmetric(window).with_key(0, 0),
-        );
+        let mut j = MultiWindowJoin::new("⋈", &[schema(), schema()], vec![window; 2], None)
+            .with_keys(vec![0, 0]);
         let got = drive2(&mut j, &a, &b);
 
         // Reference nested loop.

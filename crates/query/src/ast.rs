@@ -36,9 +36,9 @@ pub struct SelectStmt {
     pub projection: Projection,
     /// The primary stream.
     pub from: TableRef,
-    /// Window joins with further streams, in clause order. One clause
-    /// plans a binary `WindowJoin`; two or more plan an n-ary
-    /// `MultiWindowJoin` over `FROM` plus every joined stream.
+    /// Window joins with further streams, in clause order. Any number of
+    /// clauses plans one `MultiWindowJoin` over `FROM` plus every joined
+    /// stream.
     pub joins: Vec<JoinClause>,
     /// Optional `WHERE` predicate.
     pub filter: Option<AstExpr>,

@@ -10,8 +10,8 @@ use std::collections::HashMap;
 
 use millstream_exec::{GraphBuilder, Input, NodeId, QueryGraph, ShardKey, SourceId};
 use millstream_ops::{
-    AggExpr, AggFunc, Filter, JoinSpec, MultiWindowJoin, Operator, Project, Reorder, Sink,
-    SinkCollector, SlidingAggregate, Split, Union, WindowJoin,
+    AggExpr, AggFunc, Filter, MultiWindowJoin, Operator, Project, Reorder, Sink, SinkCollector,
+    SlidingAggregate, Split, Union,
 };
 use millstream_types::{
     BinOp, DataType, Error, Expr, Result, Schema, TimeDelta, TimestampKind, Value,
@@ -431,16 +431,6 @@ impl Scope {
         }
     }
 
-    fn pair(a: (&str, &Schema), b: (&str, &Schema)) -> Scope {
-        let offset = a.1.len();
-        Scope {
-            bindings: vec![
-                (a.0.to_string(), a.1.clone(), 0),
-                (b.0.to_string(), b.1.clone(), offset),
-            ],
-        }
-    }
-
     /// A scope over any number of inputs concatenated in order. Passing a
     /// prefix of the join chain gives SQL `ON` visibility: clause `i` sees
     /// `FROM` plus the first `i + 1` joined streams, and because offsets
@@ -575,45 +565,11 @@ impl PlanCtx<'_> {
                 let scope = Scope::single(b.from.binding(), &src_schema);
                 (src_input, src_schema.clone(), scope)
             }
-            1 => {
-                let join = &b.joins[0];
-                let (src2_input, _src2, schema2, kind2) = self.add_source(&join.table)?;
-                if kind == TimestampKind::Latent || kind2 == TimestampKind::Latent {
-                    return Err(Error::plan(
-                        "window joins require real timestamps; latent streams cannot be joined",
-                    ));
-                }
-                let scope = Scope::pair(
-                    (b.from.binding(), &src_schema),
-                    (join.table.binding(), &schema2),
-                );
-                let on = resolve_expr(&join.on, &scope)?;
-                let (key, residual) = split_join_condition(on, src_schema.len());
-                let joined = src_schema.join(&schema2, b.from.binding(), join.table.binding());
-                let mut spec = JoinSpec {
-                    window_a: join.window,
-                    window_b: join.window,
-                    key,
-                    residual,
-                    progress_punctuation: false,
-                };
-                if spec.key.is_none() && spec.residual.is_none() {
-                    // ON TRUE etc. — a pure window cross product.
-                    spec.residual = Some(Expr::lit(true));
-                }
-                let name = self.next_name("⋈");
-                let op = WindowJoin::new(name, joined.clone(), spec)
-                    .with_tier(millstream_ops::TierConfig::from_env());
-                let j = self
-                    .builder
-                    .operator(Box::new(op), vec![src_input, src2_input])?;
-                iwp_node = Some(j);
-                (Input::Op(j), joined, scope)
-            }
             _ => {
-                // Two or more JOIN clauses: plan one n-ary MultiWindowJoin
-                // over FROM plus every joined stream. Input 0 (FROM) has no
-                // WINDOW clause of its own and shares the first join's.
+                // One or more JOIN clauses: plan one MultiWindowJoin over
+                // FROM plus every joined stream (a single JOIN is its
+                // arity-2 case). Input 0 (FROM) has no WINDOW clause of its
+                // own and shares the first join's.
                 if kind == TimestampKind::Latent {
                     return Err(Error::plan(
                         "window joins require real timestamps; latent streams cannot be joined",
@@ -964,42 +920,6 @@ fn is_enforced_key_edge(c: &Expr, keys: Option<&[usize]>) -> bool {
     false
 }
 
-/// Splits a resolved join condition into an equality key pair (columns on
-/// opposite sides) and a residual predicate over the concatenated row.
-fn split_join_condition(on: Expr, left_width: usize) -> (Option<(usize, usize)>, Option<Expr>) {
-    // Flatten top-level conjunction.
-    let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
-    let mut key = None;
-    let mut residual: Option<Expr> = None;
-    for c in conjuncts {
-        if key.is_none() {
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } = &c
-            {
-                if let (Expr::Column(i), Expr::Column(j)) = (left.as_ref(), right.as_ref()) {
-                    if *i < left_width && *j >= left_width {
-                        key = Some((*i, *j - left_width));
-                        continue;
-                    }
-                    if *j < left_width && *i >= left_width {
-                        key = Some((*j, *i - left_width));
-                        continue;
-                    }
-                }
-            }
-        }
-        residual = Some(match residual {
-            None => c,
-            Some(r) => r.and(c),
-        });
-    }
-    (key, residual)
-}
-
 fn flatten_and(e: Expr, out: &mut Vec<Expr>) {
     match e {
         Expr::Binary {
@@ -1091,6 +1011,24 @@ mod tests {
         assert_eq!(p.graph.num_ops(), 3);
         assert!(p.graph.is_iwp(p.monitor.unwrap()));
         assert_eq!(p.output_schema.len(), 1);
+    }
+
+    #[test]
+    fn single_join_star_names_columns_by_binding() {
+        // One JOIN is the arity-2 case of the n-ary operator, whose own
+        // positional `in0`/`in1` qualifiers must not reach the output.
+        let p = plan(
+            "SELECT * FROM packets AS l JOIN alerts AS r \
+             ON l.src = r.src WINDOW 5 SECONDS",
+        )
+        .unwrap();
+        let names: Vec<&str> = p
+            .output_schema
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names, ["l.src", "len", "r.src", "severity"]);
     }
 
     #[test]
@@ -1337,34 +1275,5 @@ mod tests {
             .unwrap(),
             Some(vec![ShardKey::Column(0)])
         );
-    }
-
-    #[test]
-    fn split_join_condition_variants() {
-        // col0 = col2 with left width 2 → key (0, 0).
-        let on = Expr::col(0).eq(Expr::col(2));
-        let (key, residual) = split_join_condition(on, 2);
-        assert_eq!(key, Some((0, 0)));
-        assert!(residual.is_none());
-
-        // Reversed sides still split.
-        let on = Expr::col(3).eq(Expr::col(1));
-        let (key, residual) = split_join_condition(on, 2);
-        assert_eq!(key, Some((1, 1)));
-        assert!(residual.is_none());
-
-        // Same-side equality is residual, not key.
-        let on = Expr::col(0).eq(Expr::col(1));
-        let (key, residual) = split_join_condition(on, 2);
-        assert_eq!(key, None);
-        assert!(residual.is_some());
-
-        // Conjunction: first cross-side eq is the key, rest residual.
-        let on = Expr::col(0)
-            .eq(Expr::col(2))
-            .and(Expr::col(3).gt(Expr::lit(5)));
-        let (key, residual) = split_join_condition(on, 2);
-        assert_eq!(key, Some((0, 0)));
-        assert!(residual.is_some());
     }
 }

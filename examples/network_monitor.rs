@@ -63,17 +63,15 @@ fn build(policy: EtsPolicy) -> Result<Monitor> {
 
     let joined_schema = packet_schema().join(&alert_schema(), "p", "a");
     let join = b.operator(
-        Box::new(WindowJoin::new(
-            "⋈ host",
-            joined_schema.clone(),
-            JoinSpec {
-                window_a: TimeDelta::from_secs(2),
-                window_b: TimeDelta::from_secs(2),
-                key: Some((0, 0)), // host = host
-                residual: None,
-                progress_punctuation: false,
-            },
-        )),
+        Box::new(
+            MultiWindowJoin::new(
+                "⋈ host",
+                &[packet_schema(), alert_schema()],
+                vec![TimeDelta::from_secs(2); 2],
+                None,
+            )
+            .with_keys(vec![0, 0]), // host = host
+        ),
         vec![Input::Op(big), Input::Source(alerts)],
     )?;
     let out = Collected::default();

@@ -181,12 +181,15 @@ fn join_rig(policy: EtsPolicy, sched: SchedPolicy, k: usize) -> Rig {
             vec![Input::Source(s2)],
         )
         .unwrap();
-    let spec = JoinSpec::symmetric(TimeDelta::from_secs(2)).with_key(0, 0);
+    let join = MultiWindowJoin::new(
+        "⋈",
+        &[schema.clone(), schema.clone()],
+        vec![TimeDelta::from_secs(2); 2],
+        None,
+    )
+    .with_keys(vec![0, 0]);
     let j = b
-        .operator(
-            Box::new(WindowJoin::new("⋈", joined.clone(), spec)),
-            vec![Input::Op(f1), Input::Op(f2)],
-        )
+        .operator(Box::new(join), vec![Input::Op(f1), Input::Op(f2)])
         .unwrap();
     let out = Out::default();
     b.operator(
