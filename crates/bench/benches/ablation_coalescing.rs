@@ -7,24 +7,18 @@
 //! This bench measures the peak queue size and punctuation traffic with the
 //! optimization on and off, across heartbeat rates, on bursty traffic.
 
-use millstream_bench::{print_table, quick_mode, write_bench_summary, write_results};
+use millstream_bench::{print_table, write_results};
 use millstream_metrics::Json;
 use millstream_sim::{run_union_experiment, Strategy, UnionExperiment};
 use millstream_types::TimeDelta;
 
-/// Simulated duration: `--quick` shrinks the run 5× for CI-bounded sweeps.
-fn duration() -> TimeDelta {
-    if quick_mode() {
-        TimeDelta::from_secs(60)
-    } else {
-        TimeDelta::from_secs(300)
-    }
-}
+/// Simulated duration of every run.
+const DURATION: TimeDelta = TimeDelta::from_secs(300);
 
 fn run(rate_hz: f64, coalesce: bool) -> (usize, u64) {
     let cfg = UnionExperiment {
         strategy: Strategy::Periodic { rate_hz },
-        duration: duration(),
+        duration: DURATION,
         seed: 71,
         fast_mean_burst: 64.0,
         coalesce_punctuation: coalesce,
@@ -35,10 +29,7 @@ fn run(rate_hz: f64, coalesce: bool) -> (usize, u64) {
 }
 
 fn main() {
-    println!(
-        "millstream ablation A2 — punctuation coalescing (bursty traffic, mean burst 64){}",
-        if quick_mode() { " (quick mode)" } else { "" }
-    );
+    println!("millstream ablation A2 — punctuation coalescing (bursty traffic, mean burst 64)");
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
@@ -75,12 +66,10 @@ fn main() {
     );
 
     let summary = Json::obj([
-        ("duration_secs", Json::Num(duration().as_secs_f64())),
-        ("quick", Json::Bool(quick_mode())),
+        ("duration_secs", Json::Num(DURATION.as_secs_f64())),
         ("rows", Json::Arr(json_rows)),
     ]);
-    write_results("ablation_coalescing", summary.clone());
-    write_bench_summary("ablation_coalescing", summary);
+    write_results("ablation_coalescing", summary);
 
     let &(rate, off, on) = improvements.last().expect("rows");
     assert!(

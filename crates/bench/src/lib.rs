@@ -11,24 +11,14 @@
 //! | `idle_waiting_table` | §6 in-text idle-waiting percentages |
 //! | `fig8_memory` | Fig. 8(a)/(b): peak total queue size vs. punctuation rate |
 //! | `ablation_*` | design-choice ablations (DESIGN.md §9) |
-//! | `micro_ops` | Criterion micro-benchmarks of operator primitives |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod alloc_track;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use millstream_metrics::Json;
-
-/// With the `count-alloc` feature every binary linking this crate (the
-/// bench harnesses and `msq`) routes heap traffic through the counting
-/// wrapper, making [`alloc_track::allocations`] a live census.
-#[cfg(feature = "count-alloc")]
-#[global_allocator]
-static COUNTING_ALLOCATOR: alloc_track::CountingAllocator = alloc_track::CountingAllocator;
 
 /// Renders an aligned text table.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -61,13 +51,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 /// Prints a table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     print!("{}", render_table(title, headers, rows));
-}
-
-/// True iff the bench was invoked with `--quick` (via `cargo bench ... --
-/// --quick`, or `msq bench --quick`): a bounded run for CI gates that
-/// keeps the shape checks but shrinks waves/rounds/durations.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
 }
 
 /// Formats a millisecond value with adaptive precision (log-scale friendly).
@@ -114,50 +97,6 @@ pub fn write_results(name: &str, results: Json) {
     }
 }
 
-/// Persists a harness's headline numbers as `BENCH_<name>.json` at the
-/// **workspace root**, next to EXPERIMENTS.md. Unlike the full dumps under
-/// `target/experiments/`, these land in the tree so the perf trajectory is
-/// tracked across PRs. Failures to write are reported but never fail the
-/// experiment.
-pub fn write_bench_summary(name: &str, results: Json) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
-    match std::fs::write(&path, with_host_cores(results).render_pretty()) {
-        Ok(()) => println!("summary written to {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Stamps `host_cores` into a summary object so every `BENCH_*.json`
-/// records the parallelism of the machine that produced it (a 0.35×
-/// "speedup" means something very different on 1 core than on 8). A
-/// harness that already set the key wins.
-fn with_host_cores(results: Json) -> Json {
-    match results {
-        Json::Obj(mut fields) => {
-            if !fields.iter().any(|(k, _)| k == "host_cores") {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                fields.push(("host_cores".to_string(), Json::Num(cores as f64)));
-            }
-            Json::Obj(fields)
-        }
-        other => other,
-    }
-}
-
-/// Extracts the number following `"key":` in a flat JSON document. The
-/// bench harnesses only ever read back the small flat files they (or the
-/// repo) own — the allocation baseline and budget — so a full parser
-/// would be dead weight; unknown or malformed keys simply return `None`.
-pub fn read_json_num(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,33 +124,6 @@ mod tests {
         assert_eq!(fmt_ms(12.345), "12.35");
         assert_eq!(fmt_ms(0.12345), "0.1235");
         assert_eq!(fmt_ms(f64::NAN), "n/a");
-    }
-
-    #[test]
-    fn read_json_num_extracts_flat_keys() {
-        let doc = r#"{ "k1_allocs_per_tuple": 2.375, "k64_tuples_per_sec": 1.2e6, "neg": -3 }"#;
-        assert_eq!(read_json_num(doc, "k1_allocs_per_tuple"), Some(2.375));
-        assert_eq!(read_json_num(doc, "k64_tuples_per_sec"), Some(1.2e6));
-        assert_eq!(read_json_num(doc, "neg"), Some(-3.0));
-        assert_eq!(read_json_num(doc, "missing"), None);
-        assert_eq!(read_json_num("not json", "k"), None);
-    }
-
-    #[test]
-    fn host_cores_stamped_once() {
-        let stamped = with_host_cores(Json::obj([("x", Json::Num(1.0))]));
-        let Json::Obj(fields) = &stamped else {
-            panic!("object expected")
-        };
-        assert!(fields.iter().any(|(k, _)| k == "host_cores"));
-        // A harness-provided value is not overwritten or duplicated.
-        let kept = with_host_cores(Json::obj([("host_cores", Json::Num(64.0))]));
-        let Json::Obj(fields) = &kept else {
-            panic!("object expected")
-        };
-        let hits: Vec<_> = fields.iter().filter(|(k, _)| k == "host_cores").collect();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].1, Json::Num(64.0));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! msq send <addr> <stream> <trace.csv> [--window N]
 //! msq tail <addr> [--patience-ms MS]
 //! msq fuzz [--seeds N] [--base B]
-//! msq bench [--quick]
 //!
 //!   query.msq   CREATE STREAM definitions + one SELECT query
 //!   trace.csv   lines of: timestamp_micros,stream_name,v1,v2,…
@@ -87,14 +86,6 @@
 //!             output-invariant)
 //!   --seeds N   number of seeds to run (default 64)
 //!   --base B    first seed (default 0)
-//!
-//! bench       run every perf harness (micro_batching, micro_components,
-//!             micro_alloc, multijoin, ablation_coalescing, net_ingest)
-//!             via `cargo bench`, each rewriting its `BENCH_*.json` at
-//!             the workspace root through the shared
-//!             `write_bench_summary` path
-//!   --quick     bounded runs for CI (each harness shrinks waves/rounds/
-//!               durations but keeps its shape checks and budget gates)
 //! ```
 //!
 //! Example query file:
@@ -130,7 +121,7 @@ struct Options {
     shards: usize,
 }
 
-const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]\n       msq bench [--quick]";
+const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]";
 
 fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
     let mut positional = Vec::new();
@@ -714,77 +705,10 @@ fn run_fuzz(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The `msq bench` subcommand: one entry point for the whole perf suite.
-/// Each harness is a `harness = false` bench target in millstream-bench, so
-/// the uniform code path is `cargo bench --bench <name>` — every harness
-/// then writes its `BENCH_<name>.json` via the shared
-/// `millstream_bench::write_bench_summary`, which stamps `host_cores`.
-/// `micro_alloc` additionally needs the `count-alloc` feature so the
-/// counting `#[global_allocator]` is live.
-fn run_bench(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    for a in args {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            }
-            flag => {
-                eprintln!("unknown bench argument `{flag}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // `msq` lives in the workspace; anchor cargo at the workspace root so
-    // the subcommand works no matter where it is invoked from.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let benches: &[(&str, &[&str])] = &[
-        ("micro_batching", &[]),
-        ("micro_components", &[]),
-        ("micro_alloc", &["--features", "count-alloc"]),
-        ("multijoin", &[]),
-        ("ablation_coalescing", &[]),
-        ("net_ingest", &[]),
-    ];
-    let mut failed = Vec::new();
-    for (name, features) in benches {
-        eprintln!("# bench: {name}{}", if quick { " --quick" } else { "" });
-        let mut cmd = std::process::Command::new("cargo");
-        cmd.current_dir(&root)
-            .args(["bench", "-p", "millstream-bench", "--bench", name])
-            .args(*features);
-        if quick {
-            cmd.args(["--", "--quick"]);
-        }
-        match cmd.status() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                eprintln!("# bench: {name} failed ({status})");
-                failed.push(*name);
-            }
-            Err(e) => {
-                eprintln!("# bench: cannot spawn cargo for {name}: {e}");
-                failed.push(*name);
-            }
-        }
-    }
-    if failed.is_empty() {
-        eprintln!("# bench: all {} harnesses passed", benches.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("# bench: failed: {}", failed.join(", "));
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("fuzz") {
         return run_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return run_bench(&args[1..]);
     }
     if let Some(net) = args.first().and_then(|a| match a.as_str() {
         "serve" => Some(run_serve as fn(&[String]) -> Result<()>),

@@ -48,7 +48,8 @@
 //! ```
 //!
 //! For the paper's experiments, see [`sim::run_union_experiment`] and the
-//! benches in `millstream-bench`.
+//! figure harnesses in `millstream-bench`; wall-clock performance is
+//! measured by the repository's `benchmark/` package.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

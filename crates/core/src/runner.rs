@@ -52,7 +52,6 @@ pub struct QueryRunner {
     sources: Vec<PlannedSource>,
     output: SharedVec,
     output_schema: Schema,
-    drained: usize,
 }
 
 impl QueryRunner {
@@ -100,7 +99,6 @@ impl QueryRunner {
             sources: planned.sources,
             output,
             output_schema: planned.output_schema,
-            drained: 0,
         })
     }
 
@@ -125,7 +123,6 @@ impl QueryRunner {
             sources: planned.sources,
             output,
             output_schema: planned.output_schema,
-            drained: 0,
         })
     }
 
@@ -195,27 +192,22 @@ impl QueryRunner {
         Ok(())
     }
 
-    /// Takes the tuples delivered since the last drain.
+    /// Takes the tuples delivered since the last drain out of the
+    /// runner: what it returns is no longer retained here.
     pub fn drain(&mut self) -> Vec<Tuple> {
-        let inner = self.output.0.lock().unwrap();
-        let fresh: Vec<Tuple> = inner.delivered[self.drained..]
-            .iter()
-            .map(|(t, _)| t.clone())
-            .collect();
-        drop(inner);
-        self.drained += fresh.len();
-        fresh
+        let delivered = std::mem::take(&mut self.output.0.lock().unwrap().delivered);
+        delivered.into_iter().map(|(t, _)| t).collect()
     }
 
     /// Declares end-of-stream on every input, flushes every in-flight
-    /// tuple (including final aggregate windows), and returns the complete
-    /// output.
+    /// tuple (including final aggregate windows), and returns the output
+    /// no [`QueryRunner::drain`] has returned — all of it if nothing was
+    /// drained.
     pub fn finish(mut self) -> Result<Vec<Tuple>> {
         for s in &self.sources {
             self.engine.close_source(s.id)?;
         }
         self.run()?;
-        self.drained = 0;
         Ok(self.drain())
     }
 }
@@ -276,11 +268,13 @@ mod tests {
         q.push("b", 20, vec![Value::Int(2)]).unwrap();
         q.push("a", 30, vec![Value::Int(3)]).unwrap();
         // Before flushing, the tuple at 30 idle-waits on stream b.
-        let early = q.drain();
-        assert_eq!(early.len(), 2);
+        let mut out = q.drain();
+        assert_eq!(out.len(), 2);
+        assert!(q.drain().is_empty(), "drain() hands over what it returns");
         let rest = q.finish().unwrap();
-        assert_eq!(rest.len(), 3, "finish() flushes everything");
-        let ts: Vec<u64> = rest.iter().map(|t| t.ts.as_micros()).collect();
+        assert_eq!(rest.len(), 1, "finish() returns only the undrained rest");
+        out.extend(rest);
+        let ts: Vec<u64> = out.iter().map(|t| t.ts.as_micros()).collect();
         assert_eq!(ts, vec![10, 20, 30]);
     }
 

@@ -170,9 +170,6 @@ enum ShardCmd {
 struct ShardSnap {
     stats: ExecStats,
     profile: Vec<OpProfile>,
-    clock: Timestamp,
-    peak_queued: usize,
-    total_queued: usize,
 }
 
 /// Everything one shard worker owns.
@@ -306,9 +303,6 @@ fn shard_worker(rx: Receiver<ShardCmd>, mut state: ShardState) {
                 let snap = ShardSnap {
                     stats: state.exec.stats(),
                     profile: state.exec.profile().to_vec(),
-                    clock: state.exec.clock().now(),
-                    peak_queued: state.exec.graph().tracker().peak(),
-                    total_queued: state.exec.graph().total_queued(),
                 };
                 state
                     .busy_nanos
@@ -329,15 +323,9 @@ fn disconnected() -> Error {
 pub struct ShardedSnapshot {
     /// Executor counters summed over every shard plus the merge stage.
     pub stats: ExecStats,
-    /// Each shard replica's unmerged counters.
-    pub shard_stats: Vec<ExecStats>,
-    /// The merge-stage executor's counters.
-    pub merge_stats: ExecStats,
     /// Per-operator profile of the replicated plan, summed elementwise
     /// across the structurally identical shard replicas (plan order).
     pub profile: Vec<OpProfile>,
-    /// Each shard's virtual clock reading.
-    pub shard_clocks: Vec<Timestamp>,
     /// Each shard's published output floor.
     pub floors: Vec<Option<Timestamp>>,
     /// On-demand frontier advances generated per shard (the sharded
@@ -351,10 +339,6 @@ pub struct ShardedSnapshot {
     /// Wall-clock nanoseconds each shard worker spent busy (inside
     /// `RunBatch`/`Snapshot`); subtract from elapsed time for idle.
     pub busy_nanos: Vec<u64>,
-    /// Each shard's peak queue occupancy.
-    pub peak_queued: Vec<usize>,
-    /// Tuples currently queued across shards and merge.
-    pub total_queued: usize,
 }
 
 /// Runs one connected component sharded across N worker threads behind a
@@ -840,11 +824,7 @@ impl ShardedExecutor {
             replies.push(rrx);
         }
         let mut stats = ExecStats::default();
-        let mut shard_stats = Vec::with_capacity(self.shards);
-        let mut shard_clocks = Vec::with_capacity(self.shards);
-        let mut peak_queued = Vec::with_capacity(self.shards);
         let mut profile: Vec<OpProfile> = Vec::new();
-        let mut total_queued = 0usize;
         for rx in replies {
             let snap = rx.recv().map_err(|_| disconnected())?;
             stats.merge(&snap.stats);
@@ -864,20 +844,11 @@ impl ShardedExecutor {
                     acc.run_drops += p.run_drops;
                 }
             }
-            shard_stats.push(snap.stats);
-            shard_clocks.push(snap.clock);
-            peak_queued.push(snap.peak_queued);
-            total_queued += snap.total_queued;
         }
-        let merge_stats = self.merge.stats();
-        stats.merge(&merge_stats);
-        total_queued += self.merge.graph().total_queued();
+        stats.merge(&self.merge.stats());
         Ok(ShardedSnapshot {
             stats,
-            shard_stats,
-            merge_stats,
             profile,
-            shard_clocks,
             floors: (0..self.shards).map(|j| self.frontier.floor(j)).collect(),
             frontier_advances: self
                 .advances
@@ -891,8 +862,6 @@ impl ShardedExecutor {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            peak_queued,
-            total_queued,
         })
     }
 }

@@ -211,11 +211,8 @@ enum Cmd {
         max_steps: u64,
         reply: Sender<Result<u64>>,
     },
-    /// Reply with a state snapshot of every hosted component plus the
-    /// worker's cumulative busy nanoseconds.
-    Snapshot {
-        reply: Sender<(Vec<CompSnapshot>, u64)>,
-    },
+    /// Reply with a state snapshot of every hosted component.
+    Snapshot { reply: Sender<Vec<CompSnapshot>> },
     /// Exit the worker loop. Sent when the [`WorkerPool`] drops.
     Stop,
 }
@@ -229,9 +226,7 @@ struct CompSnapshot {
     /// tuples shed by feedback-declared load shedding).
     sources: Vec<(u64, u64, u64)>,
     clock: Timestamp,
-    peak_queued: usize,
     total_queued: usize,
-    punct_enqueued: u64,
 }
 
 /// A component hosted by a worker thread.
@@ -261,16 +256,12 @@ pub(crate) fn panic_error(payload: Box<dyn std::any::Any + Send>) -> Error {
 /// the next barrier like any other stashed error.
 fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
     let mut pending_err: Option<Error> = None;
-    // Wall-clock nanoseconds spent processing commands (as opposed to
-    // blocked in `recv()`): the honest busy/idle split benchmarks report.
-    let mut busy_nanos: u64 = 0;
     let stash = |r: std::result::Result<(), Error>, pending: &mut Option<Error>| {
         if let Err(e) = r {
             pending.get_or_insert(e);
         }
     };
     while let Ok(cmd) = rx.recv() {
-        let started = std::time::Instant::now();
         match cmd {
             Cmd::IngestBatch {
                 comp,
@@ -348,16 +339,13 @@ fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
                             })
                             .collect(),
                         clock: slot.exec.clock().now(),
-                        peak_queued: slot.exec.graph().tracker().peak(),
                         total_queued: slot.exec.graph().total_queued(),
-                        punct_enqueued: slot.exec.graph().tracker().punctuation_enqueued(),
                     })
                     .collect();
-                let _ = reply.send((snaps, busy_nanos));
+                let _ = reply.send(snaps);
             }
             Cmd::Stop => break,
         }
-        busy_nanos += started.elapsed().as_nanos() as u64;
     }
 }
 
@@ -390,17 +378,8 @@ pub struct ParallelSnapshot {
     pub component_clocks: Vec<Timestamp>,
     /// Each component's unmerged executor counters.
     pub component_stats: Vec<ExecStats>,
-    /// Each component's peak queue occupancy. The sum is an upper bound on
-    /// the whole-graph peak (component peaks need not coincide in time).
-    pub component_peaks: Vec<usize>,
     /// Tuples currently queued across all components.
     pub total_queued: usize,
-    /// Lifetime punctuation enqueued, summed over all components.
-    pub punctuation_enqueued: u64,
-    /// Wall-clock nanoseconds each worker thread has spent processing
-    /// commands (everything outside the blocking `recv()`); subtract from
-    /// elapsed wall time for the worker's idle share.
-    pub worker_busy_nanos: Vec<u64>,
 }
 
 /// Runs a multi-component [`QueryGraph`] across worker threads — one
@@ -735,14 +714,9 @@ impl ParallelExecutor {
         let mut shed_per_source = vec![0u64; self.num_sources];
         let mut component_clocks = vec![Timestamp::ZERO; self.num_components()];
         let mut component_stats = vec![ExecStats::default(); self.num_components()];
-        let mut component_peaks = vec![0usize; self.num_components()];
         let mut total_queued = 0;
-        let mut punctuation_enqueued = 0;
-        let mut worker_busy_nanos = Vec::with_capacity(self.pool.len());
         for rx in replies {
-            let (snaps, busy) = rx.recv().map_err(|_| disconnected())?;
-            worker_busy_nanos.push(busy);
-            for snap in snaps {
+            for snap in rx.recv().map_err(|_| disconnected())? {
                 let s = snap.stats;
                 stats.merge(&s);
                 for (local, p) in snap.profile.into_iter().enumerate() {
@@ -756,9 +730,7 @@ impl ParallelExecutor {
                 }
                 component_clocks[snap.comp] = snap.clock;
                 component_stats[snap.comp] = s;
-                component_peaks[snap.comp] = snap.peak_queued;
                 total_queued += snap.total_queued;
-                punctuation_enqueued += snap.punct_enqueued;
             }
         }
         Ok(ParallelSnapshot {
@@ -772,10 +744,7 @@ impl ParallelExecutor {
             shed_per_source,
             component_clocks,
             component_stats,
-            component_peaks,
             total_queued,
-            punctuation_enqueued,
-            worker_busy_nanos,
         })
     }
 }

@@ -1153,7 +1153,7 @@ mod tests {
                 Some(0),
                 Some(TierConfig {
                     budget,
-                    hot_fraction: 0.1,
+                    hot_fraction: 0.05,
                     min_run_rows: 16,
                 }),
             );
@@ -1176,10 +1176,11 @@ mod tests {
         };
         let (unbounded_peak, _) = run_state(u64::MAX);
         let (tiny_peak, tiny_stats) = run_state(4096);
-        assert!(tiny_stats.spilled_bytes > 0);
+        assert!(tiny_stats.spilled_bytes > 0, "budget must spill");
+        assert!(tiny_stats.run_drops > 0, "punctuation must drop runs");
         assert!(
-            tiny_peak * 2 < unbounded_peak,
-            "budgeted peak {tiny_peak} must sit well below unbounded {unbounded_peak}"
+            tiny_peak * 4 <= unbounded_peak,
+            "budgeted peak {tiny_peak} must sit ≥4x below unbounded {unbounded_peak}"
         );
     }
 

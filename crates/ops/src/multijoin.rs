@@ -74,7 +74,6 @@ pub struct MultiWindowJoin {
     /// not swallow a punctuation witness at the same τ.
     punct_high_water: Option<Timestamp>,
     probes: u64,
-    matches: u64,
     /// All inputs sorted by ascending estimated candidates per probe.
     order: Vec<usize>,
     /// `depth_plan[p][s]` = conjuncts first fully bound at enumeration
@@ -184,7 +183,6 @@ impl MultiWindowJoin {
             offsets,
             punct_high_water: None,
             probes: 0,
-            matches: 0,
             order: (0..arity).collect(),
             depth_plan: Vec::new(),
             probes_since_plan: 0,
@@ -231,12 +229,6 @@ impl MultiWindowJoin {
         self
     }
 
-    /// Estimated resident bytes across all window states (hot rows + run
-    /// metadata + resident run payloads; spilled payloads excluded).
-    pub fn resident_state_bytes(&self) -> u64 {
-        self.stores.iter().map(JoinState::resident_bytes).sum()
-    }
-
     /// Number of inputs.
     pub fn arity(&self) -> usize {
         self.stores.len()
@@ -259,11 +251,6 @@ impl MultiWindowJoin {
     /// of real probe work (sub-linear in window length when keyed).
     pub fn probes(&self) -> u64 {
         self.probes
-    }
-
-    /// Lifetime matches emitted.
-    pub fn matches(&self) -> u64 {
-        self.matches
     }
 
     /// Peak total stored tuples across all windows (lifetime high-water).
@@ -460,7 +447,6 @@ impl Operator for MultiWindowJoin {
                 let mut idx = [0usize; MAX_ARITY];
                 let mut d = 0usize;
                 let mut probes = 0u64;
-                let mut matches = 0u64;
                 loop {
                     if idx[d] == cold[d].len() + hot[d].len() {
                         if d == 0 {
@@ -496,7 +482,6 @@ impl Operator for MultiWindowJoin {
                         continue;
                     }
                     if d + 1 == m {
-                        matches += 1;
                         let mut builder = Row::builder(width);
                         builder.extend_from_slice(&self.scratch);
                         let out = Tuple::data_with_entry(probe.ts, probe.entry, builder.finish());
@@ -509,7 +494,6 @@ impl Operator for MultiWindowJoin {
                     }
                 }
                 self.probes += probes;
-                self.matches += matches;
             }
 
             self.stores[i].insert(probe);
@@ -648,47 +632,93 @@ mod tests {
         );
     }
 
-    #[test]
-    fn keyed_three_way_agrees_with_condition_form() {
-        // The same equi-join expressed as hash keys and as a condition
-        // must produce the same multiset of rows.
-        let run = |keyed: bool| {
-            let rig = Rig::new(3);
-            let mut j = if keyed {
-                join3(None).with_keys(vec![0, 0, 0])
-            } else {
-                join3(Some(
-                    Expr::col(0)
-                        .eq(Expr::col(1))
-                        .and(Expr::col(1).eq(Expr::col(2))),
-                ))
-            };
-            for ts in 0..12u64 {
-                let input = (ts % 3) as usize;
-                rig.bufs[input]
-                    .borrow_mut()
-                    .push(data(ts, (ts % 4) as i64))
-                    .unwrap();
-            }
-            for b in &rig.bufs {
-                b.borrow_mut().push(punct(50)).unwrap();
-            }
-            let mut rows: Vec<(u64, Vec<Value>)> = rig
-                .drain(&mut j)
-                .iter()
-                .filter(|t| t.is_data())
-                .map(|t| (t.ts.as_micros(), t.values().unwrap().to_vec()))
-                .collect();
-            rows.sort();
-            (rows, j.probes())
+    /// Drives `arity` inputs with one tuple each per µs for `steps` µs,
+    /// keyed by `key(step)`, with punctuation on every input once per
+    /// window (the purge driver). Keyed installs the equi-key as hash
+    /// buckets; otherwise the same equality is a conjunct chain over the
+    /// concatenated row. Returns the sorted data rows, the candidate
+    /// tuples examined and the peak stored state.
+    fn equi_join_run(
+        arity: usize,
+        window: u64,
+        steps: u64,
+        keyed: bool,
+        key: fn(u64) -> i64,
+    ) -> (Vec<(u64, Vec<Value>)>, u64, usize) {
+        let rig = Rig::new(arity);
+        let schemas = vec![schema(); arity];
+        let windows = vec![TimeDelta::from_micros(window); arity];
+        let mut j = if keyed {
+            MultiWindowJoin::new("⋈", &schemas, windows, None).with_keys(vec![0; arity])
+        } else {
+            let chain = (1..arity)
+                .map(|i| Expr::col(i - 1).eq(Expr::col(i)))
+                .reduce(Expr::and);
+            MultiWindowJoin::new("⋈", &schemas, windows, chain)
         };
-        let (keyed_rows, keyed_probes) = run(true);
-        let (cond_rows, cond_probes) = run(false);
-        assert_eq!(keyed_rows, cond_rows);
-        assert!(
-            keyed_probes < cond_probes,
-            "hash probing examines fewer candidates ({keyed_probes} vs {cond_probes})"
-        );
+        let mut rows = Vec::new();
+        for step in 0..steps {
+            for input in 0..arity {
+                rig.push(input, data(step, key(step)));
+                if step > 0 && step.is_multiple_of(window) {
+                    rig.push(input, punct(step));
+                }
+            }
+            rows.extend(
+                rig.drain(&mut j)
+                    .iter()
+                    .filter(|t| t.is_data())
+                    .map(|t| (t.ts.as_micros(), t.values().unwrap().to_vec())),
+            );
+        }
+        rows.sort();
+        (rows, j.probes(), j.peak_state())
+    }
+
+    #[test]
+    fn keyed_agrees_with_condition_form_in_bounded_state() {
+        // Arity × window × key skew: fresh key per step, 16 cycling keys,
+        // and half the traffic on one hot key.
+        let unique: fn(u64) -> i64 = |step| step as i64;
+        let uniform: fn(u64) -> i64 = |step| (step % 16) as i64;
+        let hot: fn(u64) -> i64 = |step| {
+            if step.is_multiple_of(2) {
+                0
+            } else {
+                1 + ((step / 2) % 15) as i64
+            }
+        };
+        let cells = [
+            (2, 16, unique),
+            (3, 16, unique),
+            (4, 16, unique),
+            (4, 64, unique),
+            (3, 16, uniform),
+            (3, 16, hot),
+        ];
+        for (arity, window, key) in cells {
+            let steps = (4 * window).max(64);
+            let (keyed_rows, keyed_probes, keyed_peak) =
+                equi_join_run(arity, window, steps, true, key);
+            let (scan_rows, scan_probes, _) = equi_join_run(arity, window, steps, false, key);
+            assert!(!keyed_rows.is_empty(), "{arity}-ary × {window} µs joins");
+            assert_eq!(keyed_rows, scan_rows, "{arity}-ary × {window} µs");
+            // Purge contract: peak retention is O(arity × window) however
+            // long the run. The factor 2 covers the amortized half-window
+            // sweep hysteresis plus the in-flight probe tuple.
+            let bound = arity * (2 * window as usize + 4);
+            assert!(
+                keyed_peak <= bound,
+                "peak state {keyed_peak} exceeds purge bound {bound} ({arity}-ary × {window} µs)"
+            );
+            if (arity, window) == (4, 64) {
+                assert!(
+                    scan_probes >= 5 * keyed_probes,
+                    "keyed probing must examine ≥5x fewer candidates at the largest cell \
+                     ({keyed_probes} keyed vs {scan_probes} scan)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   executor and jumping the clock across idle periods;
 //! * [`run_union_experiment`] / [`run_join_experiment`] — the prebuilt
 //!   Fig. 4 experiment in its four §6 variants (lines A/B/C/D), the basis
-//!   for every figure reproduction in `millstream-bench`.
+//!   for every figure harness in `millstream-bench` and for `benchmark/`'s
+//!   `sim.fig7_*`/`sim.fig8_*` cells.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

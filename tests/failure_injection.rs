@@ -105,8 +105,9 @@ fn starved_forever_without_ets_still_correct_on_flush() {
     for i in 0..100u64 {
         q.push("a", 1_000 * i, vec![Value::Int(i as i64)]).unwrap();
     }
-    assert!(q.drain().len() <= 1, "virtually everything is blocked");
-    let all = q.finish().unwrap();
+    let mut all = q.drain();
+    assert!(all.len() <= 1, "virtually everything is blocked");
+    all.extend(q.finish().unwrap());
     assert_eq!(all.len(), 100, "no loss, only delay");
     let vs: Vec<i64> = all
         .iter()
