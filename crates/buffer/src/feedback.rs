@@ -6,9 +6,8 @@
 //! consumer is under pressure" — a queue-occupancy level classified by
 //! configurable [`Watermarks`]. Upstream nodes react without ever breaking
 //! the ordering or punctuation-dominance contracts: sources pace or shed
-//! (declared, counted — never silent), order-restoring operators may
-//! tighten their slack when explicitly allowed, and at the wire boundary
-//! the server translates pressure into producer-side send-window hints.
+//! (declared, counted — never silent), and at the wire boundary the
+//! server translates pressure into producer-side send-window hints.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -90,20 +89,6 @@ impl Default for Watermarks {
     fn default() -> Watermarks {
         Watermarks::new(512, 896)
     }
-}
-
-/// One feedback signal delivered to an upstream operator or source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedbackSignal {
-    /// The pressure level downstream of the receiver.
-    pub level: PressureLevel,
-    /// The queued-tuple count that produced the level (the receiver's own
-    /// input occupancy plus downstream pressure).
-    pub queued: usize,
-    /// Whether the receiver may *degrade* its output to relieve pressure
-    /// (e.g. a `Reorder` tightening its slack). When false the signal is
-    /// purely advisory pacing and must not change any output.
-    pub allow_degraded: bool,
 }
 
 /// Lock-free per-source pressure registers, shared between an executor

@@ -142,11 +142,6 @@ impl FrontierTable {
         }
     }
 
-    /// The punctuation high-water broadcast for `source`.
-    pub fn punct_frontier(&self, source: usize) -> Option<Timestamp> {
-        decode(self.punct[source].load(Ordering::Acquire))
-    }
-
     /// The frontier `shard` has applied for `source`.
     pub fn applied(&self, source: usize, shard: usize) -> Option<Timestamp> {
         decode(self.applied[source * self.num_shards + shard].load(Ordering::Acquire))

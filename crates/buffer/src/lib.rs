@@ -12,8 +12,8 @@
 //!   (the Fig. 8 "peak total queue size" metric).
 //! * [`OrderSentinel`] / [`SentinelStats`] / [`CheckMode`] — the opt-in
 //!   runtime ordering-contract checks (`MILLSTREAM_CHECK={off,counters,strict}`).
-//! * [`PressureLevel`] / [`Watermarks`] / [`FeedbackSignal`] /
-//!   [`FeedbackRegisters`] — feedback punctuation flowing against the data
+//! * [`PressureLevel`] / [`Watermarks`] / [`FeedbackRegisters`] —
+//!   feedback punctuation flowing against the data
 //!   direction (queue-pressure levels, upstream pacing and declared
 //!   shedding).
 //! * [`FrontierTable`] — per-worker frontier summaries for intra-component
@@ -30,7 +30,7 @@ mod occupancy;
 mod sentinel;
 mod tsm;
 
-pub use feedback::{FeedbackRegisters, FeedbackSignal, PressureLevel, Watermarks};
+pub use feedback::{FeedbackRegisters, PressureLevel, Watermarks};
 pub use fifo::{punctuation_is_stale, Buffer, OrderPolicy, PunctuationPolicy};
 pub use frontier::FrontierTable;
 pub use occupancy::OccupancyTracker;

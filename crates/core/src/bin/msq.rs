@@ -58,9 +58,9 @@
 //!                   final punctuation mark and a structured error)
 //!   --no-feedback   disable feedback punctuation entirely (no producer
 //!                   pacing frames, no engine pressure registers)
-//!   --io-threads N  nonblocking poller threads multiplexing producer
-//!                   sockets (default 4; each poller owns a slice of the
-//!                   connections, no thread-per-connection)
+//!   --io-threads N  nonblocking poller threads multiplexing producer and
+//!                   subscriber sockets (default 4; each poller owns a
+//!                   slice of the connections, no thread-per-connection)
 //!   --ingest-shards N  per-shard ingest queues between the pollers and
 //!                   the engine pump; a source port always maps to the
 //!                   same shard, so per-port frame order is preserved
@@ -79,11 +79,9 @@
 //!
 //! fuzz        differential stream fuzzing: generate seeded random query
 //!             graphs and disordered workloads, run each across every
-//!             EtsPolicy × scheduling policy × serial/parallel ×
-//!             feedback-off/advisory-on cell with MILLSTREAM_CHECK=strict
-//!             semantics, and compare all outputs against a naive
-//!             single-queue oracle (advisory feedback must be
-//!             output-invariant)
+//!             EtsPolicy × scheduling policy × serial/parallel/sharded
+//!             cell with MILLSTREAM_CHECK=strict semantics, and compare
+//!             all outputs against a naive single-queue oracle
 //!   --seeds N   number of seeds to run (default 64)
 //!   --base B    first seed (default 0)
 //! ```

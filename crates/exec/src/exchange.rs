@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 use millstream_buffer::{CheckMode, FrontierTable, OrderSentinel, SentinelStats};
 use millstream_ops::{Sink, SinkCollector, Union};
@@ -158,10 +158,10 @@ enum ShardCmd {
     RunBatch {
         max_steps: u64,
         promise: bool,
-        reply: Sender<Result<u64>>,
+        reply: SyncSender<Result<u64>>,
     },
     /// Reply with the shard's executor state.
-    Snapshot { reply: Sender<ShardSnap> },
+    Snapshot { reply: SyncSender<ShardSnap> },
     /// Exit the worker loop (sent by [`WorkerPool`] teardown).
     Stop,
 }
@@ -453,7 +453,7 @@ impl ShardedExecutor {
             if let Some(mode) = config.check {
                 exec = exec.with_check_mode(mode);
             }
-            let (itx, irx) = channel::unbounded();
+            let (itx, irx) = mpsc::channel();
             item_txs.push(itx);
             states.push(ShardState {
                 shard: j,
@@ -692,7 +692,7 @@ impl ShardedExecutor {
     fn shard_round(&mut self, max_steps: u64, promise: bool) -> Result<u64> {
         let mut replies = Vec::with_capacity(self.shards);
         for tx in self.pool.senders() {
-            let (rtx, rrx) = channel::bounded(1);
+            let (rtx, rrx) = mpsc::sync_channel(1);
             tx.send(ShardCmd::RunBatch {
                 max_steps,
                 promise,
@@ -818,7 +818,7 @@ impl ShardedExecutor {
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
         let mut replies = Vec::with_capacity(self.shards);
         for tx in self.pool.senders() {
-            let (rtx, rrx) = channel::bounded(1);
+            let (rtx, rrx) = mpsc::sync_channel(1);
             tx.send(ShardCmd::Snapshot { reply: rtx })
                 .map_err(|_| disconnected())?;
             replies.push(rrx);

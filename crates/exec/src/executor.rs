@@ -136,9 +136,6 @@ pub struct ExecStats {
     /// missing tuple is accounted here and in the per-source
     /// `SourceState::shed_tuples`.
     pub shed_tuples: u64,
-    /// Feedback signals delivered to operators (pressure-level changes
-    /// observed during upstream propagation).
-    pub feedback_signals: u64,
     /// Largest per-operator join/window state (in tuples) observed at any
     /// single operator instance — the punctuation-purge boundedness signal
     /// (paper Fig. 8 methodology). Merged with `max`, not `+`: it is a
@@ -169,7 +166,6 @@ impl ExecStats {
             dropped_stale_heartbeats,
             invariant_violations,
             shed_tuples,
-            feedback_signals,
             peak_join_state,
             compacted_runs,
             spilled_bytes,
@@ -183,7 +179,6 @@ impl ExecStats {
         self.dropped_stale_heartbeats += dropped_stale_heartbeats;
         self.invariant_violations += invariant_violations;
         self.shed_tuples += shed_tuples;
-        self.feedback_signals += feedback_signals;
         self.peak_join_state = self.peak_join_state.max(*peak_join_state);
         self.compacted_runs += compacted_runs;
         self.spilled_bytes += spilled_bytes;
@@ -217,15 +212,13 @@ impl Default for ExecOptions {
 /// At every quiescent point the executor classifies each operator's input
 /// occupancy against [`Watermarks`], propagates the maximum level
 /// *upstream* (reverse-topologically, the direction ordinary punctuation
-/// never travels), delivers [`millstream_buffer::FeedbackSignal`]s to
-/// operators whose level changed, and publishes per-source levels in
-/// lock-free [`millstream_buffer::FeedbackRegisters`] for external pacing
-/// (the network server reads them to throttle producers).
+/// never travels), and publishes per-source levels in lock-free
+/// [`millstream_buffer::FeedbackRegisters`] for external pacing (the
+/// network server reads them to throttle producers).
 ///
-/// The two degradation knobs are separate and default **off** so that a
-/// feedback-enabled executor with both disabled is *output-equivalent* to
-/// a feedback-free one — signaling alone must never change results (the
-/// differential fuzzer pins this).
+/// Shedding defaults **off**, so a feedback-enabled executor without it is
+/// *output-equivalent* to a feedback-free one — signaling alone must never
+/// change results (`advisory_feedback_is_output_invariant` pins this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FeedbackConfig {
     /// Occupancy thresholds classifying queue pressure.
@@ -235,31 +228,20 @@ pub struct FeedbackConfig {
     /// `SourceState::shed_tuples`) instead of enqueueing. Never silent,
     /// never applied to punctuation.
     pub shed: bool,
-    /// Degraded-mode operator reactions: signals carry
-    /// `allow_degraded = true`, permitting e.g. `Reorder` slack
-    /// tightening (which may reclassify stragglers as late).
-    pub tighten_slack: bool,
 }
 
 impl FeedbackConfig {
-    /// Feedback with the given watermarks; both degradation knobs off.
+    /// Feedback with the given watermarks; shedding off.
     pub fn new(watermarks: millstream_buffer::Watermarks) -> Self {
         FeedbackConfig {
             watermarks,
             shed: false,
-            tighten_slack: false,
         }
     }
 
     /// Enables declared load shedding at critical pressure (builder style).
     pub fn with_shed(mut self, on: bool) -> Self {
         self.shed = on;
-        self
-    }
-
-    /// Allows degraded-mode operator reactions (builder style).
-    pub fn with_tighten_slack(mut self, on: bool) -> Self {
-        self.tighten_slack = on;
         self
     }
 }
@@ -294,9 +276,6 @@ pub struct Executor {
     bt_stack: Vec<Pred>,
     /// Feedback-punctuation channel (None = no feedback propagation).
     feedback: Option<FeedbackConfig>,
-    /// Last pressure level delivered to each operator (wire encoding) —
-    /// signals fire only on change.
-    node_pressure: Vec<u8>,
     /// Reverse-topological propagation scratch, reused across rounds.
     pressure_scratch: Vec<u8>,
     /// Published per-source pressure levels (shared with external pacers).
@@ -326,7 +305,6 @@ impl Executor {
             graph.set_check_mode(check, &sentinel_stats);
         }
         let last_clock = clock.now();
-        let num_ops = graph.ops.len();
         let num_sources = graph.sources.len();
         Executor {
             graph,
@@ -347,7 +325,6 @@ impl Executor {
             trace_capacity: 0,
             bt_stack: Vec::new(),
             feedback: None,
-            node_pressure: vec![0; num_ops],
             pressure_scratch: Vec::new(),
             feedback_regs: millstream_buffer::FeedbackRegisters::shared(num_sources),
         }
@@ -361,22 +338,12 @@ impl Executor {
         self
     }
 
-    /// The active invariant-checking mode.
-    pub fn check_mode(&self) -> CheckMode {
-        self.check
-    }
-
     /// Enables the feedback-punctuation channel (builder style): pressure
     /// levels are propagated upstream at every quiescent point and
     /// published per source; see [`FeedbackConfig`].
     pub fn with_feedback(mut self, cfg: FeedbackConfig) -> Self {
         self.feedback = Some(cfg);
         self
-    }
-
-    /// The feedback configuration in effect, if any.
-    pub fn feedback_config(&self) -> Option<FeedbackConfig> {
-        self.feedback
     }
 
     /// The published per-source pressure registers. All-`Normal` unless
@@ -925,10 +892,9 @@ impl Executor {
     /// [`Executor::with_feedback`] was configured): classifies every
     /// operator's input occupancy, propagates the maximum level upstream
     /// against the data direction (node ids are topological, so one
-    /// reverse pass suffices), signals operators whose level changed, and
-    /// publishes per-source levels. Runs automatically at the end of
-    /// [`Executor::run_until_quiescent`]; drivers stepping manually may
-    /// call it at their own cadence.
+    /// reverse pass suffices), and publishes per-source levels. Runs
+    /// automatically at the end of [`Executor::run_until_quiescent`];
+    /// drivers stepping manually may call it at their own cadence.
     pub fn propagate_feedback(&mut self) {
         let Some(cfg) = self.feedback else {
             return;
@@ -943,7 +909,7 @@ impl Executor {
                 buffers,
                 sources,
                 ..
-            } = &mut self.graph;
+            } = &self.graph;
             for i in (0..n).rev() {
                 let own: usize = ops[i]
                     .inputs
@@ -955,16 +921,6 @@ impl Executor {
                     level = level.max(millstream_buffer::PressureLevel::from_u8(scratch[succ.0]));
                 }
                 scratch[i] = level.as_u8();
-                if scratch[i] != self.node_pressure[i] {
-                    self.node_pressure[i] = scratch[i];
-                    let signal = millstream_buffer::FeedbackSignal {
-                        level,
-                        queued: own,
-                        allow_degraded: cfg.tighten_slack,
-                    };
-                    ops[i].op.on_feedback(&signal);
-                    self.stats.feedback_signals += 1;
-                }
             }
             for (s, state) in sources.iter().enumerate() {
                 let occ = buffers[state.buffer.0].borrow().len();

@@ -249,11 +249,6 @@ impl QueryGraph {
         self.ops[id.0].op.is_iwp()
     }
 
-    /// Ids of all operator nodes.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.ops.len()).map(NodeId)
-    }
-
     /// Ids of all source nodes.
     pub fn source_ids(&self) -> impl Iterator<Item = SourceId> {
         (0..self.sources.len()).map(SourceId)

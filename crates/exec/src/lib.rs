@@ -39,7 +39,7 @@ pub use graph::{
     QueryGraph, ShardKey, SourceId, SourceState, SHARD_HASH_SEED,
 };
 pub use millstream_buffer::{
-    CheckMode, FeedbackRegisters, FeedbackSignal, PressureLevel, SentinelStats, Watermarks,
+    CheckMode, FeedbackRegisters, PressureLevel, SentinelStats, Watermarks,
 };
 pub use parallel::{ParallelConfig, ParallelExecutor, ParallelSnapshot};
 pub use strategy::{frontier_advance, EtsPolicy};

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 use std::sync::Arc;
 
@@ -144,7 +144,7 @@ impl<C: Send + 'static> WorkerPool<C> {
         let mut senders = Vec::with_capacity(states.len());
         let mut threads = Vec::with_capacity(states.len());
         for (w, state) in states.into_iter().enumerate() {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
             threads.push(
                 std::thread::Builder::new()
@@ -209,10 +209,12 @@ enum Cmd {
     /// and reply with the total steps taken, or the first stashed error.
     Run {
         max_steps: u64,
-        reply: Sender<Result<u64>>,
+        reply: SyncSender<Result<u64>>,
     },
     /// Reply with a state snapshot of every hosted component.
-    Snapshot { reply: Sender<Vec<CompSnapshot>> },
+    Snapshot {
+        reply: SyncSender<Vec<CompSnapshot>>,
+    },
     /// Exit the worker loop. Sent when the [`WorkerPool`] drops.
     Stop,
 }
@@ -637,7 +639,7 @@ impl ParallelExecutor {
         self.flush_pending()?;
         let mut replies = Vec::with_capacity(self.pool.len());
         for tx in self.pool.senders() {
-            let (reply_tx, reply_rx) = channel::bounded(1);
+            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
             self.commands_sent.fetch_add(1, Ordering::Relaxed);
             tx.send(Cmd::Run {
                 max_steps,
@@ -701,7 +703,7 @@ impl ParallelExecutor {
         self.flush_pending()?;
         let mut replies = Vec::with_capacity(self.pool.len());
         for tx in self.pool.senders() {
-            let (reply_tx, reply_rx) = channel::bounded(1);
+            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
             self.commands_sent.fetch_add(1, Ordering::Relaxed);
             tx.send(Cmd::Snapshot { reply: reply_tx })
                 .map_err(|_| disconnected())?;

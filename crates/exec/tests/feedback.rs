@@ -79,7 +79,6 @@ fn pressure_rises_with_occupancy_and_recovers() {
     exec.run_until_quiescent(u64::MAX).unwrap();
     assert_eq!(exec.source_pressure(s), PressureLevel::Normal);
     assert_eq!(out.0.lock().unwrap().len(), 12);
-    assert!(exec.stats().feedback_signals > 0);
     assert_eq!(exec.stats().shed_tuples, 0);
 }
 
@@ -128,8 +127,8 @@ fn critical_pressure_sheds_declared_and_accounted() {
     assert_eq!(exec.stats().shed_tuples, 5);
 }
 
-/// Feedback with shedding and slack tightening both off must not change
-/// output: pressure signalling alone is non-semantic.
+/// Feedback with shedding off must not change output: pressure
+/// signalling alone is non-semantic.
 #[test]
 fn advisory_feedback_is_output_invariant() {
     let run = |feedback: Option<FeedbackConfig>| {

@@ -123,7 +123,7 @@ impl IdleTracker {
 }
 
 /// Serializable idle-waiting summary (the in-text §6 comparison).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleSummary {
     /// Fraction of the run spent idle-waiting (0..1).
     pub idle_fraction: f64,

@@ -1,7 +1,5 @@
 //! A minimal JSON value/emitter so experiment harnesses can persist
-//! machine-readable results without extra dependencies (the workspace
-//! deliberately stays on the small approved crate set; `serde` derives are
-//! used for typed config, but no JSON backend is available offline).
+//! machine-readable results without extra dependencies.
 //!
 //! Only emission is supported — the harnesses write results, they never
 //! read them back programmatically.

@@ -22,7 +22,7 @@ pub use latency::{LatencyRecorder, LatencySummary};
 
 /// The combined, serializable measurements of one experiment run — one data
 /// point of the paper's evaluation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Output latency statistics (Fig. 7).
     pub latency: LatencySummary,
@@ -88,6 +88,7 @@ mod tests {
     fn fields_plumbed() {
         let m = sample();
         assert_eq!(m.latency.count, 1);
+        assert!((m.latency.mean_ms - 2.0).abs() < 1e-9);
         assert!((m.idle.idle_fraction - 0.5).abs() < 1e-12);
         assert_eq!(m.peak_queue_tuples, 42);
     }

@@ -8,7 +8,7 @@
 //! pump** thread (`msq-pump`), which is also the engine thread: the planned
 //! query is one connected component, so it runs on a serial
 //! [`Executor`] inline in the pump — the paper's §3 model, one thread
-//! walking one query graph. Pollers own the sockets: they run every
+//! walking one query graph. Pollers own every socket. They run each
 //! producer's [`FrameReader`] across readiness events (partial frames
 //! survive between polls), validate frame order at the socket boundary,
 //! and push decoded frames onto per-shard ingest queues
@@ -23,10 +23,14 @@
 //! that sent it, and only a failed run is charged to every connection
 //! with frames in the section.
 //!
-//! Subscribers get a dedicated blocking writer thread each (`msq-sub-N`),
-//! but fan-out is shared: the sink encodes each output frame **once** into
-//! an `Arc<[u8]>` slab that every subscriber queue references, so a
-//! thousand tails cost one encode per tuple, not a thousand.
+//! Subscribers are poller-owned connections too, and fan-out is shared:
+//! the sink encodes each output frame **once** into an `Arc<[u8]>` slab
+//! that every subscriber queue references, so a thousand tails cost one
+//! encode per tuple, not a thousand. A delivery into an empty subscriber
+//! queue wakes the poller that owns the subscriber; the poller moves a
+//! batch of slabs into the connection's outbox whenever the outbox has
+//! drained, so a subscriber that stops reading holds up nothing but its
+//! own queue, and shutdown drops it at the drain deadline.
 //!
 //! ## Backpressure and feedback punctuation
 //!
@@ -68,13 +72,12 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use millstream_buffer::{
@@ -88,7 +91,7 @@ use millstream_ops::SinkCollector;
 use millstream_query::plan_program;
 use millstream_types::{Error, Result, Schema, TimeDelta, Timestamp, Tuple};
 
-use crate::frame::{write_frame, ErrorCode, Frame, PROTOCOL_VERSION};
+use crate::frame::{ErrorCode, Frame};
 
 mod ingest;
 
@@ -111,7 +114,8 @@ pub struct ServerConfig {
     /// so one connected component, which runs on the pump thread. Still a
     /// field because `benchmark/` sets it.
     pub workers: usize,
-    /// Nonblocking poller threads multiplexing all producer sockets.
+    /// Nonblocking poller threads multiplexing every producer and
+    /// subscriber socket.
     pub io_threads: usize,
     /// Ingest shard queues between the pollers and the engine pump; a
     /// source's frames always land in the same shard, so per-port FIFO
@@ -124,8 +128,8 @@ pub struct ServerConfig {
     /// Bounded per-subscriber queue; [`ServerConfig::overflow`] decides
     /// what happens when a subscriber stalls past it.
     pub subscriber_queue: usize,
-    /// Socket poll cadence — the rate at which the pump notices shutdown
-    /// and idle deadlines, and subscriber writers notice new output.
+    /// The pump's poll cadence — the rate at which it notices shutdown and
+    /// idle deadlines when no frames arrive.
     pub read_timeout: Duration,
     /// Invariant-checking override; `None` inherits `MILLSTREAM_CHECK`.
     pub check: Option<CheckMode>,
@@ -396,11 +400,14 @@ struct SubItem {
 }
 
 /// One subscriber's bounded output queue, shared between the delivering
-/// sink (under the broadcast lock) and the subscriber's writer thread.
+/// sink (under the broadcast lock) and the poller that owns the
+/// subscriber's socket.
 struct SubQueue {
     state: Mutex<SubState>,
-    cv: Condvar,
     cap: usize,
+    /// The poller that owns the subscriber's socket, woken when the queue
+    /// gains its first item and at the end of the stream.
+    poller: Thread,
 }
 
 struct SubState {
@@ -411,10 +418,12 @@ struct SubState {
     /// Deepest the queue ever got.
     peak: usize,
     /// [`OverflowPolicy::Disconnect`] tripped: no further deliveries; the
-    /// writer drains what is buffered and closes with the full
+    /// poller drains what is buffered and closes with the full
     /// notice/mark/error sequence.
     overflowed: bool,
-    /// End of stream: the final punctuation (if any) is already queued.
+    /// End of stream: no further deliveries. Set by
+    /// [`Broadcast::finish`] once the final punctuation (if any) is
+    /// queued, and by the poller when it announces the end.
     finished: bool,
 }
 
@@ -473,7 +482,7 @@ impl Broadcast {
         }
     }
 
-    fn subscribe(&self, cap: usize) -> (usize, Arc<SubQueue>) {
+    fn subscribe(&self, cap: usize, poller: Thread) -> (usize, Arc<SubQueue>) {
         let q = Arc::new(SubQueue {
             state: Mutex::new(SubState {
                 buf: VecDeque::new(),
@@ -482,8 +491,8 @@ impl Broadcast {
                 overflowed: false,
                 finished: false,
             }),
-            cv: Condvar::new(),
             cap: cap.max(1),
+            poller,
         });
         let mut st = self.inner.lock().unwrap();
         let slot = st.subs.len();
@@ -497,6 +506,11 @@ impl Broadcast {
             let sub = q.state.lock().unwrap();
             st.peak = st.peak.max(sub.peak);
         }
+    }
+
+    /// Subscribers not yet unsubscribed.
+    fn live(&self) -> usize {
+        self.inner.lock().unwrap().subs.iter().flatten().count()
     }
 
     fn delivered(&self) -> u64 {
@@ -535,7 +549,7 @@ impl Broadcast {
     /// Queues the final `Timestamp::MAX` punctuation to **every** live
     /// subscriber — shedding a data tuple for room if it must (counted
     /// like any other shed) — and marks their streams finished. Even an
-    /// overflowed subscriber gets the final mark: its writer drains the
+    /// overflowed subscriber gets the final mark: its poller drains the
     /// buffer before closing.
     fn finish(&self) {
         let Some(mark) = encode_output(Tuple::punctuation(Timestamp::MAX)) else {
@@ -559,7 +573,7 @@ impl Broadcast {
                 sub.peak = sub.peak.max(sub.buf.len());
             }
             sub.finished = true;
-            q.cv.notify_one();
+            q.poller.unpark();
         }
         st.shed += shed;
     }
@@ -595,7 +609,7 @@ impl SinkCollector for Broadcast {
                 continue;
             }
             if sub.overflowed {
-                // Disconnect policy already tripped: the writer is still
+                // Disconnect policy already tripped: the poller is still
                 // draining the prefix, so count what it will never see —
                 // it freezes this ledger (sets `finished`) the moment it
                 // reads the count for its final drop notice.
@@ -613,7 +627,6 @@ impl SinkCollector for Broadcast {
                         if data {
                             sub.dropped += 1;
                         }
-                        q.cv.notify_one();
                         continue;
                     }
                 }
@@ -623,7 +636,10 @@ impl SinkCollector for Broadcast {
                 data,
             });
             sub.peak = sub.peak.max(sub.buf.len());
-            q.cv.notify_one();
+            if sub.buf.len() == 1 {
+                // Empty until now, so its poller may be parked.
+                q.poller.unpark();
+            }
         }
         st.overflows += overflows;
         st.shed += shed;
@@ -650,7 +666,6 @@ struct Shared {
     latency_violations: AtomicU64,
     shards: ingest::ShardQueues,
     pool: ingest::IoPool,
-    registry: ingest::ConnRegistry,
 }
 
 impl Shared {
@@ -771,7 +786,6 @@ impl Server {
             latency_violations: AtomicU64::new(0),
             shards: ingest::ShardQueues::new(ingest_shards),
             pool: ingest::IoPool::new(io_threads),
-            registry: ingest::ConnRegistry::new(),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -879,6 +893,12 @@ impl Server {
         // *before* assembling the report, so the shed/peak totals include
         // anything the final mark had to displace.
         self.shared.broadcast.finish();
+        // Subscribers flush what they hold and retire. One still stalled at
+        // the deadline is dropped by the hard stop below, so a peer that
+        // never reads cannot hold shutdown.
+        while self.shared.broadcast.live() > 0 && Instant::now() <= deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         // Hard-stop the IO threads and collect them.
         self.shared.terminate.store(true, Ordering::SeqCst);
         self.shared.shards.notify();
@@ -889,7 +909,6 @@ impl Server {
         for h in self.pollers.drain(..) {
             let _ = h.join();
         }
-        self.shared.registry.join_all();
         let (ports, exec, monitor_idle_fraction) = report;
         Ok(ServerReport {
             stats: self.shared.stats.snapshot(&self.shared.broadcast),
@@ -906,23 +925,12 @@ impl Server {
 
 /// [`std::thread::spawn`] with a name. Server thread names stay within the
 /// kernel's 15-byte `comm`, so `/proc/<pid>/task/*/comm` and `top -H` tell
-/// the accept, poller, pump and subscriber threads apart.
+/// the accept, poller and pump threads apart.
 fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(f)
         .expect("spawn server thread")
-}
-
-/// Sends a terminal error frame; the connection closes right after.
-fn send_error(stream: &mut TcpStream, code: ErrorCode, message: impl Into<String>) {
-    let _ = write_frame(
-        stream,
-        &Frame::Error {
-            code,
-            message: message.into(),
-        },
-    );
 }
 
 /// The send window (max unacked frames) requested of a producer at each
@@ -1059,139 +1067,5 @@ fn apply_item(
             Ok(false)
         }
         _ => unreachable!("pollers forward only seq-bearing frames"),
-    }
-}
-
-/// What one wait on a subscriber queue produced.
-enum SubStep {
-    /// An encoded frame to write, plus the cumulative drop count at pop
-    /// time and the queue's pressure level (for drop-notice feedback
-    /// frames).
-    Item(SubItem, u64, PressureLevel),
-    /// Nothing arrived within the poll timeout.
-    Quiet,
-    /// Stream over: `overflowed` tells graceful end from a
-    /// [`OverflowPolicy::Disconnect`] cut-off; `dropped` is final.
-    End { overflowed: bool, dropped: u64 },
-}
-
-fn serve_subscriber(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<()> {
-    let output_schema = shared.lock_engine().output_schema.clone();
-    let (slot, q) = shared.broadcast.subscribe(shared.cfg.subscriber_queue);
-    write_frame(
-        &mut stream,
-        &Frame::HelloAck {
-            version: PROTOCOL_VERSION,
-            schema: output_schema,
-            resume_ts: 0,
-        },
-    )?;
-    // Cumulative drops already announced to this subscriber; a change is
-    // declared with a Feedback frame *before* the next Output, so the
-    // subscriber can always reconcile received + dropped = delivered.
-    let mut announced: u64 = 0;
-    let res: Result<()> = loop {
-        let step = {
-            let mut sub = q.state.lock().unwrap();
-            loop {
-                if let Some(item) = sub.buf.pop_front() {
-                    let level = shared.broadcast.marks.classify(sub.buf.len());
-                    break SubStep::Item(item, sub.dropped, level);
-                }
-                if sub.overflowed || sub.finished {
-                    // Freeze the drop ledger at the moment the verdict is
-                    // announced: from here on `deliver` treats this
-                    // subscriber as gone (skip, don't count), so the
-                    // notice written below is exact — every tuple before
-                    // the cut is delivered or declared, tuples after it
-                    // are post-subscription.
-                    let overflowed = sub.overflowed;
-                    sub.finished = true;
-                    break SubStep::End {
-                        overflowed,
-                        dropped: sub.dropped,
-                    };
-                }
-                let (guard, timeout) =
-                    q.cv.wait_timeout(sub, shared.cfg.read_timeout)
-                        .expect("subscriber queue lock poisoned");
-                sub = guard;
-                if timeout.timed_out() {
-                    break SubStep::Quiet;
-                }
-            }
-        };
-        match step {
-            SubStep::Quiet => continue,
-            SubStep::Item(item, dropped, level) => {
-                if dropped > announced {
-                    announced = dropped;
-                    if let Err(e) = write_frame(
-                        &mut stream,
-                        &Frame::Feedback {
-                            level: level.as_u8(),
-                            window: 0,
-                            dropped,
-                        },
-                    ) {
-                        break Err(e);
-                    }
-                }
-                // The pre-encoded shared slab: identical bytes to a
-                // per-subscriber `write_frame(Output)` encode.
-                if let Err(e) = stream
-                    .write_all(&item.bytes)
-                    .and_then(|()| stream.flush())
-                    .map_err(|e| Error::runtime(format!("write output frame: {e}")))
-                {
-                    // Subscriber went away; not a server error.
-                    break Err(e);
-                }
-            }
-            SubStep::End {
-                overflowed,
-                dropped,
-            } => {
-                if dropped > announced {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Feedback {
-                            level: PressureLevel::Critical.as_u8(),
-                            window: 0,
-                            dropped,
-                        },
-                    );
-                }
-                if overflowed {
-                    // The fixed disconnect path: the final mark and a
-                    // structured error, never a bare socket close. The
-                    // buffered prefix (drained above) plus the MAX mark
-                    // keep the subscriber's progress contract intact.
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Output {
-                            tuple: Tuple::punctuation(Timestamp::MAX),
-                        },
-                    );
-                    send_error(
-                        &mut stream,
-                        ErrorCode::Overflow,
-                        format!(
-                            "subscriber overflowed its bounded queue ({} tuples); {dropped} dropped",
-                            shared.cfg.subscriber_queue
-                        ),
-                    );
-                } else {
-                    let _ = write_frame(&mut stream, &Frame::Bye);
-                }
-                break Ok(());
-            }
-        }
-    };
-    shared.broadcast.unsubscribe(slot);
-    match res {
-        Ok(()) => Ok(()),
-        // A write failure to a departed subscriber is expected churn.
-        Err(_) => Ok(()),
     }
 }

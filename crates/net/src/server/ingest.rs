@@ -5,10 +5,12 @@
 //!
 //! - **Pollers** ([`poller_loop`]) own the sockets. Each poller steps its
 //!   connections in a loop: flush the outbox, advance the handshake, and
-//!   (for producers) run the restartable [`FrameReader`] until the socket
-//!   would block — partial frames survive in the reader between steps.
-//!   Decoded frames are validated for per-connection seq order at the
-//!   boundary, then pushed to the shard queue of the frame's port.
+//!   then by role. A producer runs the restartable [`FrameReader`] until
+//!   the socket would block — partial frames survive in the reader between
+//!   steps. Decoded frames are validated for per-connection seq order at
+//!   the boundary, then pushed to the shard queue of the frame's port. A
+//!   subscriber whose outbox has drained takes the next batch of shared
+//!   output slabs from its queue ([`step_subscriber`]).
 //! - **Shard queues** ([`ShardQueues`]) decouple socket readiness from the
 //!   engine. A port's frames always land in `port_idx % shards`, so the
 //!   per-port FIFO contract survives the split. Queues are bounded:
@@ -33,15 +35,15 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use millstream_buffer::{punctuation_is_stale, PressureLevel};
-use millstream_types::{Result, Schema, TimeDelta, Timestamp};
+use millstream_types::{Result, Schema, TimeDelta, Timestamp, Tuple};
 
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
 
-use super::{pacing_window, spawn_named, Shared, HANDSHAKE_DEADLINE};
+use super::{pacing_window, Shared, SubQueue, HANDSHAKE_DEADLINE};
 
 /// Frames a poller reads from one connection per step before yielding to
 /// the next connection (fairness under flood).
@@ -56,6 +58,12 @@ const SHARD_CAP: usize = 4096;
 
 /// Items the pump drains into one engine critical section.
 const PUMP_BATCH: usize = 1024;
+
+/// Output slabs a poller moves from a subscriber's queue into its outbox
+/// per step. Only an empty outbox is refilled, so at most one batch sits
+/// outside the queue, and the queue stays the bound that
+/// [`super::OverflowPolicy`] acts on.
+const SUB_BATCH: usize = 64;
 
 /// Wire-arrival instants the pump keeps waiting for a sink delivery
 /// (256 KiB, allocated once). An arrival the query filtered out is never
@@ -116,9 +124,14 @@ impl ConnShared {
     /// the connection dead (nothing sensible can be written after them).
     fn push_frame(&self, frame: &Frame) {
         match frame.encode() {
-            Ok(bytes) => self.outbox.lock().unwrap().buf.extend_from_slice(&bytes),
+            Ok(bytes) => self.push_bytes(&bytes),
             Err(_) => self.dead.store(true, Ordering::SeqCst),
         }
+    }
+
+    /// Queues already-encoded frames for the poller to write.
+    fn push_bytes(&self, bytes: &[u8]) {
+        self.outbox.lock().unwrap().buf.extend_from_slice(bytes);
     }
 
     /// Writes as much buffered output as the socket accepts right now.
@@ -155,8 +168,22 @@ impl ConnShared {
 
 /// Connection lifecycle on a poller.
 enum Phase {
-    Handshake { deadline: Instant },
-    Producer { port_idx: usize },
+    Handshake {
+        deadline: Instant,
+    },
+    Producer {
+        port_idx: usize,
+    },
+    Subscriber {
+        /// Broadcast slot, released at retire.
+        slot: usize,
+        queue: Arc<SubQueue>,
+        /// Cumulative drops already declared to this subscriber; a larger
+        /// count goes out as a Feedback notice *before* the next Output,
+        /// so the subscriber can always reconcile received + dropped =
+        /// delivered.
+        announced: u64,
+    },
 }
 
 /// One poller-owned connection.
@@ -353,49 +380,6 @@ impl IoPool {
     }
 }
 
-/// Joinable side-thread registry (subscriber writers). Finished handles
-/// are reaped opportunistically on every adopt — the old accept loop's
-/// `Vec<JoinHandle>` grew without bound until shutdown.
-pub(super) struct ConnRegistry {
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Threads adopted so far: the `N` of the next `msq-sub-N`.
-    adopted: AtomicU64,
-}
-
-impl ConnRegistry {
-    pub(super) fn new() -> ConnRegistry {
-        ConnRegistry {
-            handles: Mutex::new(Vec::new()),
-            adopted: AtomicU64::new(0),
-        }
-    }
-
-    fn reap(&self) {
-        let mut handles = self.handles.lock().unwrap();
-        let mut i = 0;
-        while i < handles.len() {
-            if handles[i].is_finished() {
-                let h = handles.swap_remove(i);
-                let _ = h.join();
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn adopt(&self, handle: JoinHandle<()>) {
-        self.reap();
-        self.handles.lock().unwrap().push(handle);
-    }
-
-    pub(super) fn join_all(&self) {
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
 pub(super) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -404,9 +388,6 @@ pub(super) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let Ok(stream) = stream else { continue };
         shared.stats.connections.fetch_add(1, Ordering::SeqCst);
         shared.stats.conns_total.fetch_add(1, Ordering::SeqCst);
-        // Opportunistic reap: finished subscriber writers are collected
-        // here instead of accumulating until shutdown.
-        shared.registry.reap();
         if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
             continue;
         }
@@ -420,9 +401,9 @@ pub(super) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 enum Step {
     Keep,
     Retire,
-    /// Subscriber handshake completed: hand the socket to a dedicated
-    /// blocking writer thread.
-    Transfer,
+    /// Keep, with output the peer has not taken yet: re-poll at
+    /// [`PARK_MIN`] instead of backing off.
+    Blocked,
 }
 
 pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
@@ -440,18 +421,18 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
             return;
         }
         let mut progressed = false;
+        let mut blocked = false;
         let mut i = 0;
         while i < conns.len() {
             match step_conn(shared, &mut conns[i], &mut progressed) {
                 Step::Keep => i += 1,
+                Step::Blocked => {
+                    blocked = true;
+                    i += 1;
+                }
                 Step::Retire => {
                     let c = conns.swap_remove(i);
                     retire_conn(shared, &c);
-                    progressed = true;
-                }
-                Step::Transfer => {
-                    let c = conns.swap_remove(i);
-                    spawn_subscriber(shared, c.stream);
                     progressed = true;
                 }
             }
@@ -463,6 +444,9 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
         }
         if progressed {
             park = PARK_MIN;
+        } else if blocked {
+            park = PARK_MIN;
+            std::thread::park_timeout(park);
         } else {
             std::thread::park_timeout(park);
             park = (park * 2).min(PARK_MAX);
@@ -472,35 +456,25 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
 
 /// Bookkeeping when a connection leaves its poller for good.
 fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
-    if let Phase::Producer { port_idx } = c.phase {
-        let now_us = shared.now_us();
-        let mut eng = shared.lock_engine();
-        let port = &mut eng.ports[port_idx];
-        port.producers -= 1;
-        if port.producers == 0 && !port.is_idle && !port.closed {
-            // No producer attached: the source is network-starved from
-            // this instant (a reconnect clears it).
-            port.idle.set_idle(now_us, true);
-            port.is_idle = true;
+    match c.phase {
+        Phase::Handshake { .. } => {}
+        Phase::Producer { port_idx } => {
+            let now_us = shared.now_us();
+            let mut eng = shared.lock_engine();
+            let port = &mut eng.ports[port_idx];
+            port.producers -= 1;
+            if port.producers == 0 && !port.is_idle && !port.closed {
+                // No producer attached: the source is network-starved from
+                // this instant (a reconnect clears it).
+                port.idle.set_idle(now_us, true);
+                port.is_idle = true;
+            }
+            drop(eng);
+            shared.active_producers.fetch_sub(1, Ordering::SeqCst);
         }
-        drop(eng);
-        shared.active_producers.fetch_sub(1, Ordering::SeqCst);
+        Phase::Subscriber { slot, .. } => shared.broadcast.unsubscribe(slot),
     }
     shared.stats.conns_active.fetch_sub(1, Ordering::SeqCst);
-}
-
-fn spawn_subscriber(shared: &Arc<Shared>, stream: TcpStream) {
-    // Subscriber writers are blocking threads: they wait on the queue
-    // condvar and write whole pre-encoded slabs.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let shared2 = Arc::clone(shared);
-    let n = shared.registry.adopted.fetch_add(1, Ordering::Relaxed);
-    let handle = spawn_named(format!("msq-sub-{n}"), move || {
-        let _ = super::serve_subscriber(&shared2, stream);
-        shared2.stats.conns_active.fetch_sub(1, Ordering::SeqCst);
-    });
-    shared.registry.adopt(handle);
 }
 
 fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step {
@@ -526,6 +500,8 @@ fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step 
     match c.phase {
         Phase::Handshake { deadline } => step_handshake(shared, c, deadline, progressed),
         Phase::Producer { port_idx } => step_producer(shared, c, port_idx, progressed),
+        Phase::Subscriber { .. } if !flushed.empty => Step::Blocked,
+        Phase::Subscriber { .. } => step_subscriber(shared, c, progressed),
     }
 }
 
@@ -582,7 +558,25 @@ fn step_handshake(
         return Step::Keep;
     }
     match role {
-        Role::Subscriber => Step::Transfer,
+        Role::Subscriber => {
+            let schema = shared.lock_engine().output_schema.clone();
+            // This poller owns the socket from here on: it is the thread
+            // deliveries wake.
+            let (slot, queue) = shared
+                .broadcast
+                .subscribe(shared.cfg.subscriber_queue, std::thread::current());
+            c.shared.push_frame(&Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+                schema,
+                resume_ts: 0,
+            });
+            c.phase = Phase::Subscriber {
+                slot,
+                queue,
+                announced: 0,
+            };
+            Step::Keep
+        }
         Role::Producer => match attach_producer(shared, &stream_name, schema.as_ref()) {
             Ok((port_idx, hello_ack)) => {
                 c.shared.push_frame(&hello_ack);
@@ -734,6 +728,103 @@ fn step_producer(
         shared.shards.notify();
     }
     verdict
+}
+
+/// One step of a subscriber whose outbox has drained: check that the peer
+/// is still there, then move the next batch of output slabs into the
+/// outbox. Once the queue is empty and the stream has ended, the close
+/// sequence follows the last slab: the final drop notice, then `Bye` — or,
+/// after an [`super::OverflowPolicy::Disconnect`] cut-off, the
+/// `Timestamp::MAX` mark and a structured Overflow error.
+fn step_subscriber(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step {
+    // A subscriber says nothing after its Hello: end of stream or a Bye
+    // means it has gone, anything else breaks the protocol.
+    let complaint = match c.reader.poll(&mut c.stream) {
+        Ok(ReadOutcome::Timeout) => None,
+        Ok(ReadOutcome::Eof | ReadOutcome::Frame(Frame::Bye)) => return Step::Retire,
+        Ok(ReadOutcome::Frame(other)) => {
+            Some(format!("unexpected frame {other:?} from a subscriber"))
+        }
+        Err(e) => Some(e.to_string()),
+    };
+    if let Some(message) = complaint {
+        c.shared.push_frame(&Frame::Error {
+            code: ErrorCode::Protocol,
+            message,
+        });
+        c.closing = true;
+        *progressed = true;
+        return Step::Keep;
+    }
+    let Phase::Subscriber {
+        queue, announced, ..
+    } = &mut c.phase
+    else {
+        unreachable!("step_subscriber runs only on subscribers");
+    };
+    let mut sub = queue.state.lock().unwrap();
+    let take = sub.buf.len().min(SUB_BATCH);
+    if take > 0 && sub.dropped > *announced {
+        *announced = sub.dropped;
+        c.shared.push_frame(&Frame::Feedback {
+            level: shared.broadcast.marks.classify(sub.buf.len()).as_u8(),
+            window: 0,
+            dropped: sub.dropped,
+        });
+    }
+    for item in sub.buf.drain(..take) {
+        // The shared slab: identical bytes to a per-subscriber
+        // `Frame::Output` encode.
+        c.shared.push_bytes(&item.bytes);
+    }
+    let end = sub.buf.is_empty() && (sub.overflowed || sub.finished);
+    if end {
+        // Freeze the drop ledger at the moment the verdict is announced:
+        // from here on `deliver` treats this subscriber as gone (skip,
+        // don't count), so the notice below is exact — every tuple before
+        // the cut is delivered or declared, tuples after it are
+        // post-subscription.
+        sub.finished = true;
+    }
+    let (overflowed, dropped) = (sub.overflowed, sub.dropped);
+    drop(sub);
+    if take == 0 && !end {
+        return Step::Keep;
+    }
+    if end {
+        if dropped > *announced {
+            c.shared.push_frame(&Frame::Feedback {
+                level: PressureLevel::Critical.as_u8(),
+                window: 0,
+                dropped,
+            });
+        }
+        if overflowed {
+            // The fixed disconnect path: the final mark and a structured
+            // error, never a bare socket close. The buffered prefix plus
+            // the MAX mark keep the subscriber's progress contract intact.
+            c.shared.push_frame(&Frame::Output {
+                tuple: Tuple::punctuation(Timestamp::MAX),
+            });
+            c.shared.push_frame(&Frame::Error {
+                code: ErrorCode::Overflow,
+                message: format!(
+                    "subscriber overflowed its bounded queue ({} tuples); {dropped} dropped",
+                    shared.cfg.subscriber_queue
+                ),
+            });
+        } else {
+            c.shared.push_frame(&Frame::Bye);
+        }
+        c.closing = true;
+    }
+    *progressed = true;
+    // Write now rather than on the next sweep, after every other
+    // connection on this poller has had its turn.
+    match c.shared.flush(&mut c.stream) {
+        Ok(_) => Step::Keep,
+        Err(_) => Step::Retire,
+    }
 }
 
 pub(super) fn pump_loop(shared: &Arc<Shared>) {

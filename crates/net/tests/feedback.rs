@@ -195,6 +195,35 @@ fn shed_policy_declares_drops_and_paces_producer() {
     assert_eq!(report.wire_sentinel_violations, 0);
 }
 
+/// A subscriber that never reads cannot hold shutdown: once its socket
+/// and queue are full, the drain deadline drops it and `shutdown`
+/// returns.
+#[test]
+fn shutdown_returns_with_a_subscriber_that_never_reads() {
+    let mut cfg = ServerConfig::new(STR_PROGRAM);
+    cfg.subscriber_queue = 8;
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr().to_string();
+
+    let _stalled = Subscription::connect(&addr).expect("subscribe");
+    let mut c = StreamClient::connect(ClientConfig::new(&addr, "s")).expect("connect");
+    for i in 1..=2000u64 {
+        c.send(big(i * 10)).expect("send");
+    }
+    c.close().expect("producer close");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        let _ = tx.send(server.shutdown().map(|r| r.stats.sub_shed));
+    });
+    let shed = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("shutdown hung on a subscriber that never reads")
+        .expect("shutdown");
+    assert!(shed > 0, "the stalled subscriber's queue must have shed");
+    shutdown.join().expect("shutdown thread");
+}
+
 /// A heartbeat at or below the server's resume point asserts nothing the
 /// server doesn't already know: the reconnect path must prune it instead
 /// of retransmitting it (the bug: only data frames were pruned).

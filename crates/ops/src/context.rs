@@ -289,17 +289,6 @@ pub trait Operator: Send {
     /// outcome if the state changed in between, but must not block.
     fn step(&mut self, ctx: &OpContext<'_>) -> Result<StepOutcome>;
 
-    /// Receives a feedback-punctuation signal flowing *against* the data
-    /// direction: the scheduler calls this when the pressure level computed
-    /// from this operator's input occupancy (and everything downstream of
-    /// it) changes. The default ignores it. Implementations must keep the
-    /// ordering contract regardless of the signal; output-changing
-    /// reactions (e.g. `Reorder` slack tightening) are only permitted when
-    /// `signal.allow_degraded` is set.
-    fn on_feedback(&mut self, signal: &millstream_buffer::FeedbackSignal) {
-        let _ = signal;
-    }
-
     /// True iff consecutive steps of this operator may be fused into one
     /// scheduling decision without changing its output: the operator must
     /// not read [`OpContext::now`] (the clock advances between per-tuple

@@ -69,8 +69,6 @@ pub struct Reorder {
     name: String,
     schema: Schema,
     slack: TimeDelta,
-    /// The configured slack, restored when feedback pressure subsides.
-    base_slack: TimeDelta,
     late_policy: LatePolicy,
     heap: BinaryHeap<Reverse<Pending>>,
     seq: u64,
@@ -82,8 +80,6 @@ pub struct Reorder {
     /// Optional shared mirror of `late_tuples`, for observers that only
     /// hold the built graph (the operator itself is boxed away).
     late_counter: Option<Arc<AtomicU64>>,
-    /// Times the slack was tightened by degraded-mode feedback.
-    slack_tightenings: u64,
 }
 
 impl Reorder {
@@ -93,7 +89,6 @@ impl Reorder {
             name: name.into(),
             schema,
             slack,
-            base_slack: slack,
             late_policy: LatePolicy::default(),
             heap: BinaryHeap::new(),
             seq: 0,
@@ -101,7 +96,6 @@ impl Reorder {
             emitted_high_water: None,
             late_tuples: 0,
             late_counter: None,
-            slack_tightenings: 0,
         }
     }
 
@@ -125,17 +119,6 @@ impl Reorder {
     /// Tuples that violated the slack bound so far.
     pub fn late_tuples(&self) -> u64 {
         self.late_tuples
-    }
-
-    /// The slack currently in force (equal to the configured slack unless
-    /// degraded-mode feedback tightened it).
-    pub fn current_slack(&self) -> TimeDelta {
-        self.slack
-    }
-
-    /// Times the slack was tightened by degraded-mode feedback.
-    pub fn slack_tightenings(&self) -> u64 {
-        self.slack_tightenings
     }
 
     /// The release watermark: everything at or below it may be emitted.
@@ -188,29 +171,6 @@ impl Operator for Reorder {
     /// emitted at their own timestamps — the heap minimum is the hold.
     fn frontier_hold(&self) -> Option<Timestamp> {
         self.heap.peek().map(|Reverse(p)| p.ts)
-    }
-
-    /// Degraded-mode reaction: under pressure, tighten the slack so held
-    /// tuples release sooner (halved at `High`, quartered at `Critical`);
-    /// restore the configured slack when pressure subsides. Order safety is
-    /// unaffected — the release floor never drops below the emitted
-    /// high-water mark — but tuples straggling beyond the tightened bound
-    /// become *late* and are counted by the late policy, which is why this
-    /// only runs when the signal explicitly allows degraded output.
-    fn on_feedback(&mut self, signal: &millstream_buffer::FeedbackSignal) {
-        if !signal.allow_degraded {
-            return;
-        }
-        use millstream_buffer::PressureLevel;
-        let target = match signal.level {
-            PressureLevel::Normal => self.base_slack,
-            PressureLevel::High => TimeDelta::from_micros(self.base_slack.as_micros() / 2),
-            PressureLevel::Critical => TimeDelta::from_micros(self.base_slack.as_micros() / 4),
-        };
-        if target < self.slack {
-            self.slack_tightenings += 1;
-        }
-        self.slack = target;
     }
 
     fn output_schema(&self) -> &Schema {
@@ -566,46 +526,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn feedback_tightens_and_restores_slack() {
-        use millstream_buffer::{FeedbackSignal, PressureLevel};
-        let sig = |level, allow| FeedbackSignal {
-            level,
-            queued: 0,
-            allow_degraded: allow,
-        };
-        let mut r = Reorder::new("↻", schema(), TimeDelta::from_micros(100));
-        // Advisory signals (pacing only) never change the slack.
-        r.on_feedback(&sig(PressureLevel::Critical, false));
-        assert_eq!(r.current_slack(), TimeDelta::from_micros(100));
-        assert_eq!(r.slack_tightenings(), 0);
-        // Degraded-mode signals tighten, then restore.
-        r.on_feedback(&sig(PressureLevel::High, true));
-        assert_eq!(r.current_slack(), TimeDelta::from_micros(50));
-        r.on_feedback(&sig(PressureLevel::Critical, true));
-        assert_eq!(r.current_slack(), TimeDelta::from_micros(25));
-        r.on_feedback(&sig(PressureLevel::Normal, true));
-        assert_eq!(r.current_slack(), TimeDelta::from_micros(100));
-        assert_eq!(r.slack_tightenings(), 2);
-    }
-
-    #[test]
-    fn tightened_slack_releases_earlier_but_stays_ordered() {
-        use millstream_buffer::{FeedbackSignal, PressureLevel};
-        let mut r = Reorder::new("↻", schema(), TimeDelta::from_micros(100));
-        r.on_feedback(&FeedbackSignal {
-            level: PressureLevel::Critical,
-            queued: 9,
-            allow_degraded: true,
-        });
-        // With slack tightened to 25, a watermark of 50-25=25 releases the
-        // early tuples that the configured slack (100) would still hold.
-        let out = run(&mut r, vec![data(5, 0), data(3, 1), data(50, 2)]);
-        let ts: Vec<u64> = out.iter().map(|t| t.ts.as_micros()).collect();
-        assert_eq!(ts, vec![3, 5], "tightened watermark releases early tuples");
-        assert_eq!(r.buffered(), 1, "ts 50 still held");
     }
 
     #[test]

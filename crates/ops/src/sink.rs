@@ -87,16 +87,6 @@ impl<C: SinkCollector> Sink<C> {
         &self.collector
     }
 
-    /// Mutably borrow the collector.
-    pub fn collector_mut(&mut self) -> &mut C {
-        &mut self.collector
-    }
-
-    /// Consume the sink, returning the collector.
-    pub fn into_collector(self) -> C {
-        self.collector
-    }
-
     /// Number of punctuation tuples eliminated.
     pub fn punctuation_eliminated(&self) -> u64 {
         self.punctuation_eliminated

@@ -36,7 +36,6 @@ pub struct Union {
     /// suppress duplicate punctuation).
     emitted_high_water: Option<Timestamp>,
     forwarded_data: u64,
-    forwarded_punct: u64,
     suppressed_punct: u64,
 }
 
@@ -53,7 +52,6 @@ impl Union {
             next_input: 0,
             emitted_high_water: None,
             forwarded_data: 0,
-            forwarded_punct: 0,
             suppressed_punct: 0,
         }
     }
@@ -70,11 +68,6 @@ impl Union {
     /// Number of data tuples forwarded.
     pub fn forwarded_data(&self) -> u64 {
         self.forwarded_data
-    }
-
-    /// Number of punctuation tuples forwarded.
-    pub fn forwarded_punctuation(&self) -> u64 {
-        self.forwarded_punct
     }
 
     /// Number of punctuation tuples consumed without forwarding (their ETS
@@ -224,7 +217,6 @@ impl Operator for Union {
                 return Ok(StepOutcome::consumed_one(0));
             }
             self.emitted_high_water = Some(tuple.ts);
-            self.forwarded_punct += 1;
             ctx.output_mut(0).push(tuple)?;
             return Ok(StepOutcome::consumed_one(1));
         }
@@ -285,7 +277,6 @@ impl Operator for Union {
                     continue; // silent consumption: Encore again
                 }
                 self.emitted_high_water = Some(tuple.ts);
-                self.forwarded_punct += 1;
             } else {
                 self.emitted_high_water = Some(
                     self.emitted_high_water

@@ -18,9 +18,7 @@
 //!
 //! The workload then runs under **every cell of the engine matrix** —
 //! `EtsPolicy` × `SchedPolicy` × workers ∈ {1 (serial [`Executor`]),
-//! 4 ([`ParallelExecutor`])} × feedback ∈ {off, advisory-on} (harsh
-//! watermarks, shedding and slack tightening disabled, so the feedback
-//! channel must be output-invariant), plus `EtsPolicy` × `SchedPolicy` ×
+//! 4 ([`ParallelExecutor`])}, plus `EtsPolicy` × `SchedPolicy` ×
 //! shards ∈ {1, 2, 4} through the key-partitioned [`ShardedExecutor`]
 //! (each component sharded whole-row across exchange edges, re-merged by
 //! timestamp, with per-shard frontier floors checked for consistency) —
@@ -51,9 +49,9 @@
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CheckMode, CostModel, Engine, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input,
-    ParallelConfig, ParallelExecutor, QueryGraph, SchedPolicy, ShardKey, ShardOutput,
-    ShardedConfig, ShardedExecutor, SourceId, VirtualClock, Watermarks,
+    CheckMode, CostModel, Engine, EtsPolicy, Executor, GraphBuilder, Input, ParallelConfig,
+    ParallelExecutor, QueryGraph, SchedPolicy, ShardKey, ShardOutput, ShardedConfig,
+    ShardedExecutor, SourceId, VirtualClock,
 };
 use millstream_ops::{
     Filter, LatePolicy, MultiWindowJoin, Project, Reorder, Sink, SinkCollector, TierConfig, Union,
@@ -626,16 +624,6 @@ fn merged_events(spec: &FuzzSpec) -> Vec<GEvent> {
     all
 }
 
-/// The feedback configuration the `fb=on` matrix cells run under:
-/// deliberately harsh watermarks (any queued tuple is pressure, two are
-/// critical) so signals fire constantly — with both degradation knobs
-/// (shedding, slack tightening) off, the engine's output must still be
-/// byte-identical to the no-feedback oracle. That is the advisory-path
-/// equivalence guarantee.
-fn advisory_feedback() -> FeedbackConfig {
-    FeedbackConfig::new(Watermarks::new(1, 2))
-}
-
 /// The one event-replay loop every matrix cell shares: replays the
 /// spec's global arrival schedule through `engines` — a single engine
 /// hosting every component (serial, parallel) or one engine per component
@@ -700,11 +688,10 @@ fn run_serial(
     spec: &FuzzSpec,
     policy: EtsPolicy,
     sched: SchedPolicy,
-    feedback: Option<FeedbackConfig>,
     tier: Option<TierConfig>,
 ) -> Result<Vec<Vec<(u64, i64)>>, String> {
     let built = build(spec, tier)?;
-    let mut exec = Executor::new(
+    let exec = Executor::new(
         built.graph,
         VirtualClock::shared(),
         CostModel::free(),
@@ -712,9 +699,6 @@ fn run_serial(
     )
     .with_sched_policy(sched)
     .with_check_mode(CheckMode::Strict);
-    if let Some(fb) = feedback {
-        exec = exec.with_feedback(fb);
-    }
     replay(spec, &mut [exec], &built.src_ids).map_err(|e| e.to_string())?;
     Ok(outputs(&built.outs))
 }
@@ -724,13 +708,11 @@ fn run_parallel(
     policy: EtsPolicy,
     sched: SchedPolicy,
     workers: usize,
-    feedback: Option<FeedbackConfig>,
 ) -> Result<Vec<Vec<(u64, i64)>>, String> {
     let built = build(spec, None)?;
-    let mut config = ParallelConfig::new(CostModel::free(), policy, workers)
+    let config = ParallelConfig::new(CostModel::free(), policy, workers)
         .with_sched_policy(sched)
         .with_check_mode(CheckMode::Strict);
-    config.feedback = feedback;
     let pex = ParallelExecutor::new(built.graph, config);
     replay(spec, &mut [pex], &built.src_ids).map_err(|e| e.to_string())?;
     Ok(outputs(&built.outs))
@@ -900,20 +882,16 @@ pub fn fuzz_seed(seed: u64) -> Vec<String> {
     for &policy in &policies {
         for sched in [SchedPolicy::DepthFirst, SchedPolicy::RoundRobin] {
             for workers in [1usize, 4] {
-                for feedback in [None, Some(advisory_feedback())] {
-                    let fb = if feedback.is_some() { "on" } else { "off" };
-                    let label = format!(
-                        "seed {seed} [policy={policy:?} sched={sched:?} workers={workers} fb={fb}]"
-                    );
-                    let result = if workers == 1 {
-                        run_serial(&spec, policy, sched, feedback, None)
-                    } else {
-                        run_parallel(&spec, policy, sched, workers, feedback)
-                    };
-                    match result {
-                        Err(e) => failures.push(format!("{label}: {e}")),
-                        Ok(outputs) => check_outputs(&spec, &outputs, &label, &mut failures),
-                    }
+                let label =
+                    format!("seed {seed} [policy={policy:?} sched={sched:?} workers={workers}]");
+                let result = if workers == 1 {
+                    run_serial(&spec, policy, sched, None)
+                } else {
+                    run_parallel(&spec, policy, sched, workers)
+                };
+                match result {
+                    Err(e) => failures.push(format!("{label}: {e}")),
+                    Ok(outputs) => check_outputs(&spec, &outputs, &label, &mut failures),
                 }
             }
             // Exchange-edge cells: the same spec sharded across worker
@@ -944,13 +922,7 @@ pub fn fuzz_seed(seed: u64) -> Vec<String> {
                 min_run_rows: 4,
             };
             let label = format!("seed {seed} [tier={label_budget}]");
-            match run_serial(
-                &spec,
-                EtsPolicy::None,
-                SchedPolicy::DepthFirst,
-                None,
-                Some(tier),
-            ) {
+            match run_serial(&spec, EtsPolicy::None, SchedPolicy::DepthFirst, Some(tier)) {
                 Err(e) => failures.push(format!("{label}: {e}")),
                 Ok(outputs) => check_outputs(&spec, &outputs, &label, &mut failures),
             }
@@ -975,10 +947,10 @@ pub fn fuzz_range(base: u64, count: u64) -> FuzzSummary {
     let mut summary = FuzzSummary::default();
     for seed in base..base.saturating_add(count) {
         let spec = gen_spec(seed);
-        // policies × scheds × (workers × feedback {off, advisory-on}
-        // + shards {1, 2, 4}), plus the two tiered-join cells for join
-        // specs (unbounded and always-spill budgets).
-        let mut cells = if spec.any_unordered() { 14 } else { 28 };
+        // policies × scheds × (workers {1, 4} + shards {1, 2, 4}), plus
+        // the two tiered-join cells for join specs (unbounded and
+        // always-spill budgets).
+        let mut cells = if spec.any_unordered() { 10 } else { 20 };
         if spec.comps.iter().any(|c| c.join.is_some()) {
             cells += 2;
         }

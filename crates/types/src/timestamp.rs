@@ -29,20 +29,7 @@ pub const MICROS_PER_MILLI: u64 = 1_000;
 /// `Timestamp` is totally ordered; streams entering the DSMS are required to
 /// be non-decreasing in their timestamps, which is the property every
 /// idle-waiting-prone operator relies on.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -157,20 +144,7 @@ impl Sub<Timestamp> for Timestamp {
 ///
 /// Distinct from [`Timestamp`] so that instants and spans cannot be mixed up
 /// in ETS arithmetic.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimeDelta(u64);
 
 impl TimeDelta {
@@ -270,7 +244,7 @@ impl core::iter::Sum for TimeDelta {
 }
 
 /// The three timestamp disciplines a stream can use (paper §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimestampKind {
     /// Tuples were timestamped by the producing application. Future tuples
     /// are only bounded by an application-specific maximum skew, so ETS for

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 
 /// The static type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
