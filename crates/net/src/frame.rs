@@ -29,7 +29,7 @@
 
 use std::io::{self, Read, Write};
 
-use millstream_types::{DataType, Error, Field, Result, Schema, Timestamp, Tuple, Value};
+use millstream_types::{DataType, Error, Field, Result, Row, Schema, Timestamp, Tuple, Value};
 
 /// The only protocol version this build speaks. [`Frame::Hello`] carries
 /// the client's version; a server seeing any other value must answer with
@@ -267,7 +267,33 @@ fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) -> Result<()> {
 impl Frame {
     /// Encodes the frame with its `u32` length prefix, ready to write.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; 4]; // length backfilled below
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Appends the encoded frame (length prefix included) to `buf`, so a
+    /// caller can reuse one buffer across frames. On error `buf` is left
+    /// exactly as it was.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<()> {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 4]); // length backfilled below
+        let framed = self.put_body(buf).and_then(|()| {
+            let len = (buf.len() - start - 4) as u32;
+            if len > MAX_FRAME_LEN {
+                return Err(wire(format!("frame of {len} bytes exceeds MAX_FRAME_LEN")));
+            }
+            buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        });
+        if framed.is_err() {
+            buf.truncate(start);
+        }
+        framed
+    }
+
+    /// Appends `kind | body`.
+    fn put_body(&self, buf: &mut Vec<u8>) -> Result<()> {
         match self {
             Frame::Hello {
                 version,
@@ -282,15 +308,15 @@ impl Frame {
                     Role::Producer => 0,
                     Role::Subscriber => 1,
                 });
-                put_str(&mut buf, stream)?;
+                put_str(buf, stream)?;
                 match schema {
                     None => buf.push(0),
                     Some(s) => {
                         buf.push(1);
-                        put_schema(&mut buf, s)?;
+                        put_schema(buf, s)?;
                     }
                 }
-                put_u64(&mut buf, *resume_hint);
+                put_u64(buf, *resume_hint);
             }
             Frame::HelloAck {
                 version,
@@ -299,36 +325,36 @@ impl Frame {
             } => {
                 buf.push(2);
                 buf.push(*version);
-                put_schema(&mut buf, schema)?;
-                put_u64(&mut buf, *resume_ts);
+                put_schema(buf, schema)?;
+                put_u64(buf, *resume_ts);
             }
             Frame::Data { seq, tuple } => {
                 buf.push(3);
-                put_u64(&mut buf, *seq);
-                put_tuple(&mut buf, tuple)?;
+                put_u64(buf, *seq);
+                put_tuple(buf, tuple)?;
             }
             Frame::Heartbeat { seq, ts } => {
                 buf.push(4);
-                put_u64(&mut buf, *seq);
-                put_u64(&mut buf, ts.as_micros());
+                put_u64(buf, *seq);
+                put_u64(buf, ts.as_micros());
             }
             Frame::Close { seq } => {
                 buf.push(5);
-                put_u64(&mut buf, *seq);
+                put_u64(buf, *seq);
             }
             Frame::Ack { seq, high_water } => {
                 buf.push(6);
-                put_u64(&mut buf, *seq);
-                put_u64(&mut buf, *high_water);
+                put_u64(buf, *seq);
+                put_u64(buf, *high_water);
             }
             Frame::Output { tuple } => {
                 buf.push(7);
-                put_tuple(&mut buf, tuple)?;
+                put_tuple(buf, tuple)?;
             }
             Frame::Error { code, message } => {
                 buf.push(8);
-                put_u16(&mut buf, code.to_u16());
-                put_str(&mut buf, message)?;
+                put_u16(buf, code.to_u16());
+                put_str(buf, message)?;
             }
             Frame::Bye => buf.push(9),
             Frame::Feedback {
@@ -338,16 +364,11 @@ impl Frame {
             } => {
                 buf.push(10);
                 buf.push(*level);
-                put_u64(&mut buf, *window);
-                put_u64(&mut buf, *dropped);
+                put_u64(buf, *window);
+                put_u64(buf, *dropped);
             }
         }
-        let len = (buf.len() - 4) as u32;
-        if len > MAX_FRAME_LEN {
-            return Err(wire(format!("frame of {len} bytes exceeds MAX_FRAME_LEN")));
-        }
-        buf[0..4].copy_from_slice(&len.to_le_bytes());
-        Ok(buf)
+        Ok(())
     }
 
     /// Decodes one frame body (`kind | body`, the length prefix already
@@ -502,11 +523,11 @@ impl Cursor<'_> {
                 if n > self.buf.len().saturating_sub(self.pos) {
                     return Err(wire("row width exceeds frame"));
                 }
-                let mut vals = Vec::with_capacity(n);
+                let mut row = Row::builder(n);
                 for _ in 0..n {
-                    vals.push(self.value()?);
+                    row.push(self.value()?);
                 }
-                Ok(Tuple::data(ts, vals))
+                Ok(Tuple::data(ts, row.finish()))
             }
             other => Err(wire(format!("bad tuple flags {other}"))),
         }
@@ -539,86 +560,118 @@ pub enum ReadOutcome {
     Timeout,
 }
 
-/// Incremental frame reader that survives read timeouts mid-frame.
+/// Bytes one [`FrameReader`] read asks the socket for. The receive buffer
+/// is allocated at this size on the first read and grows by exactly this
+/// much only when it is full of one frame still arriving, so it never
+/// holds more than the bytes received plus one chunk.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Incremental frame reader: reads once, decodes everything buffered.
 ///
-/// The server reads with a socket timeout so it can notice shutdown and
-/// idle producers; a timeout can strike between the length prefix and the
-/// body. `FrameReader` buffers partial frames across polls: [`poll`]
-/// returns [`ReadOutcome::Timeout`] and the next call resumes where the
-/// bytes stopped.
+/// Each connection keeps one receive buffer. [`poll`] returns the next
+/// complete frame already in it and calls `read` only when none is, so one
+/// readiness event that delivered many frames costs one `read`, not two
+/// per frame. The server reads nonblocking sockets, so a readiness
+/// boundary can fall anywhere — between the length prefix and the body
+/// included. A partial frame stays buffered: [`poll`] returns
+/// [`ReadOutcome::Timeout`] and the next call resumes where the bytes
+/// stopped.
 ///
 /// [`poll`]: FrameReader::poll
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FrameReader {
-    /// Bytes of the current frame read so far (header included).
-    pending: Vec<u8>,
-    /// Total bytes wanted before the frame can complete: 4 until the
-    /// header is in, then `4 + length`.
-    need: usize,
-}
-
-impl Default for FrameReader {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Receive buffer; its length is the allocated size, and
+    /// `buf[head..tail]` are the received bytes not yet decoded.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
 impl FrameReader {
-    /// A reader with no partial frame.
+    /// A reader with nothing buffered (the buffer is allocated on the
+    /// first read).
     pub fn new() -> Self {
-        FrameReader {
-            pending: Vec::new(),
-            need: 4,
+        Self::default()
+    }
+
+    /// Returns the next complete frame, reading from `r` only when no
+    /// complete frame is buffered.
+    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<ReadOutcome> {
+        loop {
+            if let Some(frame) = self.next_buffered()? {
+                return Ok(ReadOutcome::Frame(frame));
+            }
+            self.make_room();
+            match r.read(&mut self.buf[self.tail..]) {
+                Ok(0) => {
+                    return if self.head == self.tail {
+                        Ok(ReadOutcome::Eof)
+                    } else {
+                        let have = &self.buf[self.head..self.tail];
+                        let need = match have.get(..4) {
+                            Some(h) => {
+                                4 + u32::from_le_bytes(h.try_into().expect("4 bytes")) as usize
+                            }
+                            None => 4,
+                        };
+                        Err(wire(format!(
+                            "connection closed mid-frame ({} of {need} bytes)",
+                            have.len()
+                        )))
+                    };
+                }
+                Ok(n) => self.tail += n,
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(ReadOutcome::Timeout);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(wire(format!("read failed: {e}"))),
+            }
         }
     }
 
-    /// Drives the reader one step against `r`.
-    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<ReadOutcome> {
-        loop {
-            while self.pending.len() < self.need {
-                let mut chunk = [0u8; 4096];
-                let want = (self.need - self.pending.len()).min(chunk.len());
-                match r.read(&mut chunk[..want]) {
-                    Ok(0) => {
-                        return if self.pending.is_empty() {
-                            Ok(ReadOutcome::Eof)
-                        } else {
-                            Err(wire(format!(
-                                "connection closed mid-frame ({} of {} bytes)",
-                                self.pending.len(),
-                                self.need
-                            )))
-                        };
-                    }
-                    Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(ReadOutcome::Timeout);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(wire(format!("read failed: {e}"))),
-                }
-            }
-            if self.need == 4 {
-                let len =
-                    u32::from_le_bytes(self.pending[0..4].try_into().expect("4 bytes buffered"));
-                if len == 0 {
-                    return Err(wire("zero-length frame"));
-                }
-                if len > MAX_FRAME_LEN {
-                    return Err(wire(format!(
-                        "frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
-                    )));
-                }
-                self.need = 4 + len as usize;
-                continue; // loop back to read the body
-            }
-            let frame = Frame::decode(&self.pending[4..])?;
-            self.pending.clear();
-            self.need = 4;
-            return Ok(ReadOutcome::Frame(frame));
+    /// Decodes the frame at the front of the buffer if all of it has
+    /// arrived. The length prefix is checked as soon as its four bytes are
+    /// in, before the buffer grows for the body.
+    fn next_buffered(&mut self) -> Result<Option<Frame>> {
+        let have = &self.buf[self.head..self.tail];
+        let Some(header) = have.get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(header.try_into().expect("4 bytes"));
+        if len == 0 {
+            return Err(wire("zero-length frame"));
+        }
+        if len > MAX_FRAME_LEN {
+            return Err(wire(format!(
+                "frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
+            )));
+        }
+        let end = 4 + len as usize;
+        let Some(body) = have.get(4..end) else {
+            return Ok(None);
+        };
+        let frame = Frame::decode(body)?;
+        self.head += end;
+        Ok(Some(frame))
+    }
+
+    /// Moves the undecoded bytes to the front, then makes sure the next
+    /// read has room: grow by one chunk if the buffer is full, or give a
+    /// large decoded frame's room back once the rest fits in one chunk.
+    fn make_room(&mut self) {
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.tail == self.buf.len() {
+            self.buf.reserve_exact(READ_CHUNK);
+            self.buf.resize(self.buf.len() + READ_CHUNK, 0);
+        } else if self.buf.len() > READ_CHUNK && self.tail < READ_CHUNK {
+            self.buf.truncate(READ_CHUNK);
+            self.buf.shrink_to_fit();
         }
     }
 
@@ -640,11 +693,17 @@ impl FrameReader {
 mod tests {
     use super::*;
 
-    fn roundtrip(f: Frame) {
+    /// Round-trips `f`, and checks that appending it to `scratch` — a
+    /// reused buffer still holding earlier frames — adds exactly the bytes
+    /// `encode` returns.
+    fn roundtrip(f: Frame, scratch: &mut Vec<u8>) {
         let bytes = f.encode().expect("encode");
         let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
         assert_eq!(len + 4, bytes.len(), "length prefix covers kind+body");
         assert_eq!(Frame::decode(&bytes[4..]).expect("decode"), f);
+        let start = scratch.len();
+        f.encode_into(scratch).expect("encode_into");
+        assert_eq!(&scratch[start..], &bytes[..], "encode_into ≡ encode");
     }
 
     fn schema() -> Schema {
@@ -656,6 +715,10 @@ mod tests {
 
     #[test]
     fn all_frames_roundtrip() {
+        // Every frame is also appended to one dirty scratch buffer, reused
+        // across the whole list.
+        let mut scratch = vec![0xEE; 3];
+        let mut roundtrip = |f| roundtrip(f, &mut scratch);
         roundtrip(Frame::Hello {
             version: PROTOCOL_VERSION,
             role: Role::Producer,
@@ -710,6 +773,14 @@ mod tests {
             window: 1,
             dropped: 37,
         });
+        // A failed encode leaves the scratch exactly as it was.
+        let before = scratch.clone();
+        let too_long = Frame::Error {
+            code: ErrorCode::Protocol,
+            message: "x".repeat(1 << 17),
+        };
+        assert!(too_long.encode_into(&mut scratch).is_err());
+        assert_eq!(scratch, before);
     }
 
     #[test]
@@ -808,5 +879,124 @@ mod tests {
         let mut reader = FrameReader::new();
         let mut short: &[u8] = &full[..full.len() - 2];
         assert!(reader.poll(&mut short).is_err());
+    }
+
+    /// Hands out at most `step` bytes per read, then `WouldBlock` once the
+    /// bytes run out (or EOF, if `eof`), counting reads.
+    struct Peer<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        eof: bool,
+        reads: usize,
+    }
+
+    impl Read for Peer<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.bytes.is_empty() && !self.eof {
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "later"));
+            }
+            let n = out.len().min(self.step).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn forged_header_reserves_nothing() {
+        // A header claiming the largest legal frame, then silence: the
+        // reader must not reserve the claimed length.
+        let header = MAX_FRAME_LEN.to_le_bytes();
+        let mut peer = Peer {
+            bytes: &header,
+            step: usize::MAX,
+            eof: false,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        for _ in 0..8 {
+            assert_eq!(reader.poll(&mut peer).unwrap(), ReadOutcome::Timeout);
+        }
+        assert!(reader.buf.capacity() <= READ_CHUNK);
+
+        // A ~200 KiB frame dribbled in 1 KiB reads grows the buffer with
+        // the bytes received, decodes byte-identical, and gives the room
+        // back once it is consumed.
+        let values = (0..4u8)
+            .map(|i| Value::str_uninterned(String::from(char::from(b'a' + i)).repeat(50_000)))
+            .collect::<Vec<_>>();
+        let big = Frame::Data {
+            seq: 1,
+            tuple: Tuple::data(Timestamp::from_micros(7), values),
+        };
+        let bytes = big.encode().unwrap();
+        assert!(bytes.len() > 200_000);
+        let mut reader = FrameReader::new();
+        let mut received = 0;
+        let mut got = None;
+        for chunk in bytes.chunks(1024) {
+            // One readiness event: this chunk, then `WouldBlock`.
+            let mut peer = Peer {
+                bytes: chunk,
+                step: usize::MAX,
+                eof: false,
+                reads: 0,
+            };
+            let outcome = reader.poll(&mut peer).unwrap();
+            received += chunk.len();
+            assert!(reader.buf.capacity() <= received + READ_CHUNK);
+            match outcome {
+                ReadOutcome::Timeout => assert!(received < bytes.len()),
+                ReadOutcome::Frame(f) => got = Some(f),
+                ReadOutcome::Eof => panic!("no EOF mid-frame"),
+            }
+        }
+        assert_eq!(got.expect("the frame").encode().unwrap(), bytes);
+        let mut closed = Peer {
+            bytes: &[],
+            step: usize::MAX,
+            eof: true,
+            reads: 0,
+        };
+        assert_eq!(reader.poll(&mut closed).unwrap(), ReadOutcome::Eof);
+        assert!(reader.buf.capacity() <= READ_CHUNK);
+    }
+
+    #[test]
+    fn back_to_back_frames_share_reads() {
+        let frames: Vec<Frame> = (0..1000u64)
+            .map(|seq| Frame::Data {
+                seq,
+                tuple: Tuple::data(
+                    Timestamp::from_micros(seq),
+                    vec![Value::Int(seq as i64), Value::str("w".repeat(100))],
+                ),
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut bytes).unwrap();
+        }
+        let mut peer = Peer {
+            bytes: &bytes,
+            step: usize::MAX,
+            eof: true,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        let mut got = Vec::new();
+        while let Some(f) = reader.read_blocking(&mut peer).unwrap() {
+            got.push(f);
+        }
+        assert_eq!(got, frames);
+        // Over two chunks of frames: a read per chunk, plus the EOF read.
+        assert!(bytes.len() > 2 * READ_CHUNK);
+        assert!(
+            peer.reads <= bytes.len().div_ceil(READ_CHUNK) + 1,
+            "{} reads for {} bytes",
+            peer.reads,
+            bytes.len()
+        );
     }
 }

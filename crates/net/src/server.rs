@@ -8,11 +8,12 @@
 //! pump** thread (`msq-pump`), which is also the engine thread: the planned
 //! query is one connected component, so it runs on a serial
 //! [`Executor`] inline in the pump — the paper's §3 model, one thread
-//! walking one query graph. Pollers own every socket. They run each
-//! producer's [`FrameReader`] across readiness events (partial frames
-//! survive between polls), validate frame order at the socket boundary,
-//! and push decoded frames onto per-shard ingest queues
-//! ([`ServerConfig::ingest_shards`]). The pump drains whole shard batches
+//! walking one query graph. Pollers own every socket. Each producer's
+//! [`FrameReader`] reads once per readiness event and decodes every frame
+//! that read buffered (partial frames survive between polls); the poller
+//! validates frame order at the socket boundary and hands each step's
+//! frames to a per-shard ingest queue ([`ServerConfig::ingest_shards`]) in
+//! one lock. The pump drains whole shard batches
 //! and enters the engine **once per batch** — `{ingest*, advance clock,
 //! run-to-quiescence}` — instead of once per frame, so the engine critical
 //! section is amortized across every frame that arrived while the previous
@@ -36,8 +37,10 @@
 //!
 //! A producer's unacked window (client side,
 //! [`crate::client::StreamClient`]) plus one bounded shard queue is the
-//! only buffering between the socket and the engine: pollers stop reading
-//! a connection whose shard queue is full, so TCP flow control pushes back
+//! only buffering between the socket and the engine, besides one poller
+//! step's worth of decoded frames per connection: a shard queue takes
+//! only what fits, and pollers stop reading a connection whose decoded
+//! frames are still waiting for room, so TCP flow control pushes back
 //! to the producer and the server never queues unbounded input. On top of
 //! that, the server translates queue pressure into [`Frame::Feedback`]
 //! punctuation flowing *against* the data direction: when the engine's
@@ -359,7 +362,7 @@ impl Engine {
 }
 
 thread_local! {
-    /// Engine-lock nesting depth on this thread; [`Shared::record_latency`]
+    /// Engine-lock nesting depth on this thread; [`Shared::record_latencies`]
     /// refuses (and counts) any recording attempted while it is nonzero.
     static ENGINE_LOCK_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
@@ -457,6 +460,9 @@ struct Broadcast {
     /// Pressure classification for subscriber queue depth, sized to
     /// [`ServerConfig::subscriber_queue`].
     marks: Watermarks,
+    /// Encode buffer reused across deliveries, so a delivered tuple costs
+    /// one allocation: its shared slab.
+    scratch: Vec<u8>,
 }
 
 struct BroadcastState {
@@ -479,6 +485,7 @@ impl Broadcast {
             })),
             policy,
             marks: Watermarks::new(queue_cap / 2, queue_cap.saturating_sub(queue_cap / 8)),
+            scratch: Vec::new(),
         }
     }
 
@@ -552,7 +559,7 @@ impl Broadcast {
     /// overflowed subscriber gets the final mark: its poller drains the
     /// buffer before closing.
     fn finish(&self) {
-        let Some(mark) = encode_output(Tuple::punctuation(Timestamp::MAX)) else {
+        let Some(mark) = encode_output(Tuple::punctuation(Timestamp::MAX), &mut Vec::new()) else {
             return;
         };
         let mut st = self.inner.lock().unwrap();
@@ -580,10 +587,12 @@ impl Broadcast {
 }
 
 /// Encodes one output frame into a shared slab, ready to fan out to every
-/// subscriber tail.
-fn encode_output(tuple: Tuple) -> Option<Arc<[u8]>> {
-    match (Frame::Output { tuple }).encode() {
-        Ok(bytes) => Some(bytes.into()),
+/// subscriber tail. The frame is built in `scratch` (cleared first) and
+/// copied once into the slab.
+fn encode_output(tuple: Tuple, scratch: &mut Vec<u8>) -> Option<Arc<[u8]>> {
+    scratch.clear();
+    match (Frame::Output { tuple }).encode_into(scratch) {
+        Ok(()) => Some(Arc::from(&scratch[..])),
         // Unencodable output is an internal invariant failure, not a
         // subscriber's problem; never panic the sink over it.
         Err(_) => {
@@ -596,7 +605,7 @@ fn encode_output(tuple: Tuple) -> Option<Arc<[u8]>> {
 impl SinkCollector for Broadcast {
     fn deliver(&mut self, tuple: Tuple, _now: Timestamp) {
         let data = tuple.is_data();
-        let Some(bytes) = encode_output(tuple) else {
+        let Some(bytes) = encode_output(tuple, &mut self.scratch) else {
             return;
         };
         let mut st = self.inner.lock().unwrap();
@@ -682,20 +691,17 @@ impl Shared {
         EngineGuard { guard }
     }
 
-    /// Records `samples` wire→sink latency observations of `elapsed`.
+    /// Records wire→sink latency observations under one recorder lock.
     /// Must be called with the engine lock released; a call under the
     /// lock is counted (and trips a debug assert) instead of recorded.
-    fn record_latency(&self, samples: u64, elapsed: TimeDelta) {
+    fn record_latencies(&self, samples: impl Iterator<Item = TimeDelta>) {
         if ENGINE_LOCK_DEPTH.with(|d| d.get()) > 0 {
             self.latency_violations.fetch_add(1, Ordering::SeqCst);
             debug_assert!(false, "latency recorder touched under the engine lock");
             return;
         }
-        if samples == 0 {
-            return;
-        }
         let mut rec = self.latency.lock().unwrap();
-        for _ in 0..samples {
+        for elapsed in samples {
             rec.record(elapsed);
         }
     }
@@ -796,11 +802,9 @@ impl Server {
         let mut pollers = Vec::with_capacity(io_threads);
         for idx in 0..io_threads {
             let s = Arc::clone(&shared);
-            let h = spawn_named(format!("msq-poll-{idx}"), move || {
+            pollers.push(spawn_named(format!("msq-poll-{idx}"), move || {
                 ingest::poller_loop(&s, idx)
-            });
-            shared.pool.register_waker(idx, h.thread().clone());
-            pollers.push(h);
+            }));
         }
         let pump = {
             let s = Arc::clone(&shared);

@@ -5,17 +5,21 @@
 //!
 //! - **Pollers** ([`poller_loop`]) own the sockets. Each poller steps its
 //!   connections in a loop: flush the outbox, advance the handshake, and
-//!   then by role. A producer runs the restartable [`FrameReader`] until
-//!   the socket would block — partial frames survive in the reader between
-//!   steps. Decoded frames are validated for per-connection seq order at
-//!   the boundary, then pushed to the shard queue of the frame's port. A
-//!   subscriber whose outbox has drained takes the next batch of shared
-//!   output slabs from its queue ([`step_subscriber`]).
+//!   then by role. A producer's [`FrameReader`] reads once and decodes
+//!   everything that read buffered, so a readiness event costs one `read`
+//!   however many frames it delivered; a partial frame survives in the
+//!   reader between steps. Decoded frames are validated for
+//!   per-connection seq order at the boundary and staged on the
+//!   connection, and the step hands the staged batch to the shard queue of
+//!   the connection's port in one lock. A subscriber whose outbox has
+//!   drained takes the next batch of shared output slabs from its queue
+//!   ([`step_subscriber`]).
 //! - **Shard queues** ([`ShardQueues`]) decouple socket readiness from the
 //!   engine. A port's frames always land in `port_idx % shards`, so the
-//!   per-port FIFO contract survives the split. Queues are bounded:
-//!   pollers simply stop reading a connection whose shard is full, which
-//!   turns into TCP backpressure on the producer.
+//!   per-port FIFO contract survives the split. Queues are hard-bounded: a
+//!   hand-off pushes only what fits, the rest stays staged in order, and a
+//!   connection with staged frames is not read again until they are
+//!   through — which turns into TCP backpressure on the producer.
 //! - **The pump** ([`pump_loop`]) is the engine thread: it drains batches
 //!   and runs each section inline on the serial executor — every frame is
 //!   applied (ingest / heartbeat / close, one executor call per frame, so
@@ -72,10 +76,10 @@ const SUB_BATCH: usize = 64;
 /// the tuples processed.
 const ARRIVAL_LEDGER_CAP: usize = 1 << 14;
 
-/// Poller park bounds: a poller that made progress re-polls immediately;
-/// an idle one backs off exponentially between these bounds.
-const PARK_MIN: Duration = Duration::from_micros(500);
-const PARK_MAX: Duration = Duration::from_millis(10);
+/// How long a poller with connections parks after a sweep that made no
+/// progress; one that made progress re-polls immediately, and one with no
+/// connections parks until a new connection or shutdown wakes it.
+const PARK: Duration = Duration::from_micros(500);
 
 /// The cross-thread half of one connection: the pump pushes outcome
 /// frames here, the owning poller flushes them to the socket.
@@ -85,8 +89,8 @@ pub(super) struct ConnShared {
     /// the connection. Also read by the pump to skip queued items from a
     /// connection that already failed.
     dead: std::sync::atomic::AtomicBool,
-    /// Frames decoded and queued to a shard but not yet resolved by the
-    /// pump (acked or errored).
+    /// Frames decoded but not yet resolved by the pump (acked or errored):
+    /// staged on the connection or queued to a shard.
     inflight: AtomicU64,
     /// Last pressure level announced to this producer
     /// ([`PressureLevel::as_u8`]); pacing frames go out on change only.
@@ -120,12 +124,15 @@ impl ConnShared {
         })
     }
 
-    /// Queues one frame for the poller to write. Encoding failures mark
-    /// the connection dead (nothing sensible can be written after them).
+    /// Encodes one frame straight into the outbox for the poller to write.
+    /// Encoding failures mark the connection dead (nothing sensible can be
+    /// written after them) and leave the outbox as it was.
     fn push_frame(&self, frame: &Frame) {
-        match frame.encode() {
-            Ok(bytes) => self.push_bytes(&bytes),
-            Err(_) => self.dead.store(true, Ordering::SeqCst),
+        if frame
+            .encode_into(&mut self.outbox.lock().unwrap().buf)
+            .is_err()
+        {
+            self.dead.store(true, Ordering::SeqCst);
         }
     }
 
@@ -198,6 +205,8 @@ pub(super) struct Conn {
     closing: bool,
     /// Shard of this connection's port (valid once `Phase::Producer`).
     shard: usize,
+    /// Decoded frames not yet handed to the shard, in arrival order.
+    staged: Vec<IngestItem>,
 }
 
 impl Conn {
@@ -212,6 +221,7 @@ impl Conn {
             last_seq: None,
             closing: false,
             shard: 0,
+            staged: Vec::new(),
         }
     }
 }
@@ -252,13 +262,17 @@ impl ShardQueues {
         self.qs.len()
     }
 
-    fn has_room(&self, shard: usize) -> bool {
-        self.qs[shard].lock().unwrap().len() < SHARD_CAP
-    }
-
-    fn push(&self, shard: usize, item: IngestItem) {
-        self.qs[shard].lock().unwrap().push_back(item);
-        self.queued.fetch_add(1, Ordering::SeqCst);
+    /// Moves as many `staged` items as the shard has room for onto it, in
+    /// order, under one lock; the rest stay staged. Returns how many moved.
+    /// The bound is hard, so the ring never grows past the capacity it was
+    /// allocated with.
+    fn push(&self, shard: usize, staged: &mut Vec<IngestItem>) -> usize {
+        let mut q = self.qs[shard].lock().unwrap();
+        let fit = SHARD_CAP.saturating_sub(q.len()).min(staged.len());
+        q.extend(staged.drain(..fit));
+        drop(q);
+        self.queued.fetch_add(fit as u64, Ordering::SeqCst);
+        fit
     }
 
     /// Wakes the pump. The gate lock pairs with [`ShardQueues::wait`]'s
@@ -291,9 +305,10 @@ impl ShardQueues {
     /// would get no frames processed, pinning the whole graph's frontier
     /// (a union releases nothing until *every* input progresses). The
     /// second sweep tops up spare capacity in rotation order.
-    fn drain(&self, cap: usize, rotate: usize) -> Vec<IngestItem> {
+    ///
+    /// Appends to `out`, which the caller hands in empty.
+    fn drain(&self, cap: usize, rotate: usize, out: &mut Vec<IngestItem>) {
         let n = self.qs.len();
-        let mut out = Vec::new();
         let quota = cap.div_ceil(n);
         for off in 0..n {
             let mut q = self.qs[(rotate + off) % n].lock().unwrap();
@@ -319,7 +334,6 @@ impl ShardQueues {
                 }
             }
         }
-        out
     }
 
     fn mark_processed(&self, n: u64) {
@@ -349,7 +363,7 @@ impl IoPool {
         self.injectors.len()
     }
 
-    pub(super) fn register_waker(&self, idx: usize, thread: Thread) {
+    fn register_waker(&self, idx: usize, thread: Thread) {
         self.wakers.lock().unwrap()[idx] = Some(thread);
     }
 
@@ -401,14 +415,14 @@ pub(super) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 enum Step {
     Keep,
     Retire,
-    /// Keep, with output the peer has not taken yet: re-poll at
-    /// [`PARK_MIN`] instead of backing off.
-    Blocked,
 }
 
 pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
+    // Registered before the first drain: a connection assigned earlier is
+    // picked up by that drain, one assigned later unparks this thread, so
+    // the untimed park below cannot miss one.
+    shared.pool.register_waker(idx, std::thread::current());
     let mut conns: Vec<Conn> = Vec::new();
-    let mut park = PARK_MIN;
     loop {
         conns.extend(shared.pool.drain(idx));
         if shared.terminate.load(Ordering::SeqCst) {
@@ -421,15 +435,10 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
             return;
         }
         let mut progressed = false;
-        let mut blocked = false;
         let mut i = 0;
         while i < conns.len() {
             match step_conn(shared, &mut conns[i], &mut progressed) {
                 Step::Keep => i += 1,
-                Step::Blocked => {
-                    blocked = true;
-                    i += 1;
-                }
                 Step::Retire => {
                     let c = conns.swap_remove(i);
                     retire_conn(shared, &c);
@@ -443,13 +452,14 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
             return;
         }
         if progressed {
-            park = PARK_MIN;
-        } else if blocked {
-            park = PARK_MIN;
-            std::thread::park_timeout(park);
+            continue;
+        }
+        if conns.is_empty() {
+            // `assign` and `wake_all` unpark us; an unpark that lands
+            // before this call makes it return at once.
+            std::thread::park();
         } else {
-            std::thread::park_timeout(park);
-            park = (park * 2).min(PARK_MAX);
+            std::thread::park_timeout(PARK);
         }
     }
 }
@@ -478,17 +488,21 @@ fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
 }
 
 fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step {
+    // Frames a producer already decoded reach its shard before anything
+    // else happens to the connection, retirement included.
+    let handed_off = hand_off(shared, c, progressed);
     let flushed = match c.shared.flush(&mut c.stream) {
         Ok(f) => f,
         // Peer went away mid-write; nothing left to deliver.
-        Err(_) => return Step::Retire,
+        Err(_) if handed_off => return Step::Retire,
+        Err(_) => return Step::Keep,
     };
     if flushed.wrote {
         *progressed = true;
     }
     if c.shared.dead.load(Ordering::SeqCst) || c.closing {
         // Terminal: a Bye/Error is (or will be) queued. Retire once every
-        // queued frame is resolved by the pump and the outbox is drained,
+        // decoded frame is resolved by the pump and the outbox is drained,
         // so acks for earlier frames still reach the peer first.
         let resolved = c.shared.inflight.load(Ordering::SeqCst) == 0;
         return if resolved && flushed.empty {
@@ -499,10 +513,28 @@ fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step 
     }
     match c.phase {
         Phase::Handshake { deadline } => step_handshake(shared, c, deadline, progressed),
+        // Shard backpressure: read nothing more until the staged frames
+        // are through, so the producer's TCP window (not our memory)
+        // absorbs the flood.
+        Phase::Producer { .. } if !handed_off => Step::Keep,
         Phase::Producer { port_idx } => step_producer(shared, c, port_idx, progressed),
-        Phase::Subscriber { .. } if !flushed.empty => Step::Blocked,
+        Phase::Subscriber { .. } if !flushed.empty => Step::Keep,
         Phase::Subscriber { .. } => step_subscriber(shared, c, progressed),
     }
+}
+
+/// Moves the connection's staged frames onto its shard queue — one lock,
+/// one notify — as far as the shard has room. Returns whether nothing is
+/// left staged.
+fn hand_off(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> bool {
+    if c.staged.is_empty() {
+        return true;
+    }
+    if shared.shards.push(c.shard, &mut c.staged) > 0 {
+        *progressed = true;
+        shared.shards.notify();
+    }
+    c.staged.is_empty()
 }
 
 fn step_handshake(
@@ -637,6 +669,9 @@ fn attach_producer(
     ))
 }
 
+/// Reads up to [`FRAMES_PER_STEP`] frames, validates their order and
+/// stages them, then hands the step's frames to the shard at once. Runs
+/// only with nothing staged.
 fn step_producer(
     shared: &Arc<Shared>,
     c: &mut Conn,
@@ -644,21 +679,13 @@ fn step_producer(
     progressed: &mut bool,
 ) -> Step {
     let draining = shared.shutdown.load(Ordering::SeqCst);
-    let mut enqueued = false;
-    let mut read = 0;
     let verdict = loop {
-        if read >= FRAMES_PER_STEP {
-            break Step::Keep;
-        }
-        if !draining && !shared.shards.has_room(c.shard) {
-            // Shard backpressure: stop reading so the producer's TCP
-            // window (not our memory) absorbs the flood.
+        if c.staged.len() >= FRAMES_PER_STEP {
             break Step::Keep;
         }
         match c.reader.poll(&mut c.stream) {
             Ok(ReadOutcome::Frame(frame)) => {
                 *progressed = true;
-                read += 1;
                 let seq = match &frame {
                     Frame::Data { seq, .. }
                     | Frame::Heartbeat { seq, .. }
@@ -690,21 +717,17 @@ fn step_producer(
                     break Step::Keep;
                 }
                 c.last_seq = Some(seq);
-                c.shared.inflight.fetch_add(1, Ordering::SeqCst);
-                shared.shards.push(
-                    c.shard,
-                    IngestItem {
-                        conn: Arc::clone(&c.shared),
-                        port_idx,
-                        frame,
-                        seq,
-                        arrival: Instant::now(),
-                    },
-                );
-                enqueued = true;
+                c.staged.push(IngestItem {
+                    conn: Arc::clone(&c.shared),
+                    port_idx,
+                    frame,
+                    seq,
+                    arrival: Instant::now(),
+                });
             }
             Ok(ReadOutcome::Timeout) => {
-                if draining && c.shared.inflight.load(Ordering::SeqCst) == 0 {
+                if draining && c.staged.is_empty() && c.shared.inflight.load(Ordering::SeqCst) == 0
+                {
                     // Shutdown drain complete: everything this producer
                     // sent is acked and nothing is left on the socket.
                     c.shared.push_frame(&Frame::Bye);
@@ -724,10 +747,19 @@ fn step_producer(
             }
         }
     };
-    if enqueued {
-        shared.shards.notify();
+    if c.staged.is_empty() {
+        return verdict;
     }
-    verdict
+    c.shared
+        .inflight
+        .fetch_add(c.staged.len() as u64, Ordering::SeqCst);
+    // A producer that hung up retires only once its last frames are
+    // handed off.
+    if hand_off(shared, c, progressed) {
+        verdict
+    } else {
+        Step::Keep
+    }
 }
 
 /// One step of a subscriber whose outbox has drained: check that the peer
@@ -827,18 +859,38 @@ fn step_subscriber(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) ->
     }
 }
 
+/// The pump's per-section working set, allocated once and reused by every
+/// section.
+struct Pump {
+    /// Items drained for the current section.
+    batch: Vec<IngestItem>,
+    /// One entry per connection in the section, in first-seen order.
+    outcomes: Vec<Outcome>,
+    /// Connection identity → its index in `outcomes`.
+    index: HashMap<usize, usize>,
+    /// Pollers to wake once the section's outcomes are queued.
+    wake: Vec<bool>,
+    /// Wire-arrival instants of data tuples that entered the graph but
+    /// have not yet been matched to a sink delivery. Sink output is
+    /// timestamp-ordered and producers send in timestamp order, so FIFO
+    /// attribution pairs each delivery with (a close approximation of)
+    /// its own arrival — giving true per-tuple wire→sink latency even
+    /// when an operator holds tuples across many sections waiting for
+    /// the frontier. Bounded: see `ARRIVAL_LEDGER_CAP`.
+    awaiting_delivery: VecDeque<Instant>,
+}
+
 pub(super) fn pump_loop(shared: &Arc<Shared>) {
     let tick = shared.cfg.read_timeout;
     let mut rotate = 0usize;
     let mut last_sweep = Instant::now();
-    // Wire-arrival instants of data tuples that entered the graph but
-    // have not yet been matched to a sink delivery. Sink output is
-    // timestamp-ordered and producers send in timestamp order, so FIFO
-    // attribution pairs each delivery with (a close approximation of)
-    // its own arrival — giving true per-tuple wire→sink latency even
-    // when an operator holds tuples across many sections waiting for
-    // the frontier. Bounded: see `ARRIVAL_LEDGER_CAP`.
-    let mut awaiting_delivery: VecDeque<Instant> = VecDeque::with_capacity(ARRIVAL_LEDGER_CAP);
+    let mut pump = Pump {
+        batch: Vec::with_capacity(PUMP_BATCH),
+        outcomes: Vec::new(),
+        index: HashMap::new(),
+        wake: vec![false; shared.pool.len()],
+        awaiting_delivery: VecDeque::with_capacity(ARRIVAL_LEDGER_CAP),
+    };
     loop {
         if shared.terminate.load(Ordering::SeqCst) {
             return;
@@ -851,10 +903,10 @@ pub(super) fn pump_loop(shared: &Arc<Shared>) {
             }
             shared.shards.wait(tick);
         }
-        let batch = shared.shards.drain(PUMP_BATCH, rotate);
+        shared.shards.drain(PUMP_BATCH, rotate, &mut pump.batch);
         rotate = rotate.wrapping_add(1);
-        if !batch.is_empty() {
-            process_batch(shared, batch, &mut awaiting_delivery);
+        if !pump.batch.is_empty() {
+            process_batch(shared, &mut pump);
         }
         if shared.cfg.idle_timeout.is_some() && last_sweep.elapsed() >= tick {
             last_sweep = Instant::now();
@@ -863,7 +915,7 @@ pub(super) fn pump_loop(shared: &Arc<Shared>) {
             // next producer section, not here.
             let _ = synthesize_idle_sweep(shared);
             // A synthesized heartbeat can release held tuples too.
-            record_deliveries(shared, &mut awaiting_delivery, before);
+            record_deliveries(shared, &mut pump.awaiting_delivery, before);
         }
     }
 }
@@ -879,22 +931,22 @@ fn push_arrival(awaiting: &mut VecDeque<Instant>, arrival: Instant) {
 
 /// Matches every delivery since `before` with the oldest unmatched
 /// arrival instant and records one wire→sink latency sample per tuple —
-/// with the engine lock released (the recorder's thread-local depth
-/// check enforces that). If the graph filtered tuples out, leftover
-/// arrivals age out unrecorded once the ledger is full
-/// ([`ARRIVAL_LEDGER_CAP`]); deliveries beyond the arrival ledger (only
-/// after such an age-out) are skipped rather than misattributed.
+/// in one recorder lock, taken with the engine lock released (the
+/// recorder's thread-local depth check enforces that). If the graph
+/// filtered tuples out, leftover arrivals age out unrecorded once the
+/// ledger is full ([`ARRIVAL_LEDGER_CAP`]); deliveries beyond the arrival
+/// ledger (only after such an age-out) are skipped rather than
+/// misattributed.
 fn record_deliveries(shared: &Arc<Shared>, awaiting: &mut VecDeque<Instant>, before: u64) {
-    let after = shared.broadcast.delivered();
-    let mut remaining = after.saturating_sub(before);
-    while remaining > 0 {
-        let Some(arrived) = awaiting.pop_front() else {
-            break;
-        };
-        let elapsed = TimeDelta::from_micros(arrived.elapsed().as_micros() as u64);
-        shared.record_latency(1, elapsed);
-        remaining -= 1;
+    let delivered = shared.broadcast.delivered().saturating_sub(before);
+    let matched = (delivered as usize).min(awaiting.len());
+    if matched == 0 {
+        return;
     }
+    let now = Instant::now();
+    shared.record_latencies(awaiting.drain(..matched).map(|arrived| {
+        TimeDelta::from_micros(now.saturating_duration_since(arrived).as_micros() as u64)
+    }));
 }
 
 /// Per-connection outcome of one engine section.
@@ -914,16 +966,18 @@ struct Outcome {
 /// Drains one batch through the engine in a single critical section:
 /// apply every item, advance the clock once to the batch max, run to
 /// quiescence once, then (outside the lock) record latency and push one
-/// cumulative ack — or one attributed error — per connection.
-fn process_batch(
-    shared: &Arc<Shared>,
-    batch: Vec<IngestItem>,
-    awaiting_delivery: &mut VecDeque<Instant>,
-) {
+/// cumulative ack — or one attributed error — per connection. Leaves every
+/// buffer of `pump` but the arrival ledger empty for the next section.
+fn process_batch(shared: &Arc<Shared>, pump: &mut Pump) {
+    let Pump {
+        batch,
+        outcomes,
+        index,
+        wake,
+        awaiting_delivery,
+    } = pump;
     let total = batch.len() as u64;
     let delivered_before = shared.broadcast.delivered();
-    let mut outcomes: Vec<Outcome> = Vec::new();
-    let mut index: HashMap<usize, usize> = HashMap::new();
     let level;
     {
         let mut eng = shared.lock_engine();
@@ -931,7 +985,7 @@ fn process_batch(
         let now_us = shared.now_us();
         let mut batch_max = 0u64;
         let mut need_run = false;
-        for item in batch {
+        for item in batch.drain(..) {
             let IngestItem {
                 conn,
                 port_idx,
@@ -992,7 +1046,7 @@ fn process_batch(
                 // A failed run cannot be pinned on one frame: it is
                 // attributed to every connection that contributed to the
                 // section, and nothing in it is acked.
-                for out in &mut outcomes {
+                for out in outcomes.iter_mut() {
                     if out.fatal.is_none() {
                         out.fatal = Some((ErrorCode::Engine, e.to_string()));
                         out.conn.dead.store(true, Ordering::SeqCst);
@@ -1009,7 +1063,7 @@ fn process_batch(
         } else {
             PressureLevel::Normal
         };
-        for out in &mut outcomes {
+        for out in outcomes.iter_mut() {
             out.high_water = eng.ports[out.port_idx].data_hw.unwrap_or(0);
         }
     }
@@ -1018,8 +1072,8 @@ fn process_batch(
     record_deliveries(shared, awaiting_delivery, delivered_before);
     // Feedback before the ack: the producer learns its new window before
     // its pump refills the pipeline.
-    let mut wake = vec![false; shared.pool.len()];
-    for out in outcomes {
+    index.clear();
+    for out in outcomes.drain(..) {
         if out.fatal.is_none() && shared.cfg.feedback.is_some() {
             let announced = level.as_u8();
             if out.conn.sent_level.swap(announced, Ordering::SeqCst) != announced {
@@ -1044,8 +1098,8 @@ fn process_batch(
         wake[out.conn.poller] = true;
     }
     shared.shards.mark_processed(total);
-    for (idx, w) in wake.iter().enumerate() {
-        if *w {
+    for (idx, w) in wake.iter_mut().enumerate() {
+        if std::mem::take(w) {
             shared.pool.wake(idx);
         }
     }
@@ -1132,5 +1186,55 @@ mod tests {
         assert_eq!(ledger.len(), ARRIVAL_LEDGER_CAP);
         assert_eq!(ledger.capacity(), cap);
         assert!(ledger.front().is_some_and(|&a| a > first));
+    }
+
+    fn staged(conn: &Arc<ConnShared>, seqs: std::ops::Range<u64>) -> Vec<IngestItem> {
+        seqs.map(|seq| IngestItem {
+            conn: Arc::clone(conn),
+            port_idx: 0,
+            frame: Frame::Close { seq },
+            seq,
+            arrival: Instant::now(),
+        })
+        .collect()
+    }
+
+    fn seqs(items: &[IngestItem]) -> Vec<u64> {
+        items.iter().map(|it| it.seq).collect()
+    }
+
+    /// A batched hand-off pushes only what fits: the shard stops at
+    /// `SHARD_CAP` without its ring reallocating, and the rest stays
+    /// staged, in order, for the next push.
+    #[test]
+    fn batched_hand_off_keeps_the_shard_bound_hard() {
+        let shards = ShardQueues::new(1);
+        let ring_capacity = shards.qs[0].lock().unwrap().capacity();
+        let conn = ConnShared::new(0);
+        let mut filler = staged(&conn, 0..(SHARD_CAP - 30) as u64);
+        assert_eq!(shards.push(0, &mut filler), SHARD_CAP - 30);
+
+        let mut batch = staged(&conn, 10_000..10_100);
+        assert_eq!(shards.push(0, &mut batch), 30);
+        assert_eq!(shards.qs[0].lock().unwrap().len(), SHARD_CAP);
+        assert_eq!(shards.qs[0].lock().unwrap().capacity(), ring_capacity);
+        assert_eq!(shards.pending(), SHARD_CAP as u64);
+        assert_eq!(seqs(&batch), (10_030..10_100).collect::<Vec<_>>());
+        assert_eq!(shards.push(0, &mut batch), 0, "a full shard takes nothing");
+
+        let mut out = Vec::new();
+        shards.drain(SHARD_CAP, 0, &mut out);
+        assert_eq!(out.len(), SHARD_CAP);
+        assert_eq!(
+            seqs(&out[SHARD_CAP - 30..]),
+            (10_000..10_030).collect::<Vec<_>>()
+        );
+        shards.mark_processed(out.len() as u64);
+
+        assert_eq!(shards.push(0, &mut batch), 70);
+        assert!(batch.is_empty());
+        out.clear();
+        shards.drain(PUMP_BATCH, 0, &mut out);
+        assert_eq!(seqs(&out), (10_030..10_100).collect::<Vec<_>>());
     }
 }
