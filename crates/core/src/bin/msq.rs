@@ -8,7 +8,7 @@
 //!                              [--batch K] [--shards N]
 //!                              [--join-spill-budget B]
 //! msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict]
-//!                        [--io-threads N] [--ingest-shards N]
+//!                        [--io-threads N]
 //! msq send <addr> <stream> <trace.csv> [--window N]
 //! msq tail <addr> [--patience-ms MS]
 //! msq fuzz [--seeds N] [--base B]
@@ -59,13 +59,11 @@
 //!   --no-feedback   disable feedback punctuation entirely (no producer
 //!                   pacing frames, no engine pressure registers)
 //!   --io-threads N  nonblocking poller threads multiplexing producer and
-//!                   subscriber sockets (default 4; each poller owns a
+//!                   subscriber sockets (default 2; each poller owns a
 //!                   slice of the connections, no thread-per-connection)
-//!   --ingest-shards N  per-shard ingest queues between the pollers and
-//!                   the engine pump; a source port always maps to the
-//!                   same shard, so per-port frame order is preserved
-//!                   while the pump drains whole batches into one engine
-//!                   critical section (default 8)
+//!   --ingest-shards N  accepted (a positive integer) and ignored: there
+//!                   is one ingest queue. Not in the usage line; kept so
+//!                   existing scripts keep working
 //!
 //! send        replay a trace as a producer: lines `ts_micros,stream,v…`,
 //!             all for <stream>, data timestamps strictly increasing
@@ -119,7 +117,7 @@ struct Options {
     shards: usize,
 }
 
-const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N] [--ingest-shards N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]";
+const USAGE: &str = "usage: msq <query.msq> <trace.csv> [--no-ets] [--dot] [--profile] [--trace] [--batch K] [--shards N] [--join-spill-budget B]\n       msq serve <query.msq> [--addr A] [--idle-ms MS] [--strict] [--sub-queue N] [--overflow shed|disconnect] [--no-feedback] [--io-threads N]\n       msq send <addr> <stream> <trace.csv> [--window N]\n       msq tail <addr> [--patience-ms MS]\n       msq fuzz [--seeds N] [--base B]";
 
 fn parse_args(args: &[String]) -> std::result::Result<Options, String> {
     let mut positional = Vec::new();
@@ -454,6 +452,8 @@ fn run_serve(args: &[String]) -> Result<()> {
                 );
             }
             "--ingest-shards" => {
+                // Validated and stored, but nothing reads it (see the
+                // header): the server has one ingest queue.
                 ingest_shards = Some(
                     it.next()
                         .and_then(|v| v.parse::<usize>().ok())

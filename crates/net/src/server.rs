@@ -12,17 +12,17 @@
 //! [`FrameReader`] reads once per readiness event and decodes every frame
 //! that read buffered (partial frames survive between polls); the poller
 //! validates frame order at the socket boundary and hands each step's
-//! frames to a per-shard ingest queue ([`ServerConfig::ingest_shards`]) in
-//! one lock. The pump drains whole shard batches
-//! and enters the engine **once per batch** — `{ingest*, advance clock,
-//! run-to-quiescence}` — instead of once per frame, so the engine critical
-//! section is amortized across every frame that arrived while the previous
-//! batch was running. Cumulative [`Frame::Ack`]s (one per connection per
-//! batch, carrying the final `high_water`) and per-producer error
-//! attribution are preserved: every queued item remembers its connection,
-//! so a frame the engine refuses at ingest fails exactly the connection
-//! that sent it, and only a failed run is charged to every connection
-//! with frames in the section.
+//! frames to the one bounded ingest queue in one lock. The pump drains
+//! whole batches in hand-off order and enters the engine **once per
+//! batch** — `{ingest*, advance clock, run-to-quiescence}` — instead of
+//! once per frame, so the engine critical section is amortized across
+//! every frame that arrived while the previous batch was running.
+//! Cumulative [`Frame::Ack`]s (one per connection per batch, carrying the
+//! final `high_water`) and per-producer error attribution are preserved:
+//! every queued item remembers its connection, so a frame the engine
+//! refuses at ingest fails exactly the connection that sent it, and only
+//! a failed run is charged to every connection with frames in the
+//! section.
 //!
 //! Subscribers are poller-owned connections too, and fan-out is shared:
 //! the sink encodes each output frame **once** into an `Arc<[u8]>` slab
@@ -36,9 +36,9 @@
 //! ## Backpressure and feedback punctuation
 //!
 //! A producer's unacked window (client side,
-//! [`crate::client::StreamClient`]) plus one bounded shard queue is the
+//! [`crate::client::StreamClient`]) plus the bounded ingest queue is the
 //! only buffering between the socket and the engine, besides one poller
-//! step's worth of decoded frames per connection: a shard queue takes
+//! step's worth of decoded frames per connection: the queue takes
 //! only what fits, and pollers stop reading a connection whose decoded
 //! frames are still waiting for room, so TCP flow control pushes back
 //! to the producer and the server never queues unbounded input. On top of
@@ -65,12 +65,13 @@
 //! [`ServerConfig::idle_timeout`], the pump synthesizes a source heartbeat
 //! at the server's stream time (the maximum data timestamp accepted so
 //! far), unblocking IWP operators starved by the silent source. Synthesis
-//! is driven **per ingest shard sweep**, not per connection: the pump
-//! walks each shard's ports on its poll cadence, so a thousand idle
-//! connections cost one sweep, not a thousand timers. The wire contract
-//! making that sound: a producer silent past the idle timeout forfeits
-//! timestamps at or below the synthesized mark — later data under the
-//! mark is dropped at the socket boundary (counted, and fatal under
+//! runs on **per-port deadlines** (last arrival + idle timeout), not
+//! timers or a poll tick: the pump sleeps until the earliest one, fires
+//! every due port in its next engine section and re-arms each one timeout
+//! later — at most one wakeup per silent source per timeout. The wire
+//! contract making that sound: a producer silent past the idle timeout
+//! forfeits timestamps at or below the synthesized mark — later data under
+//! the mark is dropped at the socket boundary (counted, and fatal under
 //! `MILLSTREAM_CHECK=strict`).
 
 use std::cell::Cell;
@@ -120,20 +121,17 @@ pub struct ServerConfig {
     /// Nonblocking poller threads multiplexing every producer and
     /// subscriber socket.
     pub io_threads: usize,
-    /// Ingest shard queues between the pollers and the engine pump; a
-    /// source's frames always land in the same shard, so per-port FIFO
-    /// order is preserved end to end.
+    /// Has no effect: the pollers hand frames to one ingest queue, which
+    /// the single pump drains in order. Still a field because `benchmark/`
+    /// sets it.
     pub ingest_shards: usize,
     /// Network silence on a producer connection after which the server
     /// synthesizes a source heartbeat at stream time. `None` disables
-    /// synthesis.
+    /// synthesis, and with it every pump wakeup that is not work arriving.
     pub idle_timeout: Option<Duration>,
     /// Bounded per-subscriber queue; [`ServerConfig::overflow`] decides
     /// what happens when a subscriber stalls past it.
     pub subscriber_queue: usize,
-    /// The pump's poll cadence — the rate at which it notices shutdown and
-    /// idle deadlines when no frames arrive.
-    pub read_timeout: Duration,
     /// Invariant-checking override; `None` inherits `MILLSTREAM_CHECK`.
     pub check: Option<CheckMode>,
     /// Engine-side feedback punctuation. `Some` (the default) has the
@@ -171,7 +169,6 @@ impl ServerConfig {
             ingest_shards: 4,
             idle_timeout: None,
             subscriber_queue: 1024,
-            read_timeout: Duration::from_millis(25),
             check: None,
             feedback: Some(FeedbackConfig::default()),
             overflow: OverflowPolicy::default(),
@@ -186,14 +183,11 @@ pub struct ServerStats {
     pub connections: u64,
     /// Connections currently open (producers, subscribers, handshakes).
     pub conns_active: u64,
-    /// Connections accepted over the server's lifetime (same population
-    /// as `connections`; kept distinct so the active/total pair reads as
-    /// a gauge + counter).
-    pub conns_total: u64,
     /// Frames received from producers after handshake.
     pub frames_in: u64,
-    /// Engine critical sections entered by the ingest pump; the batching
-    /// win is `frames_in / ingest_sections` frames per section.
+    /// Engine critical sections that applied producer frames; the
+    /// batching win is `frames_in / ingest_sections` frames per section.
+    /// A section that only fired idle deadlines is not counted.
     pub ingest_sections: u64,
     /// Data tuples ingested into the engine.
     pub tuples_ingested: u64,
@@ -227,7 +221,6 @@ pub struct ServerStats {
 struct StatsCell {
     connections: AtomicU64,
     conns_active: AtomicU64,
-    conns_total: AtomicU64,
     frames_in: AtomicU64,
     ingest_sections: AtomicU64,
     tuples_ingested: AtomicU64,
@@ -243,7 +236,6 @@ impl StatsCell {
         ServerStats {
             connections: self.connections.load(Ordering::SeqCst),
             conns_active: self.conns_active.load(Ordering::SeqCst),
-            conns_total: self.conns_total.load(Ordering::SeqCst),
             frames_in: self.frames_in.load(Ordering::SeqCst),
             ingest_sections: self.ingest_sections.load(Ordering::SeqCst),
             tuples_ingested: self.tuples_ingested.load(Ordering::SeqCst),
@@ -318,11 +310,12 @@ struct Port {
     punct_hw: Option<u64>,
     closed: bool,
     producers: usize,
-    /// Wall-clock instant of the last producer frame for this source.
-    last_arrival: Option<Instant>,
+    /// When the source counts as network-silent: the last frame's arrival
+    /// (or the first attach) plus the idle timeout, moved one timeout on
+    /// each time it fires. `None` without an idle timeout.
+    idle_due: Option<Instant>,
     /// Network-idleness over the server's wall-clock timeline.
     idle: IdleTracker,
-    is_idle: bool,
     ingested: u64,
     duplicates: u64,
     rejected: u64,
@@ -673,7 +666,7 @@ struct Shared {
     latency: Mutex<LatencyRecorder>,
     /// Latency recordings attempted under the engine lock (must stay 0).
     latency_violations: AtomicU64,
-    shards: ingest::ShardQueues,
+    queue: ingest::IngestQueue,
     pool: ingest::IoPool,
 }
 
@@ -754,9 +747,8 @@ impl Server {
                 punct_hw: None,
                 closed: false,
                 producers: 0,
-                last_arrival: None,
+                idle_due: None,
                 idle: IdleTracker::new(Timestamp::ZERO),
-                is_idle: false,
                 ingested: 0,
                 duplicates: 0,
                 rejected: 0,
@@ -777,7 +769,6 @@ impl Server {
             .local_addr()
             .map_err(|e| Error::runtime(format!("local_addr: {e}")))?;
         let io_threads = cfg.io_threads.max(1);
-        let ingest_shards = cfg.ingest_shards.max(1);
         let shared = Arc::new(Shared {
             cfg,
             engine: Mutex::new(engine),
@@ -790,7 +781,7 @@ impl Server {
             stats: StatsCell::default(),
             latency: Mutex::new(LatencyRecorder::new()),
             latency_violations: AtomicU64::new(0),
-            shards: ingest::ShardQueues::new(ingest_shards),
+            queue: ingest::IngestQueue::new(),
             pool: ingest::IoPool::new(io_threads),
         });
         let accept = {
@@ -831,7 +822,7 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, let producers drain their
-    /// in-flight frames, drain the shard queues, close every open source
+    /// in-flight frames, drain the ingest queue, close every open source
     /// so the final ETS (`Timestamp::MAX` punctuation) propagates, flush
     /// subscribers, and report.
     pub fn shutdown(mut self) -> Result<ServerReport> {
@@ -843,20 +834,14 @@ impl Server {
         }
         // Producers notice the flag at their next poll, drain whatever is
         // already buffered on the socket, get their final acks, and
-        // retire; then the pump drains whatever they queued.
+        // retire; the pump, awake while anything is pending, drains
+        // whatever they queued.
         let deadline = Instant::now() + Duration::from_secs(10);
         self.shared.pool.wake_all();
-        while self.shared.active_producers.load(Ordering::SeqCst) > 0 {
-            if Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        while self.shared.shards.pending() > 0 {
-            if Instant::now() > deadline {
-                break;
-            }
-            self.shared.shards.notify();
+        while (self.shared.active_producers.load(Ordering::SeqCst) > 0
+            || self.shared.queue.pending() > 0)
+            && Instant::now() <= deadline
+        {
             std::thread::sleep(Duration::from_millis(2));
         }
         // Final drain: close still-open sources and run the engine dry.
@@ -905,7 +890,7 @@ impl Server {
         }
         // Hard-stop the IO threads and collect them.
         self.shared.terminate.store(true, Ordering::SeqCst);
-        self.shared.shards.notify();
+        self.shared.queue.notify();
         self.shared.pool.wake_all();
         if let Some(h) = self.pump.take() {
             let _ = h.join();
@@ -960,8 +945,8 @@ fn reject(code: ErrorCode, error: Error) -> Reject {
 }
 
 /// Applies one producer frame under the engine lock, **without** running
-/// the graph: the pump batches `advance_clock` + `run` once per drained
-/// shard batch. `batch_max` accumulates the clock target; `need_run` is
+/// the graph: the pump batches `advance_clock` + `run` once per section.
+/// `batch_max` accumulates the clock target; `need_run` is
 /// set when the engine absorbed anything worth scheduling. Returns `true`
 /// iff a **data tuple entered the graph** (not a duplicate, a dominance
 /// reject, a heartbeat or a close) — the pump uses this to attribute

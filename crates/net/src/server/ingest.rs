@@ -1,5 +1,5 @@
-//! Nonblocking ingest front-end: accept loop, poller threads, per-shard
-//! ingest queues, and the engine pump.
+//! Nonblocking ingest front-end: accept loop, poller threads, the ingest
+//! queue, and the engine pump.
 //!
 //! ## Division of labor
 //!
@@ -10,55 +10,50 @@
 //!   however many frames it delivered; a partial frame survives in the
 //!   reader between steps. Decoded frames are validated for
 //!   per-connection seq order at the boundary and staged on the
-//!   connection, and the step hands the staged batch to the shard queue of
-//!   the connection's port in one lock. A subscriber whose outbox has
-//!   drained takes the next batch of shared output slabs from its queue
-//!   ([`step_subscriber`]).
-//! - **Shard queues** ([`ShardQueues`]) decouple socket readiness from the
-//!   engine. A port's frames always land in `port_idx % shards`, so the
-//!   per-port FIFO contract survives the split. Queues are hard-bounded: a
-//!   hand-off pushes only what fits, the rest stays staged in order, and a
-//!   connection with staged frames is not read again until they are
+//!   connection, and the step hands the staged batch to the ingest queue
+//!   in one lock. A subscriber whose outbox has drained takes the next
+//!   batch of shared output slabs from its queue ([`step_subscriber`]).
+//! - **The ingest queue** ([`IngestQueue`]) decouples socket readiness
+//!   from the engine. It is one FIFO, so frames reach the engine in
+//!   hand-off order and no port can starve another. It is hard-bounded:
+//!   a hand-off pushes only what fits, the rest stays staged in order, and
+//!   a connection with staged frames is not read again until they are
 //!   through — which turns into TCP backpressure on the producer.
-//! - **The pump** ([`pump_loop`]) is the engine thread: it drains batches
-//!   and runs each section inline on the serial executor — every frame is
-//!   applied (ingest / heartbeat / close, one executor call per frame, so
-//!   a refusal lands on the connection that sent the frame), then one
-//!   `advance_clock` to the batch's max timestamp and one
-//!   run-to-quiescence. Outcomes are routed back per connection: one
-//!   cumulative [`Frame::Ack`] (or an attributed [`Frame::Error`]) per
-//!   connection per section, pushed to the connection's outbox and
-//!   flushed by its poller.
-//!
-//! Idle-timeout heartbeat synthesis also lives on the pump: one sweep per
-//! poll tick walks each shard's ports and synthesizes marks for every
-//! network-starved source in a single engine section, instead of arming a
-//! timer per connection.
+//! - **The pump** ([`pump_loop`]) is the engine thread. It sleeps until
+//!   work arrives or a port's idle deadline (arrival + `idle_timeout`)
+//!   passes, then runs one section inline on the serial executor: every
+//!   drained frame is applied (one executor call per frame, so a refusal
+//!   lands on the connection that sent it), every due port gets its
+//!   synthesized heartbeat, then one `advance_clock` to the section's max
+//!   timestamp and one run-to-quiescence. Outcomes are routed back per
+//!   connection: one cumulative [`Frame::Ack`] (or an attributed
+//!   [`Frame::Error`]) per connection per section, pushed to the
+//!   connection's outbox and flushed by its poller.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use millstream_buffer::{punctuation_is_stale, PressureLevel};
-use millstream_types::{Result, Schema, TimeDelta, Timestamp, Tuple};
+use millstream_types::{Schema, TimeDelta, Timestamp, Tuple};
 
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
 
-use super::{pacing_window, Shared, SubQueue, HANDSHAKE_DEADLINE};
+use super::{pacing_window, Engine, Port, Shared, SubQueue, HANDSHAKE_DEADLINE};
 
 /// Frames a poller reads from one connection per step before yielding to
 /// the next connection (fairness under flood).
 const FRAMES_PER_STEP: usize = 64;
 
-/// Bound on one shard queue; a full shard stops reads from its
+/// Bound on the ingest queue; a full queue stops reads from producer
 /// connections (TCP backpressure) rather than queueing unbounded input.
-/// Each ring is allocated once at this size (672 KiB), so a shard's
-/// footprint does not depend on how deep a burst happened to get before
-/// the pump caught up.
-const SHARD_CAP: usize = 4096;
+/// The ring is allocated once at this size (672 KiB), so its footprint
+/// does not depend on how deep a burst happened to get before the pump
+/// caught up.
+const QUEUE_CAP: usize = 4096;
 
 /// Items the pump drains into one engine critical section.
 const PUMP_BATCH: usize = 1024;
@@ -90,7 +85,7 @@ pub(super) struct ConnShared {
     /// connection that already failed.
     dead: std::sync::atomic::AtomicBool,
     /// Frames decoded but not yet resolved by the pump (acked or errored):
-    /// staged on the connection or queued to a shard.
+    /// staged on the connection or in the ingest queue.
     inflight: AtomicU64,
     /// Last pressure level announced to this producer
     /// ([`PressureLevel::as_u8`]); pacing frames go out on change only.
@@ -203,9 +198,8 @@ pub(super) struct Conn {
     /// Terminal frames queued: retire once the outbox is flushed and the
     /// pump has resolved every queued item.
     closing: bool,
-    /// Shard of this connection's port (valid once `Phase::Producer`).
-    shard: usize,
-    /// Decoded frames not yet handed to the shard, in arrival order.
+    /// Decoded frames not yet handed to the ingest queue, in arrival
+    /// order.
     staged: Vec<IngestItem>,
 }
 
@@ -220,7 +214,6 @@ impl Conn {
             },
             last_seq: None,
             closing: false,
-            shard: 0,
             staged: Vec::new(),
         }
     }
@@ -235,57 +228,74 @@ pub(super) struct IngestItem {
     arrival: Instant,
 }
 
-/// Bounded per-shard queues between the pollers and the pump, plus the
-/// monotonic enqueue/process counters shutdown uses as a drain barrier.
-pub(super) struct ShardQueues {
-    qs: Vec<Mutex<VecDeque<IngestItem>>>,
+/// The bounded FIFO between the pollers and the pump, plus the monotonic
+/// enqueue/process counters shutdown uses as a drain barrier.
+pub(super) struct IngestQueue {
+    items: Mutex<VecDeque<IngestItem>>,
     queued: AtomicU64,
     processed: AtomicU64,
+    /// A producer attached while idle synthesis is on, so a port may have
+    /// a deadline the sleeping pump does not know about.
+    rearmed: AtomicBool,
     gate: Mutex<()>,
     cv: Condvar,
 }
 
-impl ShardQueues {
-    pub(super) fn new(shards: usize) -> ShardQueues {
-        ShardQueues {
-            qs: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::with_capacity(SHARD_CAP)))
-                .collect(),
+impl IngestQueue {
+    pub(super) fn new() -> IngestQueue {
+        IngestQueue {
+            items: Mutex::new(VecDeque::with_capacity(QUEUE_CAP)),
             queued: AtomicU64::new(0),
             processed: AtomicU64::new(0),
+            rearmed: AtomicBool::new(false),
             gate: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
-    fn shard_count(&self) -> usize {
-        self.qs.len()
-    }
-
-    /// Moves as many `staged` items as the shard has room for onto it, in
+    /// Moves as many `staged` items as the queue has room for onto it, in
     /// order, under one lock; the rest stay staged. Returns how many moved.
     /// The bound is hard, so the ring never grows past the capacity it was
     /// allocated with.
-    fn push(&self, shard: usize, staged: &mut Vec<IngestItem>) -> usize {
-        let mut q = self.qs[shard].lock().unwrap();
-        let fit = SHARD_CAP.saturating_sub(q.len()).min(staged.len());
+    fn push(&self, staged: &mut Vec<IngestItem>) -> usize {
+        let mut q = self.items.lock().unwrap();
+        let fit = QUEUE_CAP.saturating_sub(q.len()).min(staged.len());
         q.extend(staged.drain(..fit));
         drop(q);
         self.queued.fetch_add(fit as u64, Ordering::SeqCst);
         fit
     }
 
-    /// Wakes the pump. The gate lock pairs with [`ShardQueues::wait`]'s
-    /// pending check so a push between check and sleep cannot be missed.
+    /// Wakes the pump. The gate lock pairs with [`IngestQueue::wait`]'s
+    /// predicate check so a push (or a terminate) between check and sleep
+    /// cannot be missed.
     pub(super) fn notify(&self) {
         let _g = self.gate.lock().unwrap();
         self.cv.notify_one();
     }
 
-    fn wait(&self, timeout: Duration) {
+    /// Wakes the pump to recompute its idle deadlines.
+    fn rearm(&self) {
+        self.rearmed.store(true, Ordering::SeqCst);
+        self.notify();
+    }
+
+    /// Sleeps until work is pending, `terminate` is set, a producer
+    /// attached, or `until` passes; with no `until` the sleep is untimed.
+    fn wait(&self, terminate: &AtomicBool, until: Option<Instant>) {
         let g = self.gate.lock().unwrap();
-        if self.pending() == 0 {
-            let _ = self.cv.wait_timeout(g, timeout);
+        if self.pending() > 0
+            || terminate.load(Ordering::SeqCst)
+            || self.rearmed.swap(false, Ordering::SeqCst)
+        {
+            return;
+        }
+        match until {
+            Some(t) => {
+                let timeout = t.saturating_duration_since(Instant::now());
+                drop(self.cv.wait_timeout(g, timeout));
+            }
+            None => drop(self.cv.wait(g)),
         }
     }
 
@@ -296,44 +306,11 @@ impl ShardQueues {
             .saturating_sub(self.processed.load(Ordering::SeqCst))
     }
 
-    /// Pops up to `cap` items, visiting shards round-robin from `rotate`.
-    /// Each shard drains in FIFO order, and a port always maps to the
-    /// same shard, so per-port order is preserved.
-    ///
-    /// The first sweep takes an even quota from every shard so one deep
-    /// queue cannot monopolize a section — ports in the other shards
-    /// would get no frames processed, pinning the whole graph's frontier
-    /// (a union releases nothing until *every* input progresses). The
-    /// second sweep tops up spare capacity in rotation order.
-    ///
-    /// Appends to `out`, which the caller hands in empty.
-    fn drain(&self, cap: usize, rotate: usize, out: &mut Vec<IngestItem>) {
-        let n = self.qs.len();
-        let quota = cap.div_ceil(n);
-        for off in 0..n {
-            let mut q = self.qs[(rotate + off) % n].lock().unwrap();
-            let take = quota.min(cap - out.len());
-            for _ in 0..take {
-                match q.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-        }
-        if out.len() < cap {
-            for off in 0..n {
-                let mut q = self.qs[(rotate + off) % n].lock().unwrap();
-                while out.len() < cap {
-                    match q.pop_front() {
-                        Some(item) => out.push(item),
-                        None => break,
-                    }
-                }
-                if out.len() >= cap {
-                    break;
-                }
-            }
-        }
+    /// Pops up to `cap` items in hand-off order onto `out`.
+    fn drain(&self, cap: usize, out: &mut Vec<IngestItem>) {
+        let mut q = self.items.lock().unwrap();
+        let take = q.len().min(cap);
+        out.extend(q.drain(..take));
     }
 
     fn mark_processed(&self, n: u64) {
@@ -401,7 +378,6 @@ pub(super) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         shared.stats.connections.fetch_add(1, Ordering::SeqCst);
-        shared.stats.conns_total.fetch_add(1, Ordering::SeqCst);
         if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
             continue;
         }
@@ -473,11 +449,10 @@ fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
             let mut eng = shared.lock_engine();
             let port = &mut eng.ports[port_idx];
             port.producers -= 1;
-            if port.producers == 0 && !port.is_idle && !port.closed {
+            if port.producers == 0 && !port.closed {
                 // No producer attached: the source is network-starved from
                 // this instant (a reconnect clears it).
                 port.idle.set_idle(now_us, true);
-                port.is_idle = true;
             }
             drop(eng);
             shared.active_producers.fetch_sub(1, Ordering::SeqCst);
@@ -488,8 +463,8 @@ fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
 }
 
 fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step {
-    // Frames a producer already decoded reach its shard before anything
-    // else happens to the connection, retirement included.
+    // Frames a producer already decoded reach the ingest queue before
+    // anything else happens to the connection, retirement included.
     let handed_off = hand_off(shared, c, progressed);
     let flushed = match c.shared.flush(&mut c.stream) {
         Ok(f) => f,
@@ -513,7 +488,7 @@ fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step 
     }
     match c.phase {
         Phase::Handshake { deadline } => step_handshake(shared, c, deadline, progressed),
-        // Shard backpressure: read nothing more until the staged frames
+        // Queue backpressure: read nothing more until the staged frames
         // are through, so the producer's TCP window (not our memory)
         // absorbs the flood.
         Phase::Producer { .. } if !handed_off => Step::Keep,
@@ -523,16 +498,16 @@ fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step 
     }
 }
 
-/// Moves the connection's staged frames onto its shard queue — one lock,
-/// one notify — as far as the shard has room. Returns whether nothing is
+/// Moves the connection's staged frames onto the ingest queue — one lock,
+/// one notify — as far as the queue has room. Returns whether nothing is
 /// left staged.
 fn hand_off(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> bool {
     if c.staged.is_empty() {
         return true;
     }
-    if shared.shards.push(c.shard, &mut c.staged) > 0 {
+    if shared.queue.push(&mut c.staged) > 0 {
         *progressed = true;
-        shared.shards.notify();
+        shared.queue.notify();
     }
     c.staged.is_empty()
 }
@@ -613,7 +588,6 @@ fn step_handshake(
             Ok((port_idx, hello_ack)) => {
                 c.shared.push_frame(&hello_ack);
                 c.phase = Phase::Producer { port_idx };
-                c.shard = port_idx % shared.shards.shard_count();
                 shared.active_producers.fetch_add(1, Ordering::SeqCst);
                 Step::Keep
             }
@@ -651,26 +625,29 @@ fn attach_producer(
     let now_us = shared.now_us();
     let port = &mut eng.ports[idx];
     port.producers += 1;
-    if port.last_arrival.is_none() {
+    if port.idle_due.is_none() {
         // The silence clock starts when a producer first attaches.
-        port.last_arrival = Some(Instant::now());
+        port.idle_due = shared.cfg.idle_timeout.map(|t| Instant::now() + t);
     }
     // A (re)connecting producer is activity: the source is no longer
     // network-starved.
     port.idle.set_idle(now_us, false);
-    port.is_idle = false;
-    Ok((
-        idx,
-        Frame::HelloAck {
-            version: PROTOCOL_VERSION,
-            schema: port.schema.clone(),
-            resume_ts: port.data_hw.unwrap_or(0),
-        },
-    ))
+    let hello_ack = Frame::HelloAck {
+        version: PROTOCOL_VERSION,
+        schema: port.schema.clone(),
+        resume_ts: port.data_hw.unwrap_or(0),
+    };
+    drop(eng);
+    if shared.cfg.idle_timeout.is_some() {
+        // The pump may be asleep with no deadline for this port: one just
+        // armed, or one that lapsed while no producer was attached.
+        shared.queue.rearm();
+    }
+    Ok((idx, hello_ack))
 }
 
 /// Reads up to [`FRAMES_PER_STEP`] frames, validates their order and
-/// stages them, then hands the step's frames to the shard at once. Runs
+/// stages them, then hands the step's frames to the queue at once. Runs
 /// only with nothing staged.
 fn step_producer(
     shared: &Arc<Shared>,
@@ -880,10 +857,10 @@ struct Pump {
     awaiting_delivery: VecDeque<Instant>,
 }
 
+/// The pump wakes for two reasons only: work arrived, or the earliest
+/// idle deadline the last section returned has passed.
 pub(super) fn pump_loop(shared: &Arc<Shared>) {
-    let tick = shared.cfg.read_timeout;
-    let mut rotate = 0usize;
-    let mut last_sweep = Instant::now();
+    let mut next_due = None;
     let mut pump = Pump {
         batch: Vec::with_capacity(PUMP_BATCH),
         outcomes: Vec::new(),
@@ -895,28 +872,11 @@ pub(super) fn pump_loop(shared: &Arc<Shared>) {
         if shared.terminate.load(Ordering::SeqCst) {
             return;
         }
-        if shared.shards.pending() == 0 {
-            if shared.shutdown.load(Ordering::SeqCst)
-                && shared.active_producers.load(Ordering::SeqCst) == 0
-            {
-                return;
-            }
-            shared.shards.wait(tick);
+        if shared.queue.pending() == 0 {
+            shared.queue.wait(&shared.terminate, next_due);
         }
-        shared.shards.drain(PUMP_BATCH, rotate, &mut pump.batch);
-        rotate = rotate.wrapping_add(1);
-        if !pump.batch.is_empty() {
-            process_batch(shared, &mut pump);
-        }
-        if shared.cfg.idle_timeout.is_some() && last_sweep.elapsed() >= tick {
-            last_sweep = Instant::now();
-            let before = shared.broadcast.delivered();
-            // Synthesis failures are engine-level; they surface at the
-            // next producer section, not here.
-            let _ = synthesize_idle_sweep(shared);
-            // A synthesized heartbeat can release held tuples too.
-            record_deliveries(shared, &mut pump.awaiting_delivery, before);
-        }
+        shared.queue.drain(PUMP_BATCH, &mut pump.batch);
+        next_due = run_section(shared, &mut pump);
     }
 }
 
@@ -963,12 +923,18 @@ struct Outcome {
     items: u64,
 }
 
-/// Drains one batch through the engine in a single critical section:
-/// apply every item, advance the clock once to the batch max, run to
-/// quiescence once, then (outside the lock) record latency and push one
-/// cumulative ack — or one attributed error — per connection. Leaves every
-/// buffer of `pump` but the arrival ledger empty for the next section.
-fn process_batch(shared: &Arc<Shared>, pump: &mut Pump) {
+/// Runs one engine section in a single critical section: apply every
+/// drained item (possibly none), synthesize for every port past its idle
+/// deadline, advance the clock once to the section max, run to quiescence
+/// once; then, outside the lock, record latency and push one cumulative
+/// ack — or one attributed error — per connection. Returns the earliest
+/// idle deadline still ahead. Leaves every buffer of `pump` but the
+/// arrival ledger empty for the next section.
+///
+/// Only a section that drained items counts in `ingest_sections`, so
+/// `frames_in / ingest_sections` stays the frames per section; one woken
+/// by a deadline alone is not counted.
+fn run_section(shared: &Arc<Shared>, pump: &mut Pump) -> Option<Instant> {
     let Pump {
         batch,
         outcomes,
@@ -977,11 +943,15 @@ fn process_batch(shared: &Arc<Shared>, pump: &mut Pump) {
         awaiting_delivery,
     } = pump;
     let total = batch.len() as u64;
+    let idle_timeout = shared.cfg.idle_timeout;
     let delivered_before = shared.broadcast.delivered();
     let level;
+    let next_due;
     {
         let mut eng = shared.lock_engine();
-        shared.stats.ingest_sections.fetch_add(1, Ordering::SeqCst);
+        if total > 0 {
+            shared.stats.ingest_sections.fetch_add(1, Ordering::SeqCst);
+        }
         let now_us = shared.now_us();
         let mut batch_max = 0u64;
         let mut need_run = false;
@@ -1012,14 +982,9 @@ fn process_batch(shared: &Arc<Shared>, pump: &mut Pump) {
                 continue;
             }
             shared.stats.frames_in.fetch_add(1, Ordering::SeqCst);
-            {
-                let port = &mut eng.ports[port_idx];
-                port.last_arrival = Some(arrival);
-                if port.is_idle {
-                    port.idle.set_idle(now_us, false);
-                    port.is_idle = false;
-                }
-            }
+            let port = &mut eng.ports[port_idx];
+            port.idle_due = idle_timeout.map(|t| arrival + t);
+            port.idle.set_idle(now_us, false);
             match super::apply_item(
                 &mut eng,
                 &shared.stats,
@@ -1040,6 +1005,37 @@ fn process_batch(shared: &Arc<Shared>, pump: &mut Pump) {
                 }
             }
         }
+        // Fire every live deadline that has passed: the source is marked
+        // network-starved, gets a heartbeat at stream time if that asserts
+        // something new for it, and is re-armed one timeout later either
+        // way — so a silent port costs at most one synthesis per timeout,
+        // and one whose mark would be stale cannot spin the pump.
+        let (now, target, stats) = (Instant::now(), eng.max_ts, &shared.stats);
+        let Engine { exec, ports, .. } = &mut *eng;
+        let live = |p: &&mut Port| !p.closed && p.producers > 0;
+        for port in ports.iter_mut().filter(live) {
+            match (port.idle_due, idle_timeout) {
+                (Some(due), Some(timeout)) if due <= now => port.idle_due = Some(now + timeout),
+                _ => continue,
+            }
+            port.idle.set_idle(now_us, true);
+            let fresh = target > 0 && !punctuation_is_stale(target, port.data_hw, port.punct_hw);
+            let mark = Timestamp::from_micros(target);
+            // A failed synthesis is the engine's, not the silent
+            // producer's: the port just waits for its next deadline.
+            if fresh && exec.ingest_heartbeat(port.source, mark).is_ok() {
+                port.punct_hw = Some(target);
+                port.synthesized += 1;
+                stats.synthesized_heartbeats.fetch_add(1, Ordering::SeqCst);
+                batch_max = batch_max.max(target);
+                need_run = true;
+            }
+        }
+        next_due = ports
+            .iter_mut()
+            .filter(live)
+            .filter_map(|p| p.idle_due)
+            .min();
         if need_run {
             eng.advance_clock(batch_max);
             if let Err(e) = eng.run() {
@@ -1097,74 +1093,13 @@ fn process_batch(shared: &Arc<Shared>, pump: &mut Pump) {
         out.conn.inflight.fetch_sub(out.items, Ordering::SeqCst);
         wake[out.conn.poller] = true;
     }
-    shared.shards.mark_processed(total);
+    shared.queue.mark_processed(total);
     for (idx, w) in wake.iter_mut().enumerate() {
         if std::mem::take(w) {
             shared.pool.wake(idx);
         }
     }
-}
-
-/// One idle sweep over every shard's ports: any source with an attached
-/// but silent producer past the idle timeout gets a heartbeat synthesized
-/// at server stream time — all starved sources share a single engine
-/// section per sweep (per-shard synthesis, not per-connection timers).
-fn synthesize_idle_sweep(shared: &Arc<Shared>) -> Result<()> {
-    let Some(idle_timeout) = shared.cfg.idle_timeout else {
-        return Ok(());
-    };
-    let now_us = shared.now_us();
-    let shards = shared.shards.shard_count();
-    let mut eng = shared.lock_engine();
-    let mut batch_max = 0u64;
-    let mut synthesized_any = false;
-    for shard in 0..shards {
-        let mut idx = shard;
-        while idx < eng.ports.len() {
-            let port = &eng.ports[idx];
-            if port.closed || port.producers == 0 {
-                idx += shards;
-                continue;
-            }
-            let silent_for = port
-                .last_arrival
-                .map(|t| t.elapsed())
-                .unwrap_or(Duration::ZERO);
-            if silent_for < idle_timeout {
-                idx += shards;
-                continue;
-            }
-            if !eng.ports[idx].is_idle {
-                eng.ports[idx].idle.set_idle(now_us, true);
-                eng.ports[idx].is_idle = true;
-            }
-            // Synthesize at stream time, but only if that actually
-            // asserts something new for this source.
-            let target = eng.max_ts;
-            let port = &eng.ports[idx];
-            if target == 0 || punctuation_is_stale(target, port.data_hw, port.punct_hw) {
-                idx += shards;
-                continue;
-            }
-            let source = port.source;
-            eng.exec
-                .ingest_heartbeat(source, Timestamp::from_micros(target))?;
-            eng.ports[idx].punct_hw = Some(target);
-            eng.ports[idx].synthesized += 1;
-            shared
-                .stats
-                .synthesized_heartbeats
-                .fetch_add(1, Ordering::SeqCst);
-            batch_max = batch_max.max(target);
-            synthesized_any = true;
-            idx += shards;
-        }
-    }
-    if synthesized_any {
-        eng.advance_clock(batch_max);
-        eng.run()?;
-    }
-    Ok(())
+    next_due
 }
 
 #[cfg(test)]
@@ -1203,38 +1138,49 @@ mod tests {
         items.iter().map(|it| it.seq).collect()
     }
 
-    /// A batched hand-off pushes only what fits: the shard stops at
-    /// `SHARD_CAP` without its ring reallocating, and the rest stays
-    /// staged, in order, for the next push.
+    /// A batched hand-off pushes only what fits: the queue stops at
+    /// `QUEUE_CAP` without its ring reallocating, and the rest stays
+    /// staged, in order, for the next push. Staged items from two
+    /// connections, handed off alternately, drain in hand-off order.
     #[test]
     fn batched_hand_off_keeps_the_shard_bound_hard() {
-        let shards = ShardQueues::new(1);
-        let ring_capacity = shards.qs[0].lock().unwrap().capacity();
+        let queue = IngestQueue::new();
+        let ring_capacity = queue.items.lock().unwrap().capacity();
         let conn = ConnShared::new(0);
-        let mut filler = staged(&conn, 0..(SHARD_CAP - 30) as u64);
-        assert_eq!(shards.push(0, &mut filler), SHARD_CAP - 30);
+        let mut filler = staged(&conn, 0..(QUEUE_CAP - 30) as u64);
+        assert_eq!(queue.push(&mut filler), QUEUE_CAP - 30);
 
         let mut batch = staged(&conn, 10_000..10_100);
-        assert_eq!(shards.push(0, &mut batch), 30);
-        assert_eq!(shards.qs[0].lock().unwrap().len(), SHARD_CAP);
-        assert_eq!(shards.qs[0].lock().unwrap().capacity(), ring_capacity);
-        assert_eq!(shards.pending(), SHARD_CAP as u64);
+        assert_eq!(queue.push(&mut batch), 30);
+        assert_eq!(queue.items.lock().unwrap().len(), QUEUE_CAP);
+        assert_eq!(queue.items.lock().unwrap().capacity(), ring_capacity);
+        assert_eq!(queue.pending(), QUEUE_CAP as u64);
         assert_eq!(seqs(&batch), (10_030..10_100).collect::<Vec<_>>());
-        assert_eq!(shards.push(0, &mut batch), 0, "a full shard takes nothing");
+        assert_eq!(queue.push(&mut batch), 0, "a full queue takes nothing");
 
         let mut out = Vec::new();
-        shards.drain(SHARD_CAP, 0, &mut out);
-        assert_eq!(out.len(), SHARD_CAP);
+        queue.drain(QUEUE_CAP, &mut out);
+        assert_eq!(out.len(), QUEUE_CAP);
         assert_eq!(
-            seqs(&out[SHARD_CAP - 30..]),
+            seqs(&out[QUEUE_CAP - 30..]),
             (10_000..10_030).collect::<Vec<_>>()
         );
-        shards.mark_processed(out.len() as u64);
+        queue.mark_processed(out.len() as u64);
 
-        assert_eq!(shards.push(0, &mut batch), 70);
+        assert_eq!(queue.push(&mut batch), 70);
         assert!(batch.is_empty());
         out.clear();
-        shards.drain(PUMP_BATCH, 0, &mut out);
+        queue.drain(PUMP_BATCH, &mut out);
         assert_eq!(seqs(&out), (10_030..10_100).collect::<Vec<_>>());
+        queue.mark_processed(out.len() as u64);
+
+        let other = ConnShared::new(1);
+        for round in [1..3, 3..4] {
+            queue.push(&mut staged(&conn, round.clone()));
+            queue.push(&mut staged(&other, round.start + 100..round.end + 100));
+        }
+        out.clear();
+        queue.drain(PUMP_BATCH, &mut out);
+        assert_eq!(seqs(&out), vec![1, 2, 101, 102, 3, 103]);
     }
 }

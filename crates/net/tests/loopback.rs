@@ -1,9 +1,10 @@
 //! Loopback integration tests for the wire protocol: real sockets, the
 //! `msq serve` engine host, and the `msq send` client machinery.
 
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use millstream_buffer::CheckMode;
 use millstream_net::{
@@ -124,26 +125,29 @@ fn producers_and_subscriber_roundtrip() {
     assert_eq!(by_stream, vec![("a", 4), ("b", 3)]);
 }
 
+/// A silent producer's idle deadline synthesizes the heartbeat that
+/// unblocks the union. `a` closes first, so no live port has a deadline
+/// and the pump sleeps untimed: `b` attaching must wake it.
 #[test]
 fn idle_timeout_synthesizes_heartbeat_that_unblocks_the_union() {
     let mut cfg = ServerConfig::new(UNION_PROGRAM);
-    cfg.idle_timeout = Some(Duration::from_millis(60));
-    cfg.read_timeout = Duration::from_millis(10);
+    cfg.idle_timeout = Some(Duration::from_millis(50));
     cfg.check = Some(CheckMode::Strict);
     let server = Server::start(cfg).expect("server");
     let addr = server.addr();
 
     let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
-    // `b` attaches and goes silent; `a` produces. Without heartbeat
-    // synthesis the union would hold every `a` tuple forever.
-    let _silent = client(addr, "b");
     let mut a = client(addr, "a");
     for ts in [10u64, 20, 30] {
         a.send(data(ts)).expect("send");
     }
-    // The subscriber sees all three tuples *without* `b` sending a byte
-    // and without either source closing: only the synthesized heartbeat
-    // can have released them.
+    a.close().expect("flush and close a");
+    std::thread::sleep(Duration::from_millis(200));
+    // `b` attaches and goes silent. Without heartbeat synthesis the union
+    // would hold every `a` tuple forever: the subscriber sees all three
+    // *without* `b` sending a byte, so only the synthesized heartbeat can
+    // have released them.
+    let _silent = client(addr, "b");
     let mut got = Vec::new();
     for _ in 0..3 {
         let t = sub
@@ -161,14 +165,10 @@ fn idle_timeout_synthesizes_heartbeat_that_unblocks_the_union() {
     );
     assert_eq!(stats.tuples_ingested, 3);
 
-    drop(a);
     let report = server.shutdown().expect("shutdown");
-    assert!(report
-        .ports
-        .iter()
-        .any(|p| p.stream == "b" && p.synthesized >= 1));
-    // The silent source was network-starved for most of the run.
     let b_port = report.ports.iter().find(|p| p.stream == "b").unwrap();
+    assert!(b_port.synthesized >= 1, "{b_port:?}");
+    // The silent source was marked network-starved.
     assert!(
         b_port.idle.idle_fraction > 0.0,
         "silent producer marked idle: {:?}",
@@ -183,7 +183,6 @@ fn idle_timeout_synthesizes_heartbeat_that_unblocks_the_union() {
 fn no_heartbeat_and_no_idle_synthesis_holds_the_union() {
     let mut cfg = ServerConfig::new(UNION_PROGRAM);
     cfg.idle_timeout = None;
-    cfg.read_timeout = Duration::from_millis(10);
     cfg.check = Some(CheckMode::Strict);
     let server = Server::start(cfg).expect("server");
     let addr = server.addr();
@@ -221,7 +220,6 @@ fn no_heartbeat_and_no_idle_synthesis_holds_the_union() {
 fn late_data_under_synthesized_mark_is_fatal_in_strict_mode() {
     let mut cfg = ServerConfig::new(UNION_PROGRAM);
     cfg.idle_timeout = Some(Duration::from_millis(40));
-    cfg.read_timeout = Duration::from_millis(10);
     cfg.check = Some(CheckMode::Strict);
     let server = Server::start(cfg).expect("server");
     let addr = server.addr();
@@ -253,6 +251,71 @@ fn late_data_under_synthesized_mark_is_fatal_in_strict_mode() {
     let report = server.shutdown().expect("shutdown");
     assert!(report.wire_sentinel_violations >= 1);
     assert_eq!(report.stats.tuples_ingested, 1, "late tuple never ingested");
+}
+
+/// Voluntary context switches of each live `msq-pump` thread in this
+/// process, by thread id (empty off Linux).
+fn pump_switches() -> HashMap<String, u64> {
+    let tasks = std::fs::read_dir("/proc/self/task").into_iter().flatten();
+    let read = |t: &std::fs::DirEntry, f| std::fs::read_to_string(t.path().join(f)).ok();
+    tasks
+        .flatten()
+        .filter(|t| read(t, "comm").is_some_and(|c| c.trim() == "msq-pump"))
+        .filter_map(|t| {
+            let status = read(&t, "status")?;
+            let (_, rest) = status.split_once("\nvoluntary_ctxt_switches:")?;
+            let n = rest.split_whitespace().next()?.parse().ok()?;
+            Some((t.file_name().into_string().ok()?, n))
+        })
+        .collect()
+}
+
+/// Idle deadlines fire, at most once per timeout, and a port whose mark
+/// would be stale does not spin the pump.
+#[test]
+fn idle_deadlines_fire_once_per_timeout_and_never_spin() {
+    let mut cfg = ServerConfig::new(UNION_PROGRAM);
+    cfg.idle_timeout = Some(Duration::from_millis(20));
+    cfg.check = Some(CheckMode::Strict);
+    // Other tests run servers in this process too: ours is the pump thread
+    // that is new since the start (it names itself once it runs).
+    let before = pump_switches();
+    let server = Server::start(cfg).expect("server");
+    let linux = cfg!(target_os = "linux");
+    let named_by = Instant::now() + Duration::from_secs(2);
+    let is_new = |t: &String| !before.contains_key(t);
+    let mut ours = Vec::new();
+    while ours.is_empty() && linux && Instant::now() < named_by {
+        ours = pump_switches().into_keys().filter(is_new).collect();
+    }
+    assert!(!ours.is_empty() || !linux, "pump thread not found");
+
+    // `a` sends every 2 ms for 400 ms while `b` stays silent.
+    let (_silent, mut a) = (client(server.addr(), "b"), client(server.addr(), "a"));
+    let (start, mut ts) = (Instant::now(), 0);
+    while start.elapsed() < Duration::from_millis(400) {
+        ts += 1_000;
+        a.send(data(ts)).expect("send");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    a.flush().expect("flush");
+    // Every producer is silent now: each port has at most one fresh mark
+    // left, and after that every deadline finds a stale one.
+    let quiet = pump_switches();
+    std::thread::sleep(Duration::from_millis(200));
+    // Two candidates mean another test started a server in the same
+    // instant, and which pump is ours is unknowable: skip the check.
+    if let [tid] = ours.as_slice() {
+        let woke = pump_switches()[tid] - quiet[tid];
+        assert!(woke <= 25, "a silent pump switched {woke} times in 200 ms");
+    }
+
+    // Ports report in DDL order: `b` is the second.
+    let synthesized = server.shutdown().expect("shutdown").ports[1].synthesized;
+    assert!(
+        (2..=400 / 20 + 2).contains(&synthesized),
+        "b synthesized {synthesized} times in 400 ms at a 20 ms timeout"
+    );
 }
 
 #[test]
@@ -384,7 +447,7 @@ fn connection_counters_track_reaped_connections() {
     loop {
         let stats = server.stats();
         if stats.conns_active == 1 {
-            assert!(stats.conns_total >= 9, "churn counted: {stats:?}");
+            assert!(stats.connections >= 9, "churn counted: {stats:?}");
             break;
         }
         assert!(

@@ -220,7 +220,6 @@ fn fan_in_soak_matches_oracle_and_batches_ingest() {
     let mut cfg = ServerConfig::new(program(FAN_IN_STREAMS));
     cfg.check = Some(CheckMode::Strict);
     cfg.io_threads = 4;
-    cfg.ingest_shards = 8;
     // The byte-compare needs zero shedding: queue every output.
     cfg.subscriber_queue = total + 64;
     // Pacing would throttle the flood nondeterministically; the feedback
