@@ -12,10 +12,6 @@
 //!   (the Fig. 8 "peak total queue size" metric).
 //! * [`OrderSentinel`] / [`SentinelStats`] / [`CheckMode`] — the opt-in
 //!   runtime ordering-contract checks (`MILLSTREAM_CHECK={off,counters,strict}`).
-//! * [`PressureLevel`] / [`Watermarks`] / [`FeedbackRegisters`] —
-//!   feedback punctuation flowing against the data
-//!   direction (queue-pressure levels, upstream pacing and declared
-//!   shedding).
 //! * [`FrontierTable`] — per-worker frontier summaries for intra-component
 //!   data parallelism (the sharded generalization of per-source ETS/TSM
 //!   registers).
@@ -23,14 +19,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod feedback;
 mod fifo;
 mod frontier;
 mod occupancy;
 mod sentinel;
 mod tsm;
 
-pub use feedback::{FeedbackRegisters, PressureLevel, Watermarks};
 pub use fifo::{punctuation_is_stale, Buffer, OrderPolicy, PunctuationPolicy};
 pub use frontier::FrontierTable;
 pub use occupancy::OccupancyTracker;

@@ -56,8 +56,8 @@
 //!                   cumulative drop-notice feedback frames) or
 //!                   `disconnect` (cut it off — after a drop notice, the
 //!                   final punctuation mark and a structured error)
-//!   --no-feedback   disable feedback punctuation entirely (no producer
-//!                   pacing frames, no engine pressure registers)
+//!   --no-feedback   disable producer pacing (no pacing frames; subscriber
+//!                   drop notices still flow)
 //!   --io-threads N  nonblocking poller threads multiplexing producer and
 //!                   subscriber sockets (default 2; each poller owns a
 //!                   slice of the connections, no thread-per-connection)
@@ -530,13 +530,8 @@ fn run_serve(args: &[String]) -> Result<()> {
     if s.feedback_frames > 0 || s.sub_shed > 0 || s.subscriber_overflows > 0 {
         eprintln!(
             "# feedback: {} pacing frame(s) to producers; {} tuple(s) shed from subscriber \
-             queues (declared), {} engine-shed, {} overflow disconnect(s); peak subscriber \
-             queue {}",
-            s.feedback_frames,
-            s.sub_shed,
-            report.exec.shed_tuples,
-            s.subscriber_overflows,
-            report.sub_peak_queue,
+             queues (declared), {} overflow disconnect(s); peak subscriber queue {}",
+            s.feedback_frames, s.sub_shed, s.subscriber_overflows, report.sub_peak_queue,
         );
     }
     for p in &report.ports {

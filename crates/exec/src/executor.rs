@@ -131,10 +131,8 @@ pub struct ExecStats {
     /// order regressions, punctuation-dominance, TSM-consistency and
     /// clock-monotonicity violations.
     pub invariant_violations: u64,
-    /// Data tuples shed at ingest under critical feedback pressure with
-    /// shedding enabled — *declared* load shedding, never silent: every
-    /// missing tuple is accounted here and in the per-source
-    /// `SourceState::shed_tuples`.
+    /// Always 0: the executor never sheds. Still a field because
+    /// `benchmark/` reads it.
     pub shed_tuples: u64,
     /// Largest per-operator join/window state (in tuples) observed at any
     /// single operator instance — the punctuation-purge boundedness signal
@@ -206,46 +204,6 @@ impl Default for ExecOptions {
     }
 }
 
-/// Feedback-punctuation configuration: pressure signals flowing against
-/// the data direction (Fernández-Moctezuma & Tufte; ROADMAP item 4).
-///
-/// At every quiescent point the executor classifies each operator's input
-/// occupancy against [`Watermarks`], propagates the maximum level
-/// *upstream* (reverse-topologically, the direction ordinary punctuation
-/// never travels), and publishes per-source levels in lock-free
-/// [`millstream_buffer::FeedbackRegisters`] for external pacing (the
-/// network server reads them to throttle producers).
-///
-/// Shedding defaults **off**, so a feedback-enabled executor without it is
-/// *output-equivalent* to a feedback-free one — signaling alone must never
-/// change results (`advisory_feedback_is_output_invariant` pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FeedbackConfig {
-    /// Occupancy thresholds classifying queue pressure.
-    pub watermarks: millstream_buffer::Watermarks,
-    /// Declared load shedding: at `Critical` source pressure, `ingest`
-    /// drops the data tuple and counts it ([`ExecStats::shed_tuples`],
-    /// `SourceState::shed_tuples`) instead of enqueueing. Never silent,
-    /// never applied to punctuation.
-    pub shed: bool,
-}
-
-impl FeedbackConfig {
-    /// Feedback with the given watermarks; shedding off.
-    pub fn new(watermarks: millstream_buffer::Watermarks) -> Self {
-        FeedbackConfig {
-            watermarks,
-            shed: false,
-        }
-    }
-
-    /// Enables declared load shedding at critical pressure (builder style).
-    pub fn with_shed(mut self, on: bool) -> Self {
-        self.shed = on;
-        self
-    }
-}
-
 /// The depth-first NOS executor over one query graph.
 pub struct Executor {
     graph: QueryGraph,
@@ -274,12 +232,6 @@ pub struct Executor {
     /// scheduling loop never allocates: the depth-first stack over
     /// predecessor chains.
     bt_stack: Vec<Pred>,
-    /// Feedback-punctuation channel (None = no feedback propagation).
-    feedback: Option<FeedbackConfig>,
-    /// Reverse-topological propagation scratch, reused across rounds.
-    pressure_scratch: Vec<u8>,
-    /// Published per-source pressure levels (shared with external pacers).
-    feedback_regs: Arc<millstream_buffer::FeedbackRegisters>,
 }
 
 impl Executor {
@@ -305,7 +257,6 @@ impl Executor {
             graph.set_check_mode(check, &sentinel_stats);
         }
         let last_clock = clock.now();
-        let num_sources = graph.sources.len();
         Executor {
             graph,
             clock,
@@ -324,9 +275,6 @@ impl Executor {
             trace: None,
             trace_capacity: 0,
             bt_stack: Vec::new(),
-            feedback: None,
-            pressure_scratch: Vec::new(),
-            feedback_regs: millstream_buffer::FeedbackRegisters::shared(num_sources),
         }
     }
 
@@ -336,27 +284,6 @@ impl Executor {
         self.check = mode;
         self.graph.set_check_mode(mode, &self.sentinel_stats);
         self
-    }
-
-    /// Enables the feedback-punctuation channel (builder style): pressure
-    /// levels are propagated upstream at every quiescent point and
-    /// published per source; see [`FeedbackConfig`].
-    pub fn with_feedback(mut self, cfg: FeedbackConfig) -> Self {
-        self.feedback = Some(cfg);
-        self
-    }
-
-    /// The published per-source pressure registers. All-`Normal` unless
-    /// feedback is enabled. Cheap to clone and safe to read from other
-    /// threads (relaxed atomics).
-    pub fn feedback_registers(&self) -> &Arc<millstream_buffer::FeedbackRegisters> {
-        &self.feedback_regs
-    }
-
-    /// The current pressure level of a source (its own buffer occupancy
-    /// maxed with everything downstream of its consumer).
-    pub fn source_pressure(&self, source: SourceId) -> millstream_buffer::PressureLevel {
-        self.feedback_regs.get(source.0)
     }
 
     /// The shared sentinel counters (all zero when checking is off).
@@ -513,21 +440,6 @@ impl Executor {
     /// activation.
     pub fn ingest(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
         {
-            // Declared load shedding: at critical pressure (as of the last
-            // feedback round) a data tuple is dropped *and counted* instead
-            // of deepening the queues. Only data is ever shed — punctuation
-            // and heartbeats always pass — so the ordering and
-            // punctuation-dominance contracts are untouched.
-            if self
-                .feedback
-                .is_some_and(|cfg| cfg.shed && !tuple.is_punctuation())
-                && self.feedback_regs.get(source.0) == millstream_buffer::PressureLevel::Critical
-                && !self.graph.sources[source.0].closed
-            {
-                self.graph.sources[source.0].shed_tuples += 1;
-                self.stats.shed_tuples += 1;
-                return Ok(());
-            }
             let s = &mut self.graph.sources[source.0];
             // A punctuation tuple slipping through here would bypass the
             // heartbeat high-water accounting below and corrupt ETS state
@@ -567,19 +479,8 @@ impl Executor {
     /// per tuple: same structural punctuation rejection, same per-source
     /// bookkeeping, same budget re-arm; the buffer receives the run via
     /// its pooled [`Buffer::push_batch`] path.
-    ///
-    /// Load shedding inspects per-tuple state, so under critical feedback
-    /// pressure the batch degrades to the per-tuple path.
     pub fn ingest_batch(&mut self, source: SourceId, tuples: Vec<Tuple>) -> Result<()> {
         if tuples.is_empty() {
-            return Ok(());
-        }
-        if self.feedback.is_some_and(|cfg| cfg.shed)
-            && self.feedback_regs.get(source.0) == millstream_buffer::PressureLevel::Critical
-        {
-            for t in tuples {
-                self.ingest(source, t)?;
-            }
             return Ok(());
         }
         {
@@ -884,56 +785,7 @@ impl Executor {
                 _ => taken += 1,
             }
         }
-        self.propagate_feedback();
         Ok(taken)
-    }
-
-    /// One feedback-punctuation round (no-op unless
-    /// [`Executor::with_feedback`] was configured): classifies every
-    /// operator's input occupancy, propagates the maximum level upstream
-    /// against the data direction (node ids are topological, so one
-    /// reverse pass suffices), and publishes per-source levels. Runs
-    /// automatically at the end of [`Executor::run_until_quiescent`];
-    /// drivers stepping manually may call it at their own cadence.
-    pub fn propagate_feedback(&mut self) {
-        let Some(cfg) = self.feedback else {
-            return;
-        };
-        let mut scratch = std::mem::take(&mut self.pressure_scratch);
-        let n = self.graph.ops.len();
-        scratch.clear();
-        scratch.resize(n, 0);
-        {
-            let QueryGraph {
-                ops,
-                buffers,
-                sources,
-                ..
-            } = &self.graph;
-            for i in (0..n).rev() {
-                let own: usize = ops[i]
-                    .inputs
-                    .iter()
-                    .map(|b| buffers[b.0].borrow().len())
-                    .sum();
-                let mut level = cfg.watermarks.classify(own);
-                for succ in &ops[i].succs {
-                    level = level.max(millstream_buffer::PressureLevel::from_u8(scratch[succ.0]));
-                }
-                scratch[i] = level.as_u8();
-            }
-            for (s, state) in sources.iter().enumerate() {
-                let occ = buffers[state.buffer.0].borrow().len();
-                let level =
-                    cfg.watermarks
-                        .classify(occ)
-                        .max(millstream_buffer::PressureLevel::from_u8(
-                            scratch[state.consumer.0],
-                        ));
-                self.feedback_regs.set(s, level);
-            }
-        }
-        self.pressure_scratch = scratch;
     }
 
     /// The continuation step (Fig. 3 step 2): where the policy goes after

@@ -185,9 +185,6 @@ pub struct SourceState {
     pub ets_generated: u64,
     /// Lifetime count of data tuples ingested here.
     pub ingested: u64,
-    /// Data tuples shed at this source under critical feedback pressure
-    /// (declared load shedding — see `FeedbackConfig::shed`).
-    pub shed_tuples: u64,
     /// Whether end-of-stream was declared (see `Executor::close_source`).
     pub closed: bool,
 }
@@ -270,6 +267,21 @@ impl QueryGraph {
     /// Total tuples currently queued in all buffers.
     pub fn total_queued(&self) -> usize {
         self.tracker.total()
+    }
+
+    /// The largest summed input-buffer length of any one operator — the
+    /// deepest backlog waiting in front of a single node (0 when idle).
+    pub fn max_input_backlog(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|n| {
+                n.inputs
+                    .iter()
+                    .map(|b| self.buffers[b.0].borrow().len())
+                    .sum()
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Attaches (mode enabled) or clears (mode off) an ordering-contract
@@ -951,7 +963,6 @@ impl GraphBuilder {
                 serves_ets: serves_ets[i],
                 ets_generated: 0,
                 ingested: 0,
-                shed_tuples: 0,
                 closed: false,
             })
             .collect();

@@ -31,15 +31,11 @@ mod strategy;
 pub use clock::{CostModel, VirtualClock};
 pub use engine::Engine;
 pub use exchange::{ShardOutput, ShardedConfig, ShardedExecutor, ShardedSnapshot, MAX_SHARDS};
-pub use executor::{
-    Activity, ExecOptions, ExecStats, Executor, FeedbackConfig, OpProfile, SchedPolicy,
-};
+pub use executor::{Activity, ExecOptions, ExecStats, Executor, OpProfile, SchedPolicy};
 pub use graph::{
     route_shard, BufferId, ComponentGraph, ComponentPartition, GraphBuilder, Input, NodeId, Pred,
     QueryGraph, ShardKey, SourceId, SourceState, SHARD_HASH_SEED,
 };
-pub use millstream_buffer::{
-    CheckMode, FeedbackRegisters, PressureLevel, SentinelStats, Watermarks,
-};
+pub use millstream_buffer::{CheckMode, SentinelStats};
 pub use parallel::{ParallelConfig, ParallelExecutor, ParallelSnapshot};
 pub use strategy::{frontier_advance, EtsPolicy};

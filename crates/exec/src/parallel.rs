@@ -41,13 +41,11 @@ use std::thread::JoinHandle;
 
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
-use std::sync::Arc;
-
-use millstream_buffer::{CheckMode, FeedbackRegisters, OccupancyTracker, PressureLevel};
+use millstream_buffer::CheckMode;
 use millstream_types::{Error, Result, Timestamp, Tuple};
 
 use crate::clock::{CostModel, VirtualClock};
-use crate::executor::{ExecOptions, ExecStats, Executor, FeedbackConfig, OpProfile, SchedPolicy};
+use crate::executor::{ExecOptions, ExecStats, Executor, OpProfile, SchedPolicy};
 use crate::graph::{ComponentGraph, NodeId, QueryGraph, SourceId};
 use crate::strategy::EtsPolicy;
 
@@ -70,9 +68,6 @@ pub struct ParallelConfig {
     /// Invariant-checking override for every component executor. `None`
     /// (default) inherits the `MILLSTREAM_CHECK` environment variable.
     pub check: Option<CheckMode>,
-    /// Feedback-punctuation configuration applied to every component
-    /// executor. `None` (default) disables pressure signalling entirely.
-    pub feedback: Option<FeedbackConfig>,
 }
 
 impl ParallelConfig {
@@ -85,7 +80,6 @@ impl ParallelConfig {
             opts: ExecOptions::default(),
             workers,
             check: None,
-            feedback: None,
         }
     }
 
@@ -105,13 +99,6 @@ impl ParallelConfig {
     /// Sets the Encore batch size (builder style).
     pub fn with_encore_batch(mut self, encore_batch: usize) -> Self {
         self.opts.encore_batch = encore_batch.max(1);
-        self
-    }
-
-    /// Enables feedback punctuation on every component executor
-    /// (builder style).
-    pub fn with_feedback(mut self, feedback: FeedbackConfig) -> Self {
-        self.feedback = Some(feedback);
         self
     }
 }
@@ -224,9 +211,8 @@ struct CompSnapshot {
     comp: usize,
     stats: ExecStats,
     profile: Vec<OpProfile>,
-    /// Per local source: (on-demand ETS generated, data tuples ingested,
-    /// tuples shed by feedback-declared load shedding).
-    sources: Vec<(u64, u64, u64)>,
+    /// Per local source: (on-demand ETS generated, data tuples ingested).
+    sources: Vec<(u64, u64)>,
     clock: Timestamp,
     total_queued: usize,
 }
@@ -337,7 +323,7 @@ fn worker_loop(rx: Receiver<Cmd>, mut slots: Vec<Slot>) {
                             .source_ids()
                             .map(|s| {
                                 let st = slot.exec.graph().source(s);
-                                (st.ets_generated, st.ingested, st.shed_tuples)
+                                (st.ets_generated, st.ingested)
                             })
                             .collect(),
                         clock: slot.exec.clock().now(),
@@ -372,9 +358,6 @@ pub struct ParallelSnapshot {
     pub ets_per_source: Vec<u64>,
     /// Per **global** source: data tuples ingested.
     pub ingested_per_source: Vec<u64>,
-    /// Per **global** source: tuples shed by feedback-declared load
-    /// shedding (zero everywhere unless [`FeedbackConfig::shed`] is on).
-    pub shed_per_source: Vec<u64>,
     /// Each component's virtual clock reading. Components run on private
     /// clocks, so there is one reading per component, not a global "now".
     pub component_clocks: Vec<Timestamp>,
@@ -406,12 +389,6 @@ pub struct ParallelExecutor {
     comp_nodes: Vec<Vec<NodeId>>,
     /// Component → local→global source ids.
     comp_sources: Vec<Vec<SourceId>>,
-    /// Component → its executor's occupancy tracker (atomic; readable
-    /// without a barrier while the worker owns the executor).
-    comp_trackers: Vec<Arc<OccupancyTracker>>,
-    /// Component → its executor's feedback registers (atomic; readable
-    /// without a barrier). Sized by the component's local source count.
-    comp_feedback: Vec<Arc<FeedbackRegisters>>,
     num_ops: usize,
     num_sources: usize,
 }
@@ -430,8 +407,6 @@ impl ParallelExecutor {
         let mut comp_nodes = Vec::with_capacity(count);
         let mut comp_sources = Vec::with_capacity(count);
         let mut comp_worker = Vec::with_capacity(count);
-        let mut comp_trackers = Vec::with_capacity(count);
-        let mut comp_feedback = Vec::with_capacity(count);
         // Round-robin multiplexing: component c runs on worker c % workers.
         let mut slots_of: Vec<Vec<Slot>> = (0..workers).map(|_| Vec::new()).collect();
         for (c, part) in partition.components.into_iter().enumerate() {
@@ -447,11 +422,6 @@ impl ParallelExecutor {
             if let Some(mode) = config.check {
                 exec = exec.with_check_mode(mode);
             }
-            if let Some(fb) = config.feedback {
-                exec = exec.with_feedback(fb);
-            }
-            comp_trackers.push(exec.graph().tracker().clone());
-            comp_feedback.push(exec.feedback_registers().clone());
             comp_worker.push(c % workers);
             slots_of[c % workers].push(Slot { comp: c, exec });
             comp_nodes.push(nodes);
@@ -468,8 +438,6 @@ impl ParallelExecutor {
             comp_worker,
             comp_nodes,
             comp_sources,
-            comp_trackers,
-            comp_feedback,
             num_ops,
             num_sources,
         }
@@ -671,33 +639,6 @@ impl ParallelExecutor {
         self.run_until_quiescent(0).map(|_| ())
     }
 
-    /// Tuples currently queued across every component, read lock-free from
-    /// the atomic occupancy trackers — no worker barrier. The reading is a
-    /// racy-but-consistent sum: each component's contribution is exact at
-    /// the instant it is read.
-    pub fn queued_total(&self) -> usize {
-        self.comp_trackers.iter().map(|t| t.total()).sum()
-    }
-
-    /// The most recent feedback-pressure level published for a **global**
-    /// source, read lock-free from the owning component's registers.
-    /// Always [`PressureLevel::Normal`] when feedback is disabled.
-    pub fn source_pressure(&self, source: SourceId) -> PressureLevel {
-        let (comp, local) = self.source_route[source.0];
-        self.comp_feedback[comp].get(local.0)
-    }
-
-    /// The maximum feedback-pressure level across every source of every
-    /// component — the engine-wide signal a server translates into
-    /// producer pacing.
-    pub fn max_pressure(&self) -> PressureLevel {
-        self.comp_feedback
-            .iter()
-            .map(|r| r.max_level())
-            .max()
-            .unwrap_or(PressureLevel::Normal)
-    }
-
     /// Collects and merges a state snapshot from every component.
     pub fn snapshot(&self) -> Result<ParallelSnapshot> {
         self.flush_pending()?;
@@ -713,7 +654,6 @@ impl ParallelExecutor {
         let mut profile: Vec<Option<OpProfile>> = vec![None; self.num_ops];
         let mut ets_per_source = vec![0u64; self.num_sources];
         let mut ingested_per_source = vec![0u64; self.num_sources];
-        let mut shed_per_source = vec![0u64; self.num_sources];
         let mut component_clocks = vec![Timestamp::ZERO; self.num_components()];
         let mut component_stats = vec![ExecStats::default(); self.num_components()];
         let mut total_queued = 0;
@@ -724,11 +664,10 @@ impl ParallelExecutor {
                 for (local, p) in snap.profile.into_iter().enumerate() {
                     profile[self.comp_nodes[snap.comp][local].0] = Some(p);
                 }
-                for (local, (ets, ingested, shed)) in snap.sources.into_iter().enumerate() {
+                for (local, (ets, ingested)) in snap.sources.into_iter().enumerate() {
                     let global = self.comp_sources[snap.comp][local].0;
                     ets_per_source[global] = ets;
                     ingested_per_source[global] = ingested;
-                    shed_per_source[global] = shed;
                 }
                 component_clocks[snap.comp] = snap.clock;
                 component_stats[snap.comp] = s;
@@ -743,7 +682,6 @@ impl ParallelExecutor {
                 .collect(),
             ets_per_source,
             ingested_per_source,
-            shed_per_source,
             component_clocks,
             component_stats,
             total_queued,

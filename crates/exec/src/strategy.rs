@@ -132,7 +132,6 @@ mod tests {
             serves_ets: true,
             ets_generated: 0,
             ingested: 0,
-            shed_tuples: 0,
             closed: false,
         }
     }

@@ -285,14 +285,16 @@ impl StreamClient {
         }
     }
 
-    /// Writes buffered frames not yet sent on this connection.
+    /// Writes buffered frames not yet sent on this connection. `unacked`
+    /// is in sequence order, so the unwritten frames are a suffix, found
+    /// by binary search instead of a rescan of the whole window.
     fn write_pending(&mut self) -> Result<()> {
         let conn = self.conn.as_mut().expect("ensure_connected ran");
-        for f in &self.unacked {
+        let first = self
+            .unacked
+            .partition_point(|f| frame_seq(f) <= self.written_seq);
+        for f in self.unacked.range(first..) {
             let seq = frame_seq(f);
-            if seq <= self.written_seq {
-                continue;
-            }
             write_frame(&mut conn.stream, f)?;
             self.written_seq = seq;
             if let Some(n) = &mut self.fail_after {

@@ -164,9 +164,8 @@ pub enum Frame {
     /// many queued outputs were shed on its behalf. Never terminal — the
     /// connection continues after it.
     Feedback {
-        /// Engine/queue pressure level (`PressureLevel::as_u8` encoding:
-        /// 0 normal, 1 high, 2 critical; unknown values saturate to
-        /// critical on the receiving side).
+        /// Engine/queue pressure level (0 normal, 1 high, 2 critical).
+        /// Informational: receivers act on `window` and `dropped` only.
         level: u8,
         /// Requested producer send window (max unacked frames); `0` means
         /// "no limit requested" — the producer restores its own window.

@@ -14,10 +14,12 @@
 //! paper's on-demand ETS generation at starved sources.
 //!
 //! Pressure flows the other way as **feedback punctuation**
-//! ([`Frame::Feedback`]): the server translates engine and subscriber
-//! queue occupancy into producer send-window requests, and declares any
+//! ([`Frame::Feedback`]): the server classifies the engine's deepest
+//! operator input backlog and its deepest subscriber queue against
+//! [`Watermarks`] into producer send-window requests, and declares any
 //! subscriber-side load shedding with cumulative drop notices instead of
-//! silent loss or bare disconnects.
+//! silent loss or bare disconnects. The engine itself neither sheds nor
+//! reacts to pressure.
 //!
 //! See `DESIGN.md` §8 for the full wire contract and §9 for the feedback
 //! channel.
@@ -33,4 +35,6 @@ pub use client::{backoff_delay, ClientConfig, ClientReport, StreamClient, Subscr
 pub use frame::{
     write_frame, ErrorCode, Frame, FrameReader, ReadOutcome, Role, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-pub use server::{OverflowPolicy, PortReport, Server, ServerConfig, ServerReport, ServerStats};
+pub use server::{
+    OverflowPolicy, PortReport, Server, ServerConfig, ServerReport, ServerStats, Watermarks,
+};

@@ -42,11 +42,16 @@
 //! only what fits, and pollers stop reading a connection whose decoded
 //! frames are still waiting for room, so TCP flow control pushes back
 //! to the producer and the server never queues unbounded input. On top of
-//! that, the server translates queue pressure into [`Frame::Feedback`]
-//! punctuation flowing *against* the data direction: when the engine's
-//! occupancy (or the deepest subscriber queue) crosses the configured
-//! watermarks, every producer connection is told a smaller send window at
-//! its next ack, and the producer client narrows its pipeline accordingly.
+//! that, the pump translates queue pressure into [`Frame::Feedback`]
+//! punctuation flowing *against* the data direction. After each engine
+//! section it reads one number from the engine, the largest summed input
+//! backlog of any operator
+//! ([`millstream_exec::QueryGraph::max_input_backlog`]), and classifies it
+//! against [`ServerConfig::feedback`]; the deepest subscriber queue is
+//! classified against its own watermarks. When the higher level changes,
+//! every producer connection in the section is told a new send window
+//! before its ack, and the producer client narrows its pipeline
+//! accordingly. The executor itself knows nothing of pressure.
 //!
 //! Subscribers get a bounded queue each. Under the default
 //! [`OverflowPolicy::Shed`], a subscriber that stalls past its queue
@@ -84,12 +89,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use millstream_buffer::{
-    punctuation_is_stale, CheckMode, OrderSentinel, PressureLevel, SentinelStats, Watermarks,
-};
-use millstream_exec::{
-    CostModel, EtsPolicy, ExecStats, Executor, FeedbackConfig, NodeId, SourceId, VirtualClock,
-};
+use millstream_buffer::{punctuation_is_stale, CheckMode, OrderSentinel, SentinelStats};
+use millstream_exec::{CostModel, EtsPolicy, ExecStats, Executor, NodeId, SourceId, VirtualClock};
 use millstream_metrics::{IdleSummary, IdleTracker, LatencyRecorder, LatencySummary};
 use millstream_ops::SinkCollector;
 use millstream_query::plan_program;
@@ -134,11 +135,12 @@ pub struct ServerConfig {
     pub subscriber_queue: usize,
     /// Invariant-checking override; `None` inherits `MILLSTREAM_CHECK`.
     pub check: Option<CheckMode>,
-    /// Engine-side feedback punctuation. `Some` (the default) has the
-    /// executor publish queue pressure, which the server translates into
-    /// producer-side pacing ([`Frame::Feedback`] frames); `None` disables
-    /// the feedback path entirely.
-    pub feedback: Option<FeedbackConfig>,
+    /// Producer pacing. `Some` (the default) classifies the engine's
+    /// deepest operator input backlog against these watermarks after every
+    /// engine section, maxes it with the deepest subscriber queue's level,
+    /// and tells producers a smaller send window ([`Frame::Feedback`]
+    /// frames) when the result is elevated; `None` disables pacing.
+    pub feedback: Option<Watermarks>,
     /// What to do with a subscriber that overflows its bounded queue.
     pub overflow: OverflowPolicy,
 }
@@ -170,7 +172,7 @@ impl ServerConfig {
             idle_timeout: None,
             subscriber_queue: 1024,
             check: None,
-            feedback: Some(FeedbackConfig::default()),
+            feedback: Some(Watermarks::default()),
             overflow: OverflowPolicy::default(),
         }
     }
@@ -536,7 +538,8 @@ impl Broadcast {
     }
 
     /// Current pressure from the deepest live subscriber queue — one of
-    /// the two inputs to producer pacing (the other is engine occupancy).
+    /// the two inputs to producer pacing (the other is the engine's
+    /// deepest operator input backlog).
     fn pressure(&self) -> PressureLevel {
         let st = self.inner.lock().unwrap();
         let mut level = PressureLevel::Normal;
@@ -722,9 +725,6 @@ impl Server {
             EtsPolicy::None,
         )
         .with_check_mode(check);
-        if let Some(fb) = cfg.feedback {
-            exec = exec.with_feedback(fb);
-        }
         if let Some(node) = planned.monitor {
             exec.monitor_idle(node);
         }
@@ -922,6 +922,66 @@ fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()
         .expect("spawn server thread")
 }
 
+/// Queue-pressure classification carried by a [`Frame::Feedback`]. The
+/// discriminants are the wire encoding (`Frame::Feedback.level`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
+pub(crate) enum PressureLevel {
+    /// Below the high watermark: no pacing.
+    Normal = 0,
+    /// At or above the high watermark: pace down.
+    High = 1,
+    /// At or above the critical watermark: minimal window.
+    Critical = 2,
+}
+
+impl PressureLevel {
+    /// The wire encoding of the level.
+    pub(crate) fn as_u8(self) -> u8 {
+        self as u8
+    }
+}
+
+/// Occupancy thresholds that classify a queue depth into a pressure
+/// level (see [`ServerConfig::feedback`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Watermarks {
+    /// Occupancy at or above this paces producers to a window of 4.
+    high: usize,
+    /// Occupancy at or above this paces producers to a window of 1.
+    critical: usize,
+}
+
+impl Watermarks {
+    /// Creates a watermark pair; `critical` is raised to at least `high`
+    /// and both to at least 1, so an empty queue is always below them and
+    /// the classification is monotone by construction.
+    pub fn new(high: usize, critical: usize) -> Watermarks {
+        Watermarks {
+            high: high.max(1),
+            critical: critical.max(high.max(1)),
+        }
+    }
+
+    pub(crate) fn classify(&self, occupancy: usize) -> PressureLevel {
+        if occupancy >= self.critical {
+            PressureLevel::Critical
+        } else if occupancy >= self.high {
+            PressureLevel::High
+        } else {
+            PressureLevel::Normal
+        }
+    }
+}
+
+impl Default for Watermarks {
+    /// Bounds one operator's input backlog, in tuples: pace at 512 queued
+    /// in front of any single operator, clamp hard at 896.
+    fn default() -> Watermarks {
+        Watermarks::new(512, 896)
+    }
+}
+
 /// The send window (max unacked frames) requested of a producer at each
 /// pressure level; `0` means "no limit requested".
 fn pacing_window(level: PressureLevel) -> u64 {
@@ -1056,5 +1116,27 @@ fn apply_item(
             Ok(false)
         }
         _ => unreachable!("pollers forward only seq-bearing frames"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watermarks_classify_monotonically_and_repair_degenerate_pairs() {
+        let wm = Watermarks::new(10, 20);
+        assert_eq!(wm.classify(0), PressureLevel::Normal);
+        assert_eq!(wm.classify(9), PressureLevel::Normal);
+        assert_eq!(wm.classify(10), PressureLevel::High);
+        assert_eq!(wm.classify(19), PressureLevel::High);
+        assert_eq!(wm.classify(20), PressureLevel::Critical);
+        assert_eq!(wm.classify(usize::MAX), PressureLevel::Critical);
+        // critical below high is raised; zero thresholds become 1 so an
+        // empty queue is always Normal.
+        assert_eq!(Watermarks::new(10, 3).critical, 10);
+        let wm = Watermarks::new(0, 0);
+        assert_eq!(wm.classify(0), PressureLevel::Normal);
+        assert_eq!(wm.classify(1), PressureLevel::Critical);
     }
 }

@@ -37,12 +37,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use millstream_buffer::{punctuation_is_stale, PressureLevel};
+use millstream_buffer::punctuation_is_stale;
 use millstream_types::{Schema, TimeDelta, Timestamp, Tuple};
 
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
 
-use super::{pacing_window, Engine, Port, Shared, SubQueue, HANDSHAKE_DEADLINE};
+use super::{pacing_window, Engine, Port, PressureLevel, Shared, SubQueue, HANDSHAKE_DEADLINE};
 
 /// Frames a poller reads from one connection per step before yielding to
 /// the next connection (fairness under flood).
@@ -1051,13 +1051,11 @@ fn run_section(shared: &Arc<Shared>, pump: &mut Pump) -> Option<Instant> {
                 }
             }
         }
-        level = if shared.cfg.feedback.is_some() {
-            eng.exec
-                .feedback_registers()
-                .max_level()
-                .max(shared.broadcast.pressure())
-        } else {
-            PressureLevel::Normal
+        level = match shared.cfg.feedback {
+            Some(marks) => marks
+                .classify(eng.exec.graph().max_input_backlog())
+                .max(shared.broadcast.pressure()),
+            None => PressureLevel::Normal,
         };
         for out in outcomes.iter_mut() {
             out.high_water = eng.ports[out.port_idx].data_hw.unwrap_or(0);

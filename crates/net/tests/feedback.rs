@@ -1,7 +1,8 @@
 //! Feedback-punctuation integration tests: the subscriber overflow
 //! contract (satellite: no more silent cut-off before the final mark),
 //! heartbeat pruning on reconnect, jittered backoff bounds, and the
-//! shed-policy pacing path end to end over real sockets.
+//! shed-policy and engine-backlog pacing paths end to end over real
+//! sockets.
 
 use std::time::Duration;
 
@@ -21,6 +22,11 @@ SELECT v FROM s;";
 const INT_PROGRAM: &str = "\
 CREATE STREAM s (v INT);
 SELECT v FROM s;";
+
+const UNION_PROGRAM: &str = "\
+CREATE STREAM a (v INT);
+CREATE STREAM b (v INT);
+SELECT v FROM a UNION SELECT v FROM b;";
 
 /// ~16 KiB per tuple: a few hundred of these overrun any socket-buffer
 /// slack the kernel grants a never-reading subscriber.
@@ -193,6 +199,61 @@ fn shed_policy_declares_drops_and_paces_producer() {
         report.sub_peak_queue
     );
     assert_eq!(report.wire_sentinel_violations, 0);
+}
+
+/// Runs the engine-backlog pacing script against a fresh `a ∪ b` server:
+/// `b` attaches and stays silent, so the union holds every tuple `a`
+/// sends; `a` sends 600 and flushes; then `b` closes, releasing the
+/// backlog, and `a` sends one more. Returns `a`'s server window after
+/// the 600 and after the one more, and the producer- and server-side
+/// pacing frame counts.
+fn backlog_pacing_script(pacing: bool) -> (Option<usize>, Option<usize>, u64, u64) {
+    let mut cfg = ServerConfig::new(UNION_PROGRAM);
+    if !pacing {
+        cfg.feedback = None;
+    }
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr().to_string();
+
+    let b = StreamClient::connect(ClientConfig::new(&addr, "b")).expect("connect b");
+    let mut acfg = ClientConfig::new(&addr, "a");
+    acfg.ack_window = 32;
+    let mut a = StreamClient::connect(acfg).expect("connect a");
+    for i in 1..=600u64 {
+        a.send(data(i * 10)).expect("send");
+    }
+    a.flush().expect("flush");
+    let held = a.server_window();
+    let client_frames = a.report().feedback_frames;
+    let mid = server.stats();
+    assert_eq!(mid.tuples_ingested, 600);
+
+    b.close().expect("close b");
+    a.send(data(6010)).expect("send after release");
+    a.flush().expect("flush after release");
+    let released = a.server_window();
+    a.close().expect("close a");
+    let report = server.shutdown().expect("shutdown");
+    assert_eq!(report.stats.delivered, 601);
+    (held, released, client_frames, mid.feedback_frames)
+}
+
+/// Producer pacing reads the engine's deepest operator input backlog: 600
+/// tuples held by a union waiting on a silent peer exceed the default
+/// high watermark (512), so the producer is narrowed to a window of 4,
+/// and the window is lifted once the backlog drains. With pacing off,
+/// nothing is ever announced.
+#[test]
+fn engine_backlog_paces_the_producer() {
+    let (held, released, client_frames, server_frames) = backlog_pacing_script(true);
+    assert_eq!(held, Some(4), "600 queued at the union is High pressure");
+    assert!(client_frames >= 1, "the producer saw no pacing frame");
+    assert!(server_frames >= 1, "the server counted no pacing frame");
+    assert_eq!(released, None, "a drained backlog lifts the window");
+
+    let (held, released, client_frames, server_frames) = backlog_pacing_script(false);
+    assert_eq!((held, released), (None, None), "pacing off never narrows");
+    assert_eq!((client_frames, server_frames), (0, 0));
 }
 
 /// A subscriber that never reads cannot hold shutdown: once its socket
