@@ -12,21 +12,16 @@
 //!   (the Fig. 8 "peak total queue size" metric).
 //! * [`OrderSentinel`] / [`SentinelStats`] / [`CheckMode`] — the opt-in
 //!   runtime ordering-contract checks (`MILLSTREAM_CHECK={off,counters,strict}`).
-//! * [`FrontierTable`] — per-worker frontier summaries for intra-component
-//!   data parallelism (the sharded generalization of per-source ETS/TSM
-//!   registers).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod fifo;
-mod frontier;
 mod occupancy;
 mod sentinel;
 mod tsm;
 
 pub use fifo::{punctuation_is_stale, Buffer, OrderPolicy, PunctuationPolicy};
-pub use frontier::FrontierTable;
 pub use occupancy::OccupancyTracker;
 pub use sentinel::{CheckMode, OrderSentinel, SentinelStats};
 pub use tsm::{StarveList, TsmBank, TsmRegister};

@@ -1,28 +1,32 @@
-//! Intra-component data parallelism: key-partitioned exchange edges and
-//! per-worker frontier summaries.
+//! Intra-component data parallelism: key-partitioned exchange edges whose
+//! frontiers are plain values the coordinator owns.
 //!
 //! [`crate::ParallelExecutor`] parallelizes *across* connected components;
 //! a query that is one big component still runs on one thread. The
 //! [`ShardedExecutor`] shards a single component across N workers:
 //!
 //! * an **exchange router** partitions every ingested data tuple with a
-//!   deterministic, seeded key hash ([`route_shard`]) and feeds per-shard
-//!   SPSC item queues in batches — one [`ShardItem::Batch`] (and one
-//!   `RunBatch` command) per drained run, not one command per tuple, so
-//!   the zero-allocation `Row`/pooled-buffer path is preserved end to end;
+//!   deterministic, seeded key hash ([`route_shard`]) and feeds each
+//!   shard's one FIFO channel in batches — one [`ShardCmd::Batch`] per
+//!   drained run, preserving the zero-allocation `Row`/pooled-buffer path.
+//!   Heartbeats, closes and clock advances share that channel, so none can
+//!   overtake the data routed before it;
 //! * each **shard worker** hosts an unmodified single-threaded
 //!   [`Executor`] over a structurally identical replica of the component
 //!   graph. Where the serial executor consults per-source ETS/TSM
-//!   registers, a shard consults the shared [`FrontierTable`]: when its
-//!   replica still holds queued work after quiescing (an IWP operator
-//!   starved on a key-partition it will never receive), it performs an
-//!   **on-demand frontier advance** — a heartbeat at the global source
-//!   frontier, generated only because a downstream operator actually
-//!   starved, mirroring the paper's on-demand ETS discipline;
-//! * after running, a worker publishes its **floor**: a lower bound on
-//!   the timestamp of anything it may still emit, computed as
-//!   `min(source frontiers, queued buffer fronts, operator frontier
-//!   holds)` — see [`millstream_ops::Operator::frontier_hold`];
+//!   registers, a shard consults the source bounds its
+//!   [`ShardCmd::RunBatch`] carries: when its replica still holds queued
+//!   work after quiescing (an IWP operator starved on a key-partition it
+//!   will never receive), it performs an **on-demand frontier advance** —
+//!   a heartbeat at the bound, generated only because a downstream
+//!   operator actually starved, mirroring the paper's on-demand ETS
+//!   discipline. Its reply carries its **floor**: a lower bound on
+//!   anything it may still emit, `min(source bounds, queued buffer
+//!   fronts, operator frontier holds)` — see
+//!   [`millstream_ops::Operator::frontier_hold`];
+//! * the **coordinator** owns every frontier as a plain value — per source
+//!   the routed and punctuation high-waters, per shard the highest floor
+//!   reported — so no frontier is shared between threads;
 //! * the **merge stage** (a serial [`Executor`] with one ordered source
 //!   per shard feeding a ts-merging union) re-establishes a single
 //!   ordered output. It runs with [`EtsPolicy::None`]: its only frontier
@@ -36,13 +40,12 @@
 //! violation aborts the run instead of silently reordering the merge.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
-use millstream_buffer::{CheckMode, FrontierTable, OrderSentinel, SentinelStats};
+use millstream_buffer::{CheckMode, OrderSentinel, SentinelStats};
 use millstream_ops::{Sink, SinkCollector, Union};
 use millstream_types::{Error, Result, Schema, Timestamp, TimestampKind, Tuple};
 
@@ -55,12 +58,6 @@ use crate::strategy::{frontier_advance, EtsPolicy};
 /// Upper bound on shards: the merge union is one operator, and operator
 /// fan-in is capped by the executor's inline port marshalling.
 pub const MAX_SHARDS: usize = 8;
-
-/// `Timestamp::MAX` survives the frontier table's `micros + 1` encoding
-/// only saturated; anything in the top two microseconds is end-of-stream.
-fn is_final(ts: Timestamp) -> bool {
-    ts.as_micros() >= u64::MAX - 1
-}
 
 /// Construction-time configuration for a [`ShardedExecutor`].
 #[derive(Debug, Clone)]
@@ -131,11 +128,11 @@ impl SinkCollector for ShardOutput {
     }
 }
 
-/// Source-related traffic, in route order, over a shard's item queue.
-/// Everything that touches a source flows here — data, heartbeats,
-/// close, clock advances — so a heartbeat can never overtake the data
-/// routed before it (the command channel only carries run/snapshot).
-enum ShardItem {
+/// Commands on a shard worker's one FIFO channel, in route order. Source
+/// traffic (`Batch`, `Heartbeat`, `Close`, `AdvanceTo`) is applied as it
+/// arrives, so a heartbeat can never overtake the data routed before it;
+/// an error it raises is stashed and reported by the next `RunBatch`.
+enum ShardCmd {
     /// A coalesced run of data tuples for one local source.
     Batch(SourceId, Vec<Tuple>),
     /// A broadcast heartbeat punctuation.
@@ -144,21 +141,18 @@ enum ShardItem {
     Close(SourceId),
     /// Advance the shard's clock.
     AdvanceTo(Timestamp),
-}
-
-/// Commands on a shard worker's command channel.
-enum ShardCmd {
-    /// Drain the item queue in order, run until quiescent, perform
-    /// on-demand frontier advances while starved, publish the floor, and
-    /// reply with the steps taken (or the first error). With `promise`
-    /// set, additionally ask the replica's ETS policy for a promise on
-    /// every open source first ([`Executor::promise_frontiers`]) — sent
-    /// by the coordinator when the merge stage starves behind floors that
-    /// no routed traffic will move.
+    /// Run until quiescent, advance starved frontiers on demand against
+    /// `bounds` (the coordinator's per-source frontiers), and reply with
+    /// the steps taken and the shard's output floor (or the first error).
+    /// With `promise`, first ask the replica's ETS policy for a promise on
+    /// every open source ([`Executor::promise_frontiers`]) — the cross-shard
+    /// hop of a merge-stage starvation backtrack, sent when the merge
+    /// starves behind floors that no routed traffic will move.
     RunBatch {
         max_steps: u64,
         promise: bool,
-        reply: SyncSender<Result<u64>>,
+        bounds: Arc<[Option<Timestamp>]>,
+        reply: SyncSender<Result<(u64, Option<Timestamp>)>>,
     },
     /// Reply with the shard's executor state.
     Snapshot { reply: SyncSender<ShardSnap> },
@@ -170,100 +164,74 @@ enum ShardCmd {
 struct ShardSnap {
     stats: ExecStats,
     profile: Vec<OpProfile>,
+    advances: u64,
+    busy_nanos: u64,
 }
 
-/// Everything one shard worker owns.
-struct ShardState {
-    shard: usize,
-    exec: Executor,
-    items: Receiver<ShardItem>,
-    frontier: Arc<FrontierTable>,
-    ordered: Arc<[bool]>,
-    busy_nanos: Arc<AtomicU64>,
-    advances: Arc<AtomicU64>,
+/// Runs `f`, turning a panic into a runtime error.
+fn guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| Err(panic_error(p)))
 }
 
-/// Applies queued items in route order, runs to quiescence, advances
-/// starved frontiers on demand, and publishes the shard's floor. With
-/// `promise`, first consults the replica's own ETS policy for every open
-/// source — the cross-shard completion of a merge-stage starvation
-/// backtrack (see [`ShardCmd::RunBatch`]).
-fn run_batch(state: &mut ShardState, max_steps: u64, promise: bool) -> Result<u64> {
-    while let Ok(item) = state.items.try_recv() {
-        match item {
-            ShardItem::Batch(s, tuples) => state.exec.ingest_batch(s, tuples)?,
-            ShardItem::Heartbeat(s, ts) => state.exec.ingest_heartbeat(s, ts)?,
-            ShardItem::Close(s) => state.exec.close_source(s)?,
-            ShardItem::AdvanceTo(ts) => {
-                state.exec.clock().advance_to(ts);
-                state.exec.refresh_idle();
-            }
-        }
-    }
-    let mut taken = state.exec.run_until_quiescent(max_steps)?;
-    if promise && state.exec.promise_frontiers()? > 0 {
-        state.advances.fetch_add(1, Ordering::Relaxed);
-        taken = taken.saturating_add(state.exec.run_until_quiescent(max_steps)?);
+/// Serves a [`ShardCmd::RunBatch`]: returns the steps taken and the
+/// floor, counting on-demand frontier advances into `advances`.
+fn run_batch(
+    exec: &mut Executor,
+    advances: &mut u64,
+    max_steps: u64,
+    promise: bool,
+    bounds: &[Option<Timestamp>],
+) -> Result<(u64, Option<Timestamp>)> {
+    let mut taken = exec.run_until_quiescent(max_steps)?;
+    if promise && exec.promise_frontiers()? > 0 {
+        *advances += 1;
+        taken = taken.saturating_add(exec.run_until_quiescent(max_steps)?);
     }
     // On-demand frontier advance: only while the replica still holds
     // queued work after quiescing — a downstream IWP operator starved on
-    // a partition routed elsewhere. The global source frontier is the
-    // router's promise that no shard will ever see that source below it.
-    loop {
-        if state.exec.graph().total_queued() == 0 {
-            break;
-        }
+    // a partition routed elsewhere. A source's bound is the router's
+    // promise that no shard will ever see that source below it.
+    while exec.graph().total_queued() > 0 {
         let mut advanced = false;
-        for i in 0..state.frontier.num_sources() {
+        for (i, &bound) in bounds.iter().enumerate() {
             let sid = SourceId(i);
-            if state.exec.graph().source(sid).closed {
+            if exec.graph().source(sid).closed {
                 continue;
             }
             let advance = {
-                let g = state.exec.graph();
+                let g = exec.graph();
                 let b = g.buffers[g.sources[i].buffer.0].borrow();
-                frontier_advance(
-                    state.frontier.source_frontier(i, state.ordered[i]),
-                    b.high_water(),
-                    b.punct_high_water(),
-                )
+                frontier_advance(bound, b.high_water(), b.punct_high_water())
             };
             if let Some(f) = advance {
-                state.exec.ingest_heartbeat(sid, f)?;
-                state.frontier.publish_applied(i, state.shard, f);
-                state.advances.fetch_add(1, Ordering::Relaxed);
+                exec.ingest_heartbeat(sid, f)?;
+                *advances += 1;
                 advanced = true;
             }
         }
         if !advanced {
             break;
         }
-        taken = taken.saturating_add(state.exec.run_until_quiescent(max_steps)?);
+        taken = taken.saturating_add(exec.run_until_quiescent(max_steps)?);
     }
-    publish_floor(state);
-    Ok(taken)
+    Ok((taken, output_floor(exec, bounds)))
 }
 
-/// Publishes the shard's output floor: `min` over the per-source bounds,
-/// the fronts of every queued buffer, and every operator's frontier hold.
-/// Nothing this shard emits later can be below it. A source's bound is
-/// the *max* of the global frontier (the router's promise) and the local
+/// The shard's output floor: `min` over the per-source bounds, the fronts
+/// of every queued buffer, and every operator's frontier hold. Nothing
+/// the shard emits later can be below it. A source's bound is the *max*
+/// of the coordinator's frontier (the router's promise) and the local
 /// punctuation high-water (the replica's own ETS promise — valid because
 /// the replica rejects data below it, exactly as a serial executor does
-/// after generating the same ETS).
-fn publish_floor(state: &ShardState) {
-    let g = state.exec.graph();
+/// after generating the same ETS). `None` while the floor is unknown.
+fn output_floor(exec: &Executor, bounds: &[Option<Timestamp>]) -> Option<Timestamp> {
+    let g = exec.graph();
     let mut floor = Timestamp::MAX;
-    for i in 0..state.frontier.num_sources() {
-        let global = state.frontier.source_frontier(i, state.ordered[i]);
+    for (i, &bound) in bounds.iter().enumerate() {
         let local = g.buffers[g.sources[i].buffer.0].borrow().punct_high_water();
-        match (global, local) {
-            (Some(a), Some(b)) => floor = floor.min(a.max(b)),
-            (Some(f), None) | (None, Some(f)) => floor = floor.min(f),
-            // A source with no routed data and no punctuation anywhere
-            // bounds nothing: the floor is unknown, publish no promise.
-            (None, None) => return,
-        }
+        // A source with no routed data and no punctuation anywhere
+        // bounds nothing: the floor is unknown.
+        floor = floor.min(bound.max(local)?);
     }
     if let Some(t) = g.min_front_ts() {
         floor = floor.min(t);
@@ -271,46 +239,56 @@ fn publish_floor(state: &ShardState) {
     if let Some(t) = g.min_frontier_hold() {
         floor = floor.min(t);
     }
-    state.frontier.publish_floor(state.shard, floor);
+    Some(floor)
 }
 
 /// Shard worker main loop — same stash-until-barrier error discipline as
-/// the per-component worker loop.
-fn shard_worker(rx: Receiver<ShardCmd>, mut state: ShardState) {
+/// the per-component worker loop: every state-mutating command runs under
+/// a panic guard, and the first error waits for the next `RunBatch`.
+fn shard_worker(rx: Receiver<ShardCmd>, mut exec: Executor) {
     let mut pending_err: Option<Error> = None;
+    let (mut advances, mut busy_nanos) = (0u64, 0u64);
     while let Ok(cmd) = rx.recv() {
-        match cmd {
+        let start = Instant::now();
+        let applied = match cmd {
+            ShardCmd::Batch(s, tuples) => guarded(|| exec.ingest_batch(s, tuples)),
+            ShardCmd::Heartbeat(s, ts) => guarded(|| exec.ingest_heartbeat(s, ts)),
+            ShardCmd::Close(s) => guarded(|| exec.close_source(s)),
+            ShardCmd::AdvanceTo(ts) => {
+                exec.clock().advance_to(ts);
+                exec.refresh_idle();
+                Ok(())
+            }
             ShardCmd::RunBatch {
                 max_steps,
                 promise,
+                bounds,
                 reply,
             } => {
-                let start = Instant::now();
                 let result = match pending_err.take() {
                     Some(e) => Err(e),
-                    None => std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        run_batch(&mut state, max_steps, promise)
-                    }))
-                    .unwrap_or_else(|p| Err(panic_error(p))),
+                    None => {
+                        guarded(|| run_batch(&mut exec, &mut advances, max_steps, promise, &bounds))
+                    }
                 };
-                state
-                    .busy_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let _ = reply.send(result);
+                Ok(())
             }
             ShardCmd::Snapshot { reply } => {
-                let start = Instant::now();
-                let snap = ShardSnap {
-                    stats: state.exec.stats(),
-                    profile: state.exec.profile().to_vec(),
-                };
-                state
-                    .busy_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                let _ = reply.send(snap);
+                let _ = reply.send(ShardSnap {
+                    stats: exec.stats(),
+                    profile: exec.profile().to_vec(),
+                    advances,
+                    busy_nanos,
+                });
+                Ok(())
             }
             ShardCmd::Stop => break,
+        };
+        if let Err(e) = applied {
+            pending_err.get_or_insert(e);
         }
+        busy_nanos += start.elapsed().as_nanos() as u64;
     }
 }
 
@@ -326,7 +304,7 @@ pub struct ShardedSnapshot {
     /// Per-operator profile of the replicated plan, summed elementwise
     /// across the structurally identical shard replicas (plan order).
     pub profile: Vec<OpProfile>,
-    /// Each shard's published output floor.
+    /// Each shard's highest reported output floor.
     pub floors: Vec<Option<Timestamp>>,
     /// On-demand frontier advances generated per shard (the sharded
     /// analogue of `ets_generated`).
@@ -336,8 +314,9 @@ pub struct ShardedSnapshot {
     pub merge_heartbeats: u64,
     /// Frontier-consistency violations observed at the merge input.
     pub frontier_violations: u64,
-    /// Wall-clock nanoseconds each shard worker spent busy (inside
-    /// `RunBatch`/`Snapshot`); subtract from elapsed time for idle.
+    /// Wall-clock nanoseconds each shard worker spent busy (applying
+    /// routed traffic, running `RunBatch`, answering `Snapshot`); subtract
+    /// from elapsed time for idle.
     pub busy_nanos: Vec<u64>,
 }
 
@@ -350,13 +329,11 @@ pub struct ShardedSnapshot {
 /// delivers into the provided [`ShardOutput`].
 pub struct ShardedExecutor {
     pool: WorkerPool<ShardCmd>,
-    item_txs: Vec<Sender<ShardItem>>,
     /// Coalescing buffer: `pending[shard][source]` is the run of routed
     /// tuples not yet shipped. Flushed when full or before any non-data
     /// traffic, preserving per-source route order.
     pending: Vec<Vec<Vec<Tuple>>>,
     pending_count: usize,
-    frontier: Arc<FrontierTable>,
     outputs: Vec<ShardOutput>,
     merge: Executor,
     merge_sources: Vec<SourceId>,
@@ -365,7 +342,11 @@ pub struct ShardedExecutor {
     promised: Vec<Option<Timestamp>>,
     /// Per source: router-side data high-water (ordered sources only).
     route_hw: Vec<Option<Timestamp>>,
-    ordered: Arc<[bool]>,
+    /// Per source: broadcast punctuation high-water (close = `MAX`).
+    punct_hw: Vec<Option<Timestamp>>,
+    /// Per shard: the highest output floor any `RunBatch` reported.
+    floors: Vec<Option<Timestamp>>,
+    ordered: Vec<bool>,
     keys: Vec<ShardKey>,
     shards: usize,
     num_sources: usize,
@@ -374,8 +355,6 @@ pub struct ShardedExecutor {
     merge_closed: bool,
     sentinel: Option<OrderSentinel>,
     sentinel_stats: Arc<SentinelStats>,
-    busy: Vec<Arc<AtomicU64>>,
-    advances: Vec<Arc<AtomicU64>>,
     merge_heartbeats: u64,
     dot: String,
 }
@@ -403,8 +382,7 @@ impl ShardedExecutor {
             if j == 0 {
                 if g.num_components() != 1 {
                     return Err(Error::graph(
-                        "sharded execution requires a single connected component; \
-                         use ParallelExecutor across components",
+                        "sharded execution requires a single connected component",
                     ));
                 }
             } else if g.num_sources() != graphs[0].num_sources()
@@ -418,11 +396,10 @@ impl ShardedExecutor {
             graphs.push(g);
         }
         let num_sources = graphs[0].num_sources();
-        let ordered: Arc<[bool]> = graphs[0]
+        let ordered: Vec<bool> = graphs[0]
             .source_ids()
             .map(|s| graphs[0].source_is_ordered(s))
-            .collect::<Vec<_>>()
-            .into();
+            .collect();
         let source_names: Vec<String> = graphs[0]
             .source_ids()
             .map(|s| graphs[0].source(s).name.clone())
@@ -440,32 +417,19 @@ impl ShardedExecutor {
         };
         let dot = graphs[0].to_dot_sharded(shards, &keys);
 
-        let frontier = FrontierTable::shared(num_sources, shards);
-        let busy: Vec<Arc<AtomicU64>> = (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let advances: Vec<Arc<AtomicU64>> =
-            (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let mut item_txs = Vec::with_capacity(shards);
-        let mut states = Vec::with_capacity(shards);
-        for (j, g) in graphs.into_iter().enumerate() {
-            let mut exec = Executor::new(g, VirtualClock::shared(), config.cost, config.policy)
-                .with_sched_policy(config.sched)
-                .with_exec_options(config.opts);
-            if let Some(mode) = config.check {
-                exec = exec.with_check_mode(mode);
-            }
-            let (itx, irx) = mpsc::channel();
-            item_txs.push(itx);
-            states.push(ShardState {
-                shard: j,
-                exec,
-                items: irx,
-                frontier: frontier.clone(),
-                ordered: ordered.clone(),
-                busy_nanos: busy[j].clone(),
-                advances: advances[j].clone(),
-            });
-        }
-        let pool = WorkerPool::spawn("millstream-shard", states, || ShardCmd::Stop, shard_worker);
+        let execs = graphs
+            .into_iter()
+            .map(|g| {
+                let mut exec = Executor::new(g, VirtualClock::shared(), config.cost, config.policy)
+                    .with_sched_policy(config.sched)
+                    .with_exec_options(config.opts);
+                if let Some(mode) = config.check {
+                    exec = exec.with_check_mode(mode);
+                }
+                exec
+            })
+            .collect();
+        let pool = WorkerPool::spawn("millstream-shard", execs, || ShardCmd::Stop, shard_worker);
 
         // The merge stage: one ordered internal source per shard, a
         // ts-merging union (for >1 shard), the real sink. EtsPolicy::None —
@@ -513,15 +477,15 @@ impl ShardedExecutor {
 
         Ok(ShardedExecutor {
             pool,
-            item_txs,
             pending: vec![vec![Vec::new(); num_sources]; shards],
             pending_count: 0,
-            frontier,
             outputs,
             merge,
             merge_sources,
             promised: vec![None; shards],
             route_hw: vec![None; num_sources],
+            punct_hw: vec![None; num_sources],
+            floors: vec![None; shards],
             ordered,
             keys,
             shards,
@@ -531,8 +495,6 @@ impl ShardedExecutor {
             merge_closed: false,
             sentinel,
             sentinel_stats,
-            busy,
-            advances,
             merge_heartbeats: 0,
             dot,
         })
@@ -548,19 +510,41 @@ impl ShardedExecutor {
         self.num_sources
     }
 
-    /// The shared frontier table (diagnostics, tests).
-    pub fn frontier(&self) -> &Arc<FrontierTable> {
-        &self.frontier
-    }
-
     /// The sharded plan rendered as Graphviz DOT: exchange nodes, shard
     /// replica clusters and the merge stage.
     pub fn plan_dot(&self) -> &str {
         &self.dot
     }
 
-    /// Ships every coalesced run to its shard's item queue, preserving
-    /// per-source route order. Must precede any non-data item.
+    /// Sends `cmd` to shard `shard`'s channel.
+    fn send(&self, shard: usize, cmd: ShardCmd) -> Result<()> {
+        self.pool.senders()[shard]
+            .send(cmd)
+            .map_err(|_| disconnected())
+    }
+
+    /// Sends one `cmd()` to every shard.
+    fn broadcast(&self, cmd: impl Fn() -> ShardCmd) -> Result<()> {
+        (0..self.shards).try_for_each(|j| self.send(j, cmd()))
+    }
+
+    /// Sends `cmd(reply)` to every shard, then awaits every reply, in
+    /// shard order.
+    fn ask<T>(&self, cmd: impl Fn(SyncSender<T>) -> ShardCmd) -> Result<Vec<T>> {
+        let replies = (0..self.shards)
+            .map(|j| {
+                let (tx, rx) = mpsc::sync_channel(1);
+                self.send(j, cmd(tx)).map(|()| rx)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        replies
+            .into_iter()
+            .map(|rx| rx.recv().map_err(|_| disconnected()))
+            .collect()
+    }
+
+    /// Ships every coalesced run to its shard, preserving per-source route
+    /// order. Must precede any non-data command.
     fn flush_items(&mut self) -> Result<()> {
         if self.pending_count == 0 {
             return Ok(());
@@ -572,9 +556,8 @@ impl ShardedExecutor {
                     continue;
                 }
                 self.pending_count -= run.len();
-                self.item_txs[shard]
-                    .send(ShardItem::Batch(SourceId(i), std::mem::take(run)))
-                    .map_err(|_| disconnected())?;
+                let tuples = std::mem::take(run);
+                self.send(shard, ShardCmd::Batch(SourceId(i), tuples))?;
             }
         }
         Ok(())
@@ -608,8 +591,7 @@ impl ShardedExecutor {
                     });
                 }
             }
-            self.route_hw[i] = Some(self.route_hw[i].map_or(tuple.ts, |h| h.max(tuple.ts)));
-            self.frontier.note_routed(i, tuple.ts);
+            self.route_hw[i] = self.route_hw[i].max(Some(tuple.ts));
         }
         let shard = route_shard(
             tuple.values().expect("data tuple"),
@@ -622,16 +604,13 @@ impl ShardedExecutor {
         if run.len() >= INGEST_BATCH {
             let tuples = std::mem::take(run);
             self.pending_count -= tuples.len();
-            self.item_txs[shard]
-                .send(ShardItem::Batch(SourceId(i), tuples))
-                .map_err(|_| disconnected())?;
+            self.send(shard, ShardCmd::Batch(source, tuples))?;
         }
         Ok(())
     }
 
     /// Broadcasts a heartbeat punctuation to every shard (each drops it
-    /// if stale locally) and raises the source's global punctuation
-    /// frontier.
+    /// if stale locally) and raises the source's punctuation high-water.
     pub fn ingest_heartbeat(&mut self, source: SourceId, ts: Timestamp) -> Result<()> {
         if self.closed[source.0] {
             return Err(Error::runtime(format!(
@@ -640,12 +619,8 @@ impl ShardedExecutor {
             )));
         }
         self.flush_items()?;
-        self.frontier.note_punct(source.0, ts);
-        for tx in &self.item_txs {
-            tx.send(ShardItem::Heartbeat(source, ts))
-                .map_err(|_| disconnected())?;
-        }
-        Ok(())
+        self.punct_hw[source.0] = self.punct_hw[source.0].max(Some(ts));
+        self.broadcast(|| ShardCmd::Heartbeat(source, ts))
     }
 
     /// Declares end-of-stream on a source, broadcast to every shard.
@@ -656,21 +631,14 @@ impl ShardedExecutor {
         }
         self.flush_items()?;
         self.closed[source.0] = true;
-        self.frontier.note_punct(source.0, Timestamp::MAX);
-        for tx in &self.item_txs {
-            tx.send(ShardItem::Close(source))
-                .map_err(|_| disconnected())?;
-        }
-        Ok(())
+        self.punct_hw[source.0] = Some(Timestamp::MAX);
+        self.broadcast(|| ShardCmd::Close(source))
     }
 
     /// Advances every shard's clock and the merge clock to `ts`.
     pub fn advance_to(&mut self, ts: Timestamp) -> Result<()> {
         self.flush_items()?;
-        for tx in &self.item_txs {
-            tx.send(ShardItem::AdvanceTo(ts))
-                .map_err(|_| disconnected())?;
-        }
+        self.broadcast(|| ShardCmd::AdvanceTo(ts))?;
         self.merge.clock().advance_to(ts);
         self.merge.refresh_idle();
         Ok(())
@@ -686,26 +654,31 @@ impl ShardedExecutor {
         Ok(total + self.pump_merge(max_steps)?)
     }
 
-    /// Sends one `RunBatch` to every shard and awaits all replies,
-    /// surfacing the first error. With `promise`, the replicas also ask
-    /// their ETS policies for source promises (the merge-starvation hop).
+    /// Sends one `RunBatch` to every shard and awaits all replies, folding
+    /// each reported floor into `floors` and surfacing the first error.
+    /// With `promise`, the replicas also ask their ETS policies for source
+    /// promises (the merge-starvation hop).
     fn shard_round(&mut self, max_steps: u64, promise: bool) -> Result<u64> {
-        let mut replies = Vec::with_capacity(self.shards);
-        for tx in self.pool.senders() {
-            let (rtx, rrx) = mpsc::sync_channel(1);
-            tx.send(ShardCmd::RunBatch {
-                max_steps,
-                promise,
-                reply: rtx,
-            })
-            .map_err(|_| disconnected())?;
-            replies.push(rrx);
-        }
+        let bounds: Arc<[Option<Timestamp>]> = self
+            .route_hw
+            .iter()
+            .zip(&self.punct_hw)
+            .map(|(&routed, &punct)| routed.max(punct))
+            .collect();
+        let replies = self.ask(|reply| ShardCmd::RunBatch {
+            max_steps,
+            promise,
+            bounds: bounds.clone(),
+            reply,
+        })?;
         let mut total = 0u64;
         let mut first_err = None;
-        for rx in replies {
-            match rx.recv().map_err(|_| disconnected())? {
-                Ok(n) => total += n,
+        for (j, reply) in replies.into_iter().enumerate() {
+            match reply {
+                Ok((n, floor)) => {
+                    total += n;
+                    self.floors[j] = self.floors[j].max(floor);
+                }
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
@@ -763,8 +736,8 @@ impl ShardedExecutor {
                 if self.merge.graph().source(self.merge_sources[j]).closed {
                     continue;
                 }
-                let raw = self.frontier.floor(j);
-                if raw.is_some_and(is_final) {
+                let raw = self.floors[j];
+                if raw == Some(Timestamp::MAX) {
                     continue; // the close path injects Timestamp::MAX itself
                 }
                 let advance = {
@@ -797,10 +770,10 @@ impl ShardedExecutor {
             total += self.merge.run_until_quiescent(max_steps)?;
         }
         // End-of-stream: every source closed and every shard fully drained
-        // (saturated floor proves empty buffers and released holds).
+        // (a `Timestamp::MAX` floor proves empty buffers and released holds).
         if !self.merge_closed
             && self.closed.iter().all(|&c| c)
-            && (0..self.shards).all(|j| self.frontier.floor(j).is_some_and(is_final))
+            && self.floors.iter().all(|&f| f == Some(Timestamp::MAX))
         {
             for j in 0..self.shards {
                 self.merge.close_source(self.merge_sources[j])?;
@@ -816,17 +789,10 @@ impl ShardedExecutor {
     /// behind any in-flight `RunBatch`, so counters are read at a worker
     /// quiescence point (routed-but-unflushed tuples are not yet visible).
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
-        let mut replies = Vec::with_capacity(self.shards);
-        for tx in self.pool.senders() {
-            let (rtx, rrx) = mpsc::sync_channel(1);
-            tx.send(ShardCmd::Snapshot { reply: rtx })
-                .map_err(|_| disconnected())?;
-            replies.push(rrx);
-        }
+        let snaps = self.ask(|reply| ShardCmd::Snapshot { reply })?;
         let mut stats = ExecStats::default();
         let mut profile: Vec<OpProfile> = Vec::new();
-        for rx in replies {
-            let snap = rx.recv().map_err(|_| disconnected())?;
+        for snap in &snaps {
             stats.merge(&snap.stats);
             if profile.is_empty() {
                 profile = snap.profile.clone();
@@ -849,19 +815,11 @@ impl ShardedExecutor {
         Ok(ShardedSnapshot {
             stats,
             profile,
-            floors: (0..self.shards).map(|j| self.frontier.floor(j)).collect(),
-            frontier_advances: self
-                .advances
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
+            floors: self.floors.clone(),
+            frontier_advances: snaps.iter().map(|s| s.advances).collect(),
             merge_heartbeats: self.merge_heartbeats,
             frontier_violations: self.sentinel_stats.frontier_violations(),
-            busy_nanos: self
-                .busy
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            busy_nanos: snaps.iter().map(|s| s.busy_nanos).collect(),
         })
     }
 }
@@ -938,6 +896,8 @@ mod tests {
         let mut sorted = ts.clone();
         sorted.sort_unstable();
         assert_eq!(ts, sorted, "merge restores global timestamp order");
+        let floors = ex.snapshot().unwrap().floors;
+        assert_eq!(floors, vec![Some(Timestamp::MAX); 4], "close is exact");
     }
 
     #[test]
@@ -1082,6 +1042,74 @@ mod tests {
         );
         ex.close_source(s).unwrap();
         ex.run_until_quiescent(1_000_000).unwrap();
+    }
+
+    #[test]
+    fn heartbeat_just_below_max_releases_the_merge() {
+        // A heartbeat one microsecond below `Timestamp::MAX` is an ordinary
+        // promise, not end-of-stream: the serial engine delivers both rows,
+        // so the merge must not hold either back until close.
+        let (mut ex, delivered) = sharded(2);
+        let s = SourceId(0);
+        ex.ingest(s, data(10, 0, 1)).unwrap();
+        ex.ingest(s, data(20, 1, 2)).unwrap();
+        ex.ingest_heartbeat(s, Timestamp::from_micros(u64::MAX - 1))
+            .unwrap();
+        ex.run_until_quiescent(1_000_000).unwrap();
+        let got = delivered.lock().unwrap();
+        assert_eq!(got.len(), 2, "{:?}", ex.snapshot().unwrap().floors);
+    }
+
+    /// An operator whose every step panics.
+    struct PanickingOp(Schema);
+
+    impl millstream_ops::Operator for PanickingOp {
+        fn name(&self) -> &str {
+            "panicker"
+        }
+        fn num_inputs(&self) -> usize {
+            1
+        }
+        fn output_schema(&self) -> &Schema {
+            &self.0
+        }
+        fn poll(&mut self, _ctx: &millstream_ops::OpContext<'_>) -> millstream_ops::Poll {
+            millstream_ops::Poll::Ready
+        }
+        fn step(
+            &mut self,
+            _ctx: &millstream_ops::OpContext<'_>,
+        ) -> Result<millstream_ops::StepOutcome> {
+            panic!("injected operator failure");
+        }
+    }
+
+    #[test]
+    fn shard_worker_panic_surfaces_at_the_barrier() {
+        fn panic_factory(out: ShardOutput) -> Result<QueryGraph> {
+            let mut b = GraphBuilder::new();
+            let s = b.source("S", schema(), TimestampKind::Internal);
+            let p = b.operator(Box::new(PanickingOp(schema())), vec![Input::Source(s)])?;
+            b.operator(
+                Box::new(Sink::new("shard-sink", schema(), out)),
+                vec![Input::Op(p)],
+            )?;
+            b.build()
+        }
+        let mut ex = ShardedExecutor::new(
+            |_, out| panic_factory(out),
+            schema(),
+            Box::new(ShardOutput::default()),
+            ShardedConfig::new(CostModel::free(), EtsPolicy::on_demand(), 2),
+        )
+        .unwrap();
+        ex.ingest(SourceId(0), data(1, 0, 1)).unwrap();
+        let msg = ex.run_until_quiescent(1_000).unwrap_err().to_string();
+        assert!(msg.contains("worker panicked"), "{msg}");
+        assert!(msg.contains("injected operator failure"), "{msg}");
+        // The worker survived the panic: its channel still answers.
+        let snap = ex.snapshot().unwrap();
+        assert_eq!(snap.busy_nanos.len(), 2);
     }
 
     #[test]

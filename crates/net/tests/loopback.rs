@@ -277,18 +277,18 @@ fn idle_deadlines_fire_once_per_timeout_and_never_spin() {
     let mut cfg = ServerConfig::new(UNION_PROGRAM);
     cfg.idle_timeout = Some(Duration::from_millis(20));
     cfg.check = Some(CheckMode::Strict);
-    // Other tests run servers in this process too: ours is the pump thread
+    // Other tests run servers in this process too: ours is a pump thread
     // that is new since the start (it names itself once it runs).
     let before = pump_switches();
     let server = Server::start(cfg).expect("server");
     let linux = cfg!(target_os = "linux");
     let named_by = Instant::now() + Duration::from_secs(2);
     let is_new = |t: &String| !before.contains_key(t);
-    let mut ours = Vec::new();
-    while ours.is_empty() && linux && Instant::now() < named_by {
-        ours = pump_switches().into_keys().filter(is_new).collect();
+    let mut found = !linux;
+    while !found && Instant::now() < named_by {
+        found = pump_switches().keys().any(is_new);
     }
-    assert!(!ours.is_empty() || !linux, "pump thread not found");
+    assert!(found, "pump thread not found");
 
     // `a` sends every 2 ms for 400 ms while `b` stays silent.
     let (_silent, mut a) = (client(server.addr(), "b"), client(server.addr(), "a"));
@@ -303,10 +303,16 @@ fn idle_deadlines_fire_once_per_timeout_and_never_spin() {
     // left, and after that every deadline finds a stale one.
     let quiet = pump_switches();
     std::thread::sleep(Duration::from_millis(200));
-    // Two candidates mean another test started a server in the same
-    // instant, and which pump is ours is unknowable: skip the check.
-    if let [tid] = ours.as_slice() {
-        let woke = pump_switches()[tid] - quiet[tid];
+    // Ours lives until `shutdown`: a new pump present in both reads (another
+    // test's may start or exit in between). Two such pumps mean which one
+    // is ours is unknowable: skip the check.
+    let end = pump_switches();
+    let live: Vec<_> = end
+        .keys()
+        .filter(|t| is_new(t) && quiet.contains_key(*t))
+        .collect();
+    if let [tid] = live[..] {
+        let woke = end[tid] - quiet[tid];
         assert!(woke <= 25, "a silent pump switched {woke} times in 200 ms");
     }
 
