@@ -3,7 +3,7 @@
 //! A TSM register is attached to each input of an idle-waiting-prone (IWP)
 //! operator. It is "automatically updated with the timestamp value of the
 //! current input tuple and it remains in the register until the next tuple
-//! updates it". Crucially it retains its value *after the buffer empties*,
+//! updates it". Crucially it retains its value *after the buffer drains*,
 //! which is what lets the relaxed `more` condition (paper Fig. 5) process
 //! simultaneous tuples without idle-waiting, and what lets a punctuation
 //! tuple (whose only effect is to raise the register) unblock the operator.

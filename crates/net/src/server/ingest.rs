@@ -175,6 +175,9 @@ enum Phase {
     },
     Producer {
         port_idx: usize,
+        /// Columns of the port's schema: every data row must carry
+        /// exactly this many.
+        width: usize,
     },
     Subscriber {
         /// Broadcast slot, released at retire.
@@ -444,7 +447,7 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
 fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
     match c.phase {
         Phase::Handshake { .. } => {}
-        Phase::Producer { port_idx } => {
+        Phase::Producer { port_idx, .. } => {
             let now_us = shared.now_us();
             let mut eng = shared.lock_engine();
             let port = &mut eng.ports[port_idx];
@@ -492,7 +495,9 @@ fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step 
         // are through, so the producer's TCP window (not our memory)
         // absorbs the flood.
         Phase::Producer { .. } if !handed_off => Step::Keep,
-        Phase::Producer { port_idx } => step_producer(shared, c, port_idx, progressed),
+        Phase::Producer { port_idx, width } => {
+            step_producer(shared, c, port_idx, width, progressed)
+        }
         Phase::Subscriber { .. } if !flushed.empty => Step::Keep,
         Phase::Subscriber { .. } => step_subscriber(shared, c, progressed),
     }
@@ -585,9 +590,9 @@ fn step_handshake(
             Step::Keep
         }
         Role::Producer => match attach_producer(shared, &stream_name, schema.as_ref()) {
-            Ok((port_idx, hello_ack)) => {
+            Ok((port_idx, width, hello_ack)) => {
                 c.shared.push_frame(&hello_ack);
-                c.phase = Phase::Producer { port_idx };
+                c.phase = Phase::Producer { port_idx, width };
                 shared.active_producers.fetch_add(1, Ordering::SeqCst);
                 Step::Keep
             }
@@ -601,12 +606,13 @@ fn step_handshake(
 }
 
 /// Resolves the stream, checks the schema and attaches one producer under
-/// the engine lock; returns the port index and the `HelloAck` to send.
+/// the engine lock; returns the port index, its schema's width and the
+/// `HelloAck` to send.
 fn attach_producer(
     shared: &Arc<Shared>,
     stream_name: &str,
     claimed_schema: Option<&Schema>,
-) -> std::result::Result<(usize, Frame), (ErrorCode, String)> {
+) -> std::result::Result<(usize, usize, Frame), (ErrorCode, String)> {
     let mut eng = shared.lock_engine();
     let Some(&idx) = eng.by_name.get(stream_name) else {
         return Err((ErrorCode::Engine, format!("unknown stream `{stream_name}`")));
@@ -632,6 +638,7 @@ fn attach_producer(
     // A (re)connecting producer is activity: the source is no longer
     // network-starved.
     port.idle.set_idle(now_us, false);
+    let width = port.schema.len();
     let hello_ack = Frame::HelloAck {
         version: PROTOCOL_VERSION,
         schema: port.schema.clone(),
@@ -643,16 +650,17 @@ fn attach_producer(
         // armed, or one that lapsed while no producer was attached.
         shared.queue.rearm();
     }
-    Ok((idx, hello_ack))
+    Ok((idx, width, hello_ack))
 }
 
 /// Reads up to [`FRAMES_PER_STEP`] frames, validates their order and
-/// stages them, then hands the step's frames to the queue at once. Runs
-/// only with nothing staged.
+/// row width and stages them, then hands the step's frames to the queue
+/// at once. Runs only with nothing staged.
 fn step_producer(
     shared: &Arc<Shared>,
     c: &mut Conn,
     port_idx: usize,
+    width: usize,
     progressed: &mut bool,
 ) -> Step {
     let draining = shared.shutdown.load(Ordering::SeqCst);
@@ -680,15 +688,26 @@ fn step_producer(
                         break Step::Keep;
                     }
                 };
-                // Frame-order validation at the socket boundary: within
-                // one connection the sequence must strictly increase.
-                if c.last_seq.is_some_and(|ls| seq <= ls) {
+                // Frame validation at the socket boundary: within one
+                // connection the sequence must strictly increase, and a
+                // data row must be as wide as its stream's schema.
+                let violation = match &frame {
+                    _ if c.last_seq.is_some_and(|ls| seq <= ls) => Some(format!(
+                        "frame order violation: seq {seq} after {} on the same connection",
+                        c.last_seq.unwrap_or(0)
+                    )),
+                    Frame::Data { tuple, .. } if tuple.is_data() && tuple.width() != width => {
+                        Some(format!(
+                            "row width violation: seq {seq} carries {} column(s), the stream has {width}",
+                            tuple.width()
+                        ))
+                    }
+                    _ => None,
+                };
+                if let Some(message) = violation {
                     c.shared.push_frame(&Frame::Error {
                         code: ErrorCode::Protocol,
-                        message: format!(
-                            "frame order violation: seq {seq} after {} on the same connection",
-                            c.last_seq.unwrap_or(0)
-                        ),
+                        message,
                     });
                     c.closing = true;
                     break Step::Keep;

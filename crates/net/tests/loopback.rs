@@ -429,6 +429,71 @@ fn frame_order_violation_closes_the_connection() {
 }
 
 #[test]
+fn wrong_width_row_is_refused_at_the_socket() {
+    const JOIN_PROGRAM: &str = "\
+CREATE STREAM l (k INT, id INT);
+CREATE STREAM r (k INT, id INT);
+SELECT * FROM l JOIN r ON l.k = r.k WINDOW 1 SECONDS;";
+    let mut cfg = ServerConfig::new(JOIN_PROGRAM);
+    cfg.check = Some(CheckMode::Strict);
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+    let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
+
+    // A 0-column row on a 2-column stream used to reach the join and
+    // panic the engine; it is a protocol error at the socket now.
+    let (mut raw, mut reader) = raw_connect(addr, Role::Producer, "l");
+    let empty: Vec<Value> = Vec::new();
+    write_frame(
+        &mut raw,
+        &Frame::Data {
+            seq: 1,
+            tuple: Tuple::data(Timestamp::from_micros(5), empty),
+        },
+    )
+    .unwrap();
+    match reader.read_blocking(&mut raw).unwrap() {
+        Some(Frame::Error { message, .. }) => {
+            assert!(message.contains("width"), "{message}");
+            assert!(message.contains("0 column(s)"), "{message}");
+            assert!(message.contains("has 2"), "{message}");
+        }
+        other => panic!("expected a row-width error, got {other:?}"),
+    }
+    drop(raw);
+
+    // Well-formed producers still join afterwards.
+    let row = |ts: u64, k: i64| {
+        Tuple::data(
+            Timestamp::from_micros(ts),
+            vec![Value::Int(k), Value::Int(ts as i64)],
+        )
+    };
+    let mut l = client(addr, "l");
+    let mut r = client(addr, "r");
+    l.send(row(10, 7)).expect("send l");
+    r.send(row(20, 7)).expect("send r");
+    l.close().expect("close l");
+    r.close().expect("close r");
+    let joined = loop {
+        match sub.next(Duration::from_secs(10)).expect("output") {
+            Some(t) if t.is_data() => break t,
+            Some(_) => {}
+            None => panic!("stream ended before the join matched"),
+        }
+    };
+    assert_eq!(
+        joined.ts.as_micros(),
+        20,
+        "the match carries the probe's timestamp"
+    );
+    assert_eq!(joined.width(), 4, "l's and r's columns, concatenated");
+    server.shutdown().expect("shutdown");
+    let (rest, _) = drain(&mut sub);
+    assert!(rest.is_empty(), "one (7, 7) match only: {rest:?}");
+}
+
+#[test]
 fn connection_counters_track_reaped_connections() {
     const PROGRAM: &str = "CREATE STREAM s (v INT);\nSELECT v FROM s;";
     let server = Server::start(ServerConfig::new(PROGRAM)).expect("server");

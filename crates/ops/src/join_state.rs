@@ -1,69 +1,62 @@
-//! Shared join-state layer: key-partitioned hash indexes with
-//! punctuation-driven purge and a tiered cold store.
+//! Shared join-state layer: a τ-ordered ring with per-key chains,
+//! expired exactly at the window floor, over a tiered cold store.
 //!
-//! [`crate::MultiWindowJoin`] keeps one [`JoinState`] per input. Two
-//! storage modes:
+//! [`crate::MultiWindowJoin`] keeps one [`JoinState`] per input. Rows
+//! arrive in τ order, so one ring in arrival order *is* the window in
+//! timestamp order, in both storage modes:
 //!
-//! * **Keyed** — an equi-key column partitions the window into hash
-//!   buckets (`key value → Vec<Tuple>` in timestamp order). A probe
-//!   touches exactly one bucket, so probe cost is proportional to the
-//!   number of *matching* tuples, not the window length. Bucket equality
-//!   uses [`Value`]'s `Eq`, which is exactly the engine's SQL `=` on
-//!   non-null operands (`Int(1) == Float(1.0)`, hash-consistent), and a
-//!   null probe key returns no candidates — SQL three-valued logic.
-//! * **Scan** — no key: one contiguous store in timestamp order, probed
-//!   as a whole (the pre-existing cross-within-window behaviour).
+//! * **Keyed** — an equi-key column threads the ring with per-key
+//!   chains: each row links forward to the next row with the same key,
+//!   and a map holds every live non-null key's oldest and newest row. A
+//!   probe walks exactly one chain, so probe cost is proportional to the
+//!   number of *matching* rows, not the window length. Key equality uses
+//!   [`Value`]'s `Eq`, which is exactly the engine's SQL `=` on non-null
+//!   operands (`Int(1) == Float(1.0)`, hash-consistent). Null-keyed rows
+//!   sit in the ring unchained and a null probe key finds no chain — SQL
+//!   three-valued logic.
+//! * **Scan** — no key: every row links to the next, and a probe walks
+//!   the whole ring (cross-within-window).
 //!
-//! Expiry contract: the *logical* window floor (`max seen τ − window`)
-//! advances on every probe and every punctuation, and no probe ever
-//! returns a tuple below it — correctness does not depend on physical
-//! reclamation. Physical purge is amortized: scan stores trim eagerly
-//! (cheap pointer bump + periodic compaction), while keyed stores sweep
-//! their buckets only when the floor has advanced by at least half a
-//! window since the last sweep — or immediately on punctuation
-//! ([`JoinState::purge`]), which drops wholly-expired buckets in O(1)
-//! per bucket. Retained state is therefore bounded by ~1.5× the window
-//! between punctuations and snaps back to the exact window at each one.
+//! Expiry is exact at the floor (`max seen τ − window`): every
+//! [`JoinState::advance`] pops the ring front while it lies below the
+//! floor, unlinking each row from its key and dropping a key whose chain
+//! runs dry. The ring therefore holds exactly the logical window and the
+//! key map exactly its live keys; punctuation ([`JoinState::purge`]) is
+//! the same step.
 //!
 //! # Tiered storage ([`TierConfig`])
 //!
 //! Long windows (minutes–hours) exhaust memory long before CPU if every
-//! live tuple stays in row format. With a tier config, each sweep moves
-//! rows that have aged past `hot_fraction` of the window out of the hot
-//! row buckets into an immutable columnar **run**: values column-major,
-//! timestamps as a sorted `Vec<Timestamp>` so the logical floor stays a
-//! `partition_point`, and (keyed mode) a key → row-range index. Once the
+//! live tuple stays in row format. With a tier config, the ring prefix
+//! that has aged past `hot_fraction` of the window is popped through the
+//! same unlink path into an immutable columnar **run**: values
+//! column-major, timestamps resident so the floor stays addressable, and
+//! (keyed mode) rows grouped by key with a key → row-range index. Once the
 //! resident run payload exceeds `budget` bytes, the oldest runs spill to
 //! the state's append-only temp file ([`crate::spill::SpillFile`]); only
 //! the timestamp column and the key index stay resident, so punctuation
 //! retires a spilled run by dropping its entry — an unlink, never a scan
-//! ("Timestamp tokens"' frontier-addressing requirement). Successive
-//! runs cover disjoint ascending timestamp ranges (inserts and floor
-//! advances are globally τ-ordered), so a probe that chains runs oldest
-//! first and the hot bucket last reproduces exactly the candidate order
-//! of an untiered state — tiering is invisible in the output.
+//! ("Timestamp tokens"' frontier-addressing requirement). A run is a
+//! contiguous ring prefix, so successive runs cover disjoint ascending
+//! timestamp ranges that precede every hot row, and a probe that chains
+//! runs oldest first and the hot chain last reproduces exactly the
+//! candidate order of an untiered state — tiering is invisible in the
+//! output.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map::Entry, HashMap, VecDeque};
 
 use millstream_types::{Error, Result, Row, TimeDelta, Timestamp, Tuple, Value};
 
 use crate::spill::{ts_bytes, value_bytes, SpillFile};
 
-/// Compact the scan store once this many expired tuples pile up in front.
-const SCAN_COMPACT_MIN: usize = 32;
+/// Chain terminator: no further row with this key (or, in scan mode, no
+/// further row at all).
+const END: u64 = u64::MAX;
 
-/// In keyed mode, drop empty buckets once they outnumber live ones by
-/// this factor (plus a small constant floor so steady-state key churn
-/// never triggers reallocation).
-const EMPTY_BUCKET_SLACK: usize = 2;
-const EMPTY_BUCKET_MIN: usize = 16;
+/// Capacity the ring and the key map may keep whatever their length.
+const MIN_SLACK: usize = 64;
 
-/// Coalesce the logical-live histogram once it holds this many distinct
-/// timestamps (merging adjacent entries halves it; the estimate stays
-/// conservative — merged counts expire at the later timestamp).
-const HIST_MAX: usize = 1024;
-
-/// Tiered-store configuration: when present, sweeps compact cold rows
+/// Tiered-store configuration: when present, compaction moves cold rows
 /// into columnar runs and runs beyond the byte budget spill to disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierConfig {
@@ -72,10 +65,10 @@ pub struct TierConfig {
     /// compacts to columnar but never touches disk.
     pub budget: u64,
     /// Fraction of the window a row stays in the hot row tier after
-    /// arrival before a sweep may compact it (`0.0 ..= 1.0`; `1.0`
+    /// arrival before compaction may take it (`0.0 ..= 1.0`; `1.0`
     /// disables compaction entirely).
     pub hot_fraction: f64,
-    /// Minimum cold rows a sweep must find before materializing a run —
+    /// Minimum cold rows compaction must find before materializing a run —
     /// amortizes per-run metadata over enough rows to be worth it.
     pub min_run_rows: usize,
 }
@@ -136,7 +129,7 @@ impl TierConfig {
 /// `OpProfile`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Immutable columnar runs materialized by sweeps.
+    /// Immutable columnar runs materialized by compaction.
     pub compacted_runs: u64,
     /// Run payload bytes written to the disk tier.
     pub spilled_bytes: u64,
@@ -180,39 +173,46 @@ struct Run {
     values: RunValues,
 }
 
+/// One hot row and its forward link: the absolute sequence number of the
+/// next row with the same key (keyed) or of the next row (scan), or
+/// [`END`].
+struct Slot {
+    tuple: Tuple,
+    next: u64,
+}
+
+/// A live key's chain: absolute sequence numbers of its oldest and newest
+/// hot rows.
+struct Chain {
+    first: u64,
+    last: u64,
+}
+
 /// One input's window state for a symmetric join.
 pub struct JoinState {
     /// Equi-key column index within this input's row, if any.
     key: Option<usize>,
     window: TimeDelta,
-    /// Keyed mode: timestamp-ordered bucket per key value. Null-keyed
-    /// tuples live under `Value::Null` but are never probed.
-    buckets: HashMap<Value, Vec<Tuple>>,
-    /// Scan mode: timestamp-ordered store; `scan[scan_head..]` is live.
-    scan: Vec<Tuple>,
-    scan_head: usize,
-    /// Tuples physically retained in keyed buckets (hot tier only).
-    keyed_live: usize,
-    /// Buckets currently empty (retained for their capacity).
-    empties: usize,
-    /// Logical expiry floor: tuples with `ts < floor` never match.
+    /// Hot rows in arrival order, which is τ order; every row is at or
+    /// above the floor.
+    ring: VecDeque<Slot>,
+    /// Absolute sequence number of `ring.front()`.
+    head: u64,
+    /// Keyed mode: every live non-null key's chain, and nothing else.
+    chains: HashMap<Value, Chain>,
+    /// Expiry floor: no retained hot row lies below it.
     floor: Timestamp,
-    /// Floor at the last physical reclamation (scan trim / bucket sweep).
-    swept_floor: Timestamp,
     /// Highest timestamp observed (inserts, probes, punctuation). The
     /// cold cut anchors here rather than on the floor: the two coincide
     /// once the floor unsaturates (`floor = high − window`), but during
     /// the first window's fill the floor is pinned at zero while rows
     /// still age — compaction must not wait out the warm-up.
     high: Timestamp,
-    /// `high` at the last tier compaction check, for sweep batching.
-    swept_high: Timestamp,
+    /// `high` at the last compaction check, for compaction hysteresis.
+    compacted_high: Timestamp,
     /// High-water of stored tuples, for peak-state accounting.
     peak: usize,
-    /// Full keyed-bucket sweeps performed (lifetime) — lets tests assert
-    /// that a non-advancing purge is a no-op.
-    sweeps: u64,
-    /// Tier config; `None` = hot rows only (the pre-tier behaviour).
+    /// Tier config; `None` = hot rows only.
     tier: Option<TierConfig>,
     /// Cold runs, oldest first; their timestamp ranges are disjoint and
     /// ascending, and every `max_ts` precedes every hot row.
@@ -230,19 +230,33 @@ pub struct JoinState {
     /// (graceful degradation — correctness never depends on the disk).
     spill_disabled: bool,
     stats: SpillStats,
-    /// Logical-live histogram: `(ts, inserts at ts)` in arrival order.
-    /// Front entries expire as the floor passes them, keeping
-    /// `logical_live` an O(1)-amortized estimate that — unlike the
-    /// physical `keyed_live` — never counts logically-expired tuples.
-    hist: VecDeque<(Timestamp, u32)>,
-    /// Tuples inserted and not yet logically expired (exact until the
-    /// histogram coalesces, then a slight overestimate).
-    logical_live: usize,
+}
+
+/// A probe's hot candidates, oldest first: one key's chain (keyed) or
+/// the whole ring (scan). Cloning restarts nothing — it forks the walk.
+#[derive(Clone)]
+struct Cursor<'a> {
+    ring: &'a VecDeque<Slot>,
+    head: u64,
+    at: u64,
+}
+
+impl<'a> Iterator for Cursor<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        if self.at == END {
+            return None;
+        }
+        let slot = &self.ring[(self.at - self.head) as usize];
+        self.at = slot.next;
+        Some(&slot.tuple)
+    }
 }
 
 impl JoinState {
     /// A window state; `key` is the equi-key column within this input's
-    /// own row (`None` = ordered scan store). No tiering.
+    /// own row (`None` = scan store). No tiering.
     pub fn new(window: TimeDelta, key: Option<usize>) -> Self {
         JoinState::with_tier(window, key, None)
     }
@@ -252,17 +266,13 @@ impl JoinState {
         JoinState {
             key,
             window,
-            buckets: HashMap::new(),
-            scan: Vec::new(),
-            scan_head: 0,
-            keyed_live: 0,
-            empties: 0,
+            ring: VecDeque::new(),
+            head: 0,
+            chains: HashMap::new(),
             floor: Timestamp::ZERO,
-            swept_floor: Timestamp::ZERO,
             high: Timestamp::ZERO,
-            swept_high: Timestamp::ZERO,
+            compacted_high: Timestamp::ZERO,
             peak: 0,
-            sweeps: 0,
             tier,
             runs: VecDeque::new(),
             run_rows: 0,
@@ -271,31 +281,14 @@ impl JoinState {
             spill: None,
             spill_disabled: false,
             stats: SpillStats::default(),
-            hist: VecDeque::new(),
-            logical_live: 0,
         }
     }
 
-    /// The equi-key column, if this state is hash-partitioned.
-    pub fn key(&self) -> Option<usize> {
-        self.key
-    }
-
-    /// The window length.
-    pub fn window(&self) -> TimeDelta {
-        self.window
-    }
-
-    /// Tuples physically retained — hot rows plus compacted run rows
-    /// (physical retention may lag logical expiry by up to half a window
-    /// in keyed mode between punctuations).
+    /// Tuples retained: hot rows, all at or above the floor, plus
+    /// compacted run rows (a run retires whole, once its newest row
+    /// expires).
     pub fn len(&self) -> usize {
-        let hot = if self.key.is_some() {
-            self.keyed_live
-        } else {
-            self.scan.len() - self.scan_head
-        };
-        hot + self.run_rows
+        self.ring.len() + self.run_rows
     }
 
     /// True when no tuples are retained.
@@ -308,26 +301,15 @@ impl JoinState {
         self.peak
     }
 
-    /// Full keyed-bucket sweeps performed over the state's lifetime.
-    pub fn sweep_count(&self) -> u64 {
-        self.sweeps
-    }
-
-    /// Floor at the last physical reclamation — exposed so tests can
-    /// check `advance`/`purge` bookkeeping stays consistent.
-    pub fn swept_floor(&self) -> Timestamp {
-        self.swept_floor
-    }
-
     /// Lifetime tier counters (compactions, spilled bytes, run drops).
     pub fn spill_stats(&self) -> SpillStats {
         self.stats
     }
 
-    /// Estimated resident bytes: hot rows, run metadata (timestamp
-    /// column + key index — resident even for spilled runs), and
-    /// resident run payloads. Spilled payloads are *not* counted — this
-    /// is the quantity the spill budget bounds, sampled by the spill
+    /// Estimated resident bytes: hot rows with their links, run metadata
+    /// (timestamp column + key index — resident even for spilled runs),
+    /// and resident run payloads. Spilled payloads are *not* counted —
+    /// this is the quantity the spill budget bounds, sampled by the spill
     /// bench to prove peak resident state tracks `--join-spill-budget`.
     pub fn resident_bytes(&self) -> u64 {
         let mut total = self.resident_run_bytes;
@@ -337,38 +319,24 @@ impl JoinState {
                 total += (index.len() * (std::mem::size_of::<Value>() + 8)) as u64;
             }
         }
-        let hot_tuples = |t: &Tuple| -> u64 {
-            let mut b = std::mem::size_of::<Tuple>() as u64;
+        for slot in &self.ring {
+            let t = &slot.tuple;
+            total += std::mem::size_of::<Slot>() as u64;
             for v in t.values_expect() {
                 if let Value::Str(s) = v {
-                    b += s.len() as u64;
+                    total += s.len() as u64;
                 }
             }
             if t.width() > millstream_types::INLINE_ROW_CAP {
-                b += (t.width() * std::mem::size_of::<Value>()) as u64;
+                total += (t.width() * std::mem::size_of::<Value>()) as u64;
             }
-            b
-        };
-        if self.key.is_some() {
-            for bucket in self.buckets.values() {
-                total += bucket.iter().map(&hot_tuples).sum::<u64>();
-            }
-        } else {
-            total += self.scan[self.scan_head..]
-                .iter()
-                .map(&hot_tuples)
-                .sum::<u64>();
         }
         total
     }
 
     /// Expected candidates per probe — the adaptive-order cost signal.
-    /// Keyed states divide *logically live* tuples by distinct live keys
-    /// (uniform bucket estimate); scan states pay the logical window.
-    /// The numerator comes from the timestamp histogram, not the
-    /// physical `keyed_live`: between sweeps the physical count retains
-    /// logically-expired tuples, which used to let a mostly-expired
-    /// input masquerade as fat and lose the probe order it should win.
+    /// Keyed states divide live rows by live keys (hot chains plus run
+    /// index keys: a uniform-chain estimate); scan states pay the window.
     pub fn estimated_candidates(&self) -> usize {
         if self.key.is_some() {
             let run_keys: usize = self
@@ -376,133 +344,180 @@ impl JoinState {
                 .iter()
                 .map(|r| r.index.as_ref().map_or(0, HashMap::len))
                 .sum();
-            let live_buckets = (self.buckets.len() - self.empties) + run_keys;
-            self.logical_live / live_buckets.max(1)
+            self.len() / (self.chains.len() + run_keys).max(1)
         } else {
-            self.logical_live
+            self.len()
         }
     }
 
-    /// Stores a tuple. Timestamps must be non-decreasing across calls
-    /// (guaranteed by the join's τ = TSM-minimum processing order).
+    /// Stores a tuple: a ring push plus a link. Timestamps must be
+    /// non-decreasing across calls (guaranteed by the join's τ =
+    /// TSM-minimum processing order).
     pub fn insert(&mut self, tuple: Tuple) {
         self.high = self.high.max(tuple.ts);
-        self.note_insert(tuple.ts);
-        match self.key {
+        let seq = self.head + self.ring.len() as u64;
+        let prev = match self.key {
             Some(col) => {
-                let k = tuple.values_expect()[col].clone();
-                let bucket = self.buckets.entry(k).or_default();
-                if bucket.is_empty() && self.empties > 0 {
-                    // Reusing a drained bucket's capacity.
-                    self.empties -= 1;
+                let k = &tuple.values_expect()[col];
+                if k.is_null() {
+                    None
+                } else {
+                    match self.chains.entry(k.clone()) {
+                        Entry::Occupied(mut e) => {
+                            Some(std::mem::replace(&mut e.get_mut().last, seq))
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert(Chain {
+                                first: seq,
+                                last: seq,
+                            });
+                            None
+                        }
+                    }
                 }
-                bucket.push(tuple);
-                self.keyed_live += 1;
             }
-            None => self.scan.push(tuple),
+            None => (!self.ring.is_empty()).then(|| seq - 1),
+        };
+        if let Some(prev) = prev {
+            self.ring[(prev - self.head) as usize].next = seq;
         }
+        self.ring.push_back(Slot { tuple, next: END });
         self.peak = self.peak.max(self.len());
     }
 
-    /// Advances the logical floor for a probe at `ts` and amortizes
-    /// physical reclamation (scan: eager trim; keyed: sweep only once the
-    /// floor has moved at least half a window past the last sweep, or the
-    /// tier's compaction hysteresis fires). Runs wholly below the floor
-    /// are dropped immediately — an O(1) header check, never a scan.
+    /// Moves the floor to `ts − window` and expires everything below it:
+    /// hot rows pop off the ring front, runs wholly below it retire by a
+    /// header check. Then compacts the cold ring prefix when the tier's
+    /// hysteresis is due.
     pub fn advance(&mut self, ts: Timestamp) {
         self.high = self.high.max(ts);
         let floor = ts.saturating_sub(self.window);
-        let advanced = floor > self.floor;
-        if advanced {
+        if floor > self.floor {
             self.floor = floor;
-            self.expire_hist();
+            while self.ring.front().is_some_and(|s| s.tuple.ts < floor) {
+                self.pop_front();
+            }
             self.drop_expired_runs();
+            self.release_slack();
         }
-        if self.key.is_none() {
-            if advanced || self.compaction_due() {
-                self.trim_scan();
-            }
-        } else {
-            let lag = self.floor.duration_since(self.swept_floor);
-            if (advanced && lag.as_micros().saturating_mul(2) >= self.window.as_micros().max(1))
-                || self.compaction_due()
-            {
-                self.sweep_buckets();
-            }
+        if self.compaction_due() {
+            self.compact();
         }
     }
 
-    /// Whether enough time has passed since the last sweep for a batch of
-    /// cold rows to be worth compacting. Half the hot span is the
-    /// hysteresis: the hot tier holds at most ~1.5× `hot_fraction` of the
-    /// window between compactions. Always false with the tier off, so the
-    /// untiered sweep cadence is exactly the pre-tier one.
+    /// Punctuation at `ts`: the same expiry step as [`JoinState::advance`].
+    /// A repeated or older witness cannot move the floor and changes
+    /// nothing.
+    pub fn purge(&mut self, ts: Timestamp) {
+        self.advance(ts);
+    }
+
+    /// Pops the ring's oldest row, unlinking it from its key: it is the
+    /// oldest row of its chain, so the chain's head moves to its link, and
+    /// a key whose chain runs dry leaves the map.
+    fn pop_front(&mut self) -> Option<Tuple> {
+        let slot = self.ring.pop_front()?;
+        self.head += 1;
+        if let Some(col) = self.key {
+            let k = &slot.tuple.values_expect()[col];
+            if !k.is_null() {
+                if slot.next == END {
+                    self.chains.remove(k);
+                } else {
+                    let chain = self.chains.get_mut(k).expect("live key has a chain");
+                    debug_assert_eq!(chain.first, self.head - 1, "popped row heads its chain");
+                    chain.first = slot.next;
+                }
+            }
+        }
+        Some(slot.tuple)
+    }
+
+    /// A burst must not pin its allocation for the stream lifetime: once
+    /// the ring or the key map fills under a quarter of its capacity,
+    /// release it down to twice its length (hysteresis avoids realloc
+    /// churn).
+    fn release_slack(&mut self) {
+        let len = self.ring.len();
+        if self.ring.capacity() > (4 * len).max(MIN_SLACK) {
+            self.ring.shrink_to((2 * len).max(MIN_SLACK));
+        }
+        let keys = self.chains.len();
+        if self.chains.capacity() > (4 * keys).max(MIN_SLACK) {
+            self.chains.shrink_to((2 * keys).max(MIN_SLACK));
+        }
+    }
+
+    /// How long a row stays hot after arrival: `hot_fraction` of the
+    /// window, in µs.
+    fn hot_span(&self, tier: &TierConfig) -> u64 {
+        (self.window.as_micros() as f64 * tier.hot_fraction.clamp(0.0, 1.0)) as u64
+    }
+
+    /// Whether enough time has passed since the last compaction check for
+    /// a batch of cold rows to be worth compacting. Half the hot span is
+    /// the hysteresis: the hot tier holds at most ~1.5× `hot_fraction` of
+    /// the window between compactions. Always false with the tier off.
     fn compaction_due(&self) -> bool {
         let Some(tier) = &self.tier else { return false };
-        let keep = (self.window.as_micros() as f64 * tier.hot_fraction.clamp(0.0, 1.0)) as u64;
-        let since = self.high.duration_since(self.swept_high).as_micros();
-        since.saturating_mul(2) >= keep.max(1)
+        let since = self.high.duration_since(self.compacted_high).as_micros();
+        since.saturating_mul(2) >= self.hot_span(tier).max(1)
     }
 
-    /// Punctuation-driven purge at `ts`: advances the floor and forces a
-    /// full physical reclamation at it. When the implied floor does not
-    /// pass the last reclamation point the call is a no-op — repeated or
-    /// non-advancing punctuation must not pay a bucket sweep.
-    pub fn purge(&mut self, ts: Timestamp) {
-        self.high = self.high.max(ts);
-        let floor = self.floor.max(ts.saturating_sub(self.window));
-        if floor <= self.swept_floor {
+    /// Moves the ring prefix below the cold cut into one run, once it
+    /// holds at least `min_run_rows`. The cut anchors on the high
+    /// timestamp, which equals `floor + window` once the floor
+    /// unsaturates but keeps aging rows compactable during warm-up. The
+    /// prefix pops through the same unlink path as expiry; keyed runs
+    /// group it by key, ts-ascending within each key.
+    fn compact(&mut self) {
+        let Some(tier) = self.tier else { return };
+        self.compacted_high = self.high;
+        let cut = self
+            .high
+            .saturating_sub(TimeDelta::from_micros(self.hot_span(&tier)));
+        let cold = self.ring.partition_point(|s| s.tuple.ts < cut);
+        if cold < tier.min_run_rows.max(1) {
             return;
         }
-        self.floor = floor;
-        self.expire_hist();
-        self.drop_expired_runs();
-        if self.key.is_none() {
-            self.trim_scan();
-        } else {
-            self.sweep_buckets();
-        }
+        let mut rows: Vec<Tuple> = (0..cold)
+            .map(|_| self.pop_front().expect("cold prefix"))
+            .collect();
+        let index = self.key.map(|col| group_by_key(&mut rows, col));
+        self.push_run(rows, index);
+        self.enforce_budget();
+        self.release_slack();
     }
 
-    /// Candidates for a probe, oldest first: cold runs (resident then hot
-    /// in *time* order — runs never interleave) rehydrated into `scratch`,
-    /// chained with the hot bucket borrowed in place. The chained order is
-    /// exactly an untiered state's bucket order, so callers' output is
-    /// byte-identical whatever the tier does. A null probe key never
-    /// matches. Callers of a keyed state must pass `Some(key)`.
+    /// Candidates for a probe, oldest first: cold runs rehydrated into
+    /// `scratch` (runs never interleave in time), then the hot chain (or,
+    /// in scan mode, the whole ring) walked in place. The order is exactly
+    /// an untiered state's chain order, so callers' output is
+    /// byte-identical whatever the tier does. The returned cursor is a
+    /// cheap `Clone`, so an enumeration can restart it without probing
+    /// again. A null probe key never matches. Callers of a keyed state
+    /// must pass `Some(key)`.
     pub fn probe<'a>(
         &'a self,
         key: Option<&Value>,
         scratch: &'a mut Vec<Tuple>,
-    ) -> Result<impl Iterator<Item = &'a Tuple> + 'a> {
+    ) -> Result<impl Iterator<Item = &'a Tuple> + Clone + 'a> {
         scratch.clear();
         self.probe_cold(key, scratch)?;
-        Ok(scratch.iter().chain(self.probe_hot(key).iter()))
-    }
-
-    /// Hot-tier candidates only: the matching bucket (keyed) or the whole
-    /// live store (scan), filtered to `ts ≥ floor` — a borrowed slice,
-    /// no copy. The enumeration hot path stays allocation-free.
-    pub fn probe_hot(&self, key: Option<&Value>) -> &[Tuple] {
-        let candidates: &[Tuple] = match (self.key, key) {
-            (Some(_), Some(k)) => {
-                if k.is_null() {
-                    return &[];
-                }
-                match self.buckets.get(k) {
-                    Some(bucket) => bucket,
-                    None => return &[],
-                }
-            }
-            (None, _) => &self.scan[self.scan_head..],
+        let at = match (self.key, key) {
+            (Some(_), Some(k)) => self.chains.get(k).map_or(END, |c| c.first),
+            (None, _) if !self.ring.is_empty() => self.head,
+            (None, _) => END,
             (Some(_), None) => {
                 debug_assert!(false, "keyed state probed without a key");
-                return &[];
+                END
             }
         };
-        // Physical purge may lag the logical floor; skip the expired front.
-        let start = candidates.partition_point(|t| t.ts < self.floor);
-        &candidates[start..]
+        Ok(scratch.iter().chain(Cursor {
+            ring: &self.ring,
+            head: self.head,
+            at,
+        }))
     }
 
     /// Rehydrates cold candidates (resident and spilled runs, oldest
@@ -514,9 +529,6 @@ impl JoinState {
         let before = out.len();
         match (self.key, key) {
             (Some(_), Some(k)) => {
-                if k.is_null() {
-                    return Ok(0);
-                }
                 for run in &self.runs {
                     let Some(index) = &run.index else { continue };
                     let Some(&(start, count)) = index.get(k) else {
@@ -547,7 +559,7 @@ impl JoinState {
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         // The range is ts-ascending: the logical floor is a partition
-        // point here exactly as in a hot bucket.
+        // point here exactly as in a hot chain.
         let skip = run.ts[start..start + count].partition_point(|&t| t < self.floor);
         let (start, count) = (start + skip, count - skip);
         if count == 0 {
@@ -568,7 +580,7 @@ impl JoinState {
                 let spill = self.spill.as_ref().expect("spilled run without a file");
                 let mut thawed: Vec<Vec<Value>> = Vec::new();
                 spill
-                    .read_rows(*offset, *len, start, count, &mut thawed)
+                    .read_rows(*offset, *len, run.width, start, count, &mut thawed)
                     .map_err(|e| Error::runtime(format!("join spill read: {e}")))?;
                 for (i, vals) in thawed.into_iter().enumerate() {
                     let mut row = Row::builder(run.width);
@@ -580,44 +592,6 @@ impl JoinState {
             }
         }
         Ok(())
-    }
-
-    /// Records an insert in the logical-live histogram.
-    fn note_insert(&mut self, ts: Timestamp) {
-        self.logical_live += 1;
-        if let Some(back) = self.hist.back_mut() {
-            if back.0 == ts {
-                back.1 += 1;
-                return;
-            }
-        }
-        if self.hist.len() >= HIST_MAX {
-            // Merge adjacent entries pairwise, keeping the later
-            // timestamp: merged counts expire late, so the live estimate
-            // errs high (never resurrects an expired-looking input).
-            let mut merged = VecDeque::with_capacity(self.hist.len() / 2 + 1);
-            let mut it = self.hist.drain(..);
-            while let Some((ts1, c1)) = it.next() {
-                match it.next() {
-                    Some((ts2, c2)) => merged.push_back((ts2, c1 + c2)),
-                    None => merged.push_back((ts1, c1)),
-                }
-            }
-            drop(it);
-            self.hist = merged;
-        }
-        self.hist.push_back((ts, 1));
-    }
-
-    /// Expires histogram entries below the floor.
-    fn expire_hist(&mut self) {
-        while let Some(&(ts, count)) = self.hist.front() {
-            if ts >= self.floor {
-                break;
-            }
-            self.logical_live -= count as usize;
-            self.hist.pop_front();
-        }
     }
 
     /// Drops wholly-expired runs from the front. Runs are ts-disjoint and
@@ -640,118 +614,6 @@ impl JoinState {
                     self.spill_disabled = true;
                 }
             }
-        }
-    }
-
-    /// The timestamp below which live rows are cold: rows stay hot for
-    /// `hot_fraction` of the window after arrival. Anchored on the high
-    /// timestamp, which equals `floor + window` once the floor
-    /// unsaturates but keeps aging rows compactable during warm-up.
-    fn cold_cut(&self, tier: &TierConfig) -> Timestamp {
-        let window = self.window.as_micros();
-        let keep = (window as f64 * tier.hot_fraction.clamp(0.0, 1.0)) as u64;
-        self.high.saturating_sub(TimeDelta::from_micros(keep))
-    }
-
-    fn trim_scan(&mut self) {
-        self.swept_high = self.high;
-        let live = &self.scan[self.scan_head..];
-        self.scan_head += live.partition_point(|t| t.ts < self.floor);
-        if let Some(tier) = self.tier {
-            let cut = self.cold_cut(&tier);
-            let cold = self.scan[self.scan_head..].partition_point(|t| t.ts < cut);
-            if cold >= tier.min_run_rows.max(1) {
-                let rows = self.scan[self.scan_head..self.scan_head + cold].to_vec();
-                self.scan_head += cold;
-                self.push_run(rows, None);
-                self.enforce_budget();
-            }
-        }
-        if self.scan_head >= SCAN_COMPACT_MIN && self.scan_head * 2 >= self.scan.len() {
-            self.scan.drain(..self.scan_head);
-            self.scan_head = 0;
-            // A burst must not pin its allocation for the stream
-            // lifetime: release capacity down to a small multiple of
-            // the surviving rows (hysteresis avoids realloc churn).
-            let target = self.scan.len() * 2 + SCAN_COMPACT_MIN;
-            if self.scan.capacity() > target * 2 {
-                self.scan.shrink_to(target);
-            }
-        }
-        self.swept_floor = self.floor;
-    }
-
-    fn sweep_buckets(&mut self) {
-        self.sweeps += 1;
-        self.swept_high = self.high;
-        let floor = self.floor;
-        // Decide up front whether this sweep compacts: cold rows across
-        // all buckets must clear `min_run_rows` to amortize run metadata.
-        let compact_cut = self.tier.and_then(|tier| {
-            let cut = self.cold_cut(&tier);
-            let cold: usize = self
-                .buckets
-                .values()
-                .map(|b| {
-                    let live = b.partition_point(|t| t.ts < floor);
-                    b[live..].partition_point(|t| t.ts < cut)
-                })
-                .sum();
-            (cold >= tier.min_run_rows.max(1)).then_some(cut)
-        });
-        let mut cold_rows: Vec<Tuple> = Vec::new();
-        let mut cold_index: Vec<(Value, u32, u32)> = Vec::new();
-        let mut live = 0;
-        let mut empties = 0;
-        for (key, bucket) in self.buckets.iter_mut() {
-            if bucket.last().is_some_and(|t| t.ts < floor) {
-                // Whole bucket expired: drop its contents in one clear,
-                // keeping capacity for the next tuple of this key.
-                bucket.clear();
-            } else {
-                let dead = bucket.partition_point(|t| t.ts < floor);
-                if dead > 0 {
-                    bucket.drain(..dead);
-                }
-                if let Some(cut) = compact_cut {
-                    let cold = bucket.partition_point(|t| t.ts < cut);
-                    if cold > 0 {
-                        let start = cold_rows.len() as u32;
-                        cold_rows.extend(bucket.drain(..cold));
-                        cold_index.push((key.clone(), start, cold as u32));
-                    }
-                }
-            }
-            // Same leak as the scan store: a key's burst must not pin
-            // its bucket capacity forever.
-            if bucket.capacity() > 8 && bucket.capacity() > bucket.len() * 4 {
-                bucket.shrink_to(bucket.len() * 2);
-            }
-            if bucket.is_empty() {
-                empties += 1;
-            } else {
-                live += bucket.len();
-            }
-        }
-        self.keyed_live = live;
-        self.empties = empties;
-        self.swept_floor = floor;
-        let occupied = self.buckets.len() - empties;
-        if empties >= EMPTY_BUCKET_MIN && empties >= EMPTY_BUCKET_SLACK * occupied.max(1) {
-            self.buckets.retain(|_, b| !b.is_empty());
-            self.empties = 0;
-            let target = self.buckets.len() * 2 + EMPTY_BUCKET_MIN;
-            if self.buckets.capacity() > target * 2 {
-                self.buckets.shrink_to(target);
-            }
-        }
-        if !cold_rows.is_empty() {
-            let index = cold_index
-                .into_iter()
-                .map(|(k, start, count)| (k, (start, count)))
-                .collect();
-            self.push_run(cold_rows, Some(index));
-            self.enforce_budget();
         }
     }
 
@@ -839,8 +701,8 @@ impl JoinState {
     }
 
     #[cfg(test)]
-    fn scan_capacity(&self) -> usize {
-        self.scan.capacity()
+    fn ring_capacity(&self) -> usize {
+        self.ring.capacity()
     }
 
     #[cfg(test)]
@@ -857,9 +719,45 @@ impl JoinState {
     }
 }
 
+/// Groups a ts-ascending batch by its key column — stably, so each key's
+/// rows stay ts-ascending — and returns each non-null key's row range.
+/// Null-keyed rows are grouped too but left out of the index: they are
+/// retained, never probed.
+fn group_by_key(rows: &mut Vec<Tuple>, col: usize) -> HashMap<Value, (u32, u32)> {
+    let mut groups: HashMap<Value, u32> = HashMap::new();
+    let mut counts: Vec<u32> = Vec::new();
+    let mut tagged: Vec<(u32, Tuple)> = rows
+        .drain(..)
+        .map(|t| {
+            let g = *groups
+                .entry(t.values_expect()[col].clone())
+                .or_insert_with(|| {
+                    counts.push(0);
+                    counts.len() as u32 - 1
+                });
+            counts[g as usize] += 1;
+            (g, t)
+        })
+        .collect();
+    tagged.sort_by_key(|&(g, _)| g);
+    rows.extend(tagged.into_iter().map(|(_, t)| t));
+    let mut starts = Vec::with_capacity(counts.len());
+    let mut at = 0;
+    for &c in &counts {
+        starts.push(at);
+        at += c;
+    }
+    groups
+        .into_iter()
+        .filter(|(k, _)| !k.is_null())
+        .map(|(k, g)| (k, (starts[g as usize], counts[g as usize])))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn data(ts: u64, k: i64) -> Tuple {
         Tuple::data(Timestamp::from_micros(ts), vec![Value::Int(k)])
@@ -874,15 +772,15 @@ mod tests {
     }
 
     #[test]
-    fn keyed_probe_touches_one_bucket() {
+    fn keyed_probe_walks_one_chain() {
         let mut s = JoinState::new(TimeDelta::from_micros(100), Some(0));
         for ts in 0..10 {
             s.insert(data(ts, (ts % 3) as i64));
         }
-        let hits = s.probe_hot(Some(&Value::Int(1)));
+        let hits = probe_all(&s, Some(&Value::Int(1)));
         assert_eq!(hits.len(), 3, "only key-1 tuples: ts 1, 4, 7");
         assert!(hits.iter().all(|t| t.values_expect()[0] == Value::Int(1)));
-        assert!(s.probe_hot(Some(&Value::Int(99))).is_empty());
+        assert!(probe_all(&s, Some(&Value::Int(99))).is_empty());
     }
 
     #[test]
@@ -890,9 +788,10 @@ mod tests {
         let mut s = JoinState::new(TimeDelta::from_micros(100), Some(0));
         s.insert(Tuple::data(Timestamp::from_micros(1), vec![Value::Null]));
         s.insert(data(2, 5));
-        assert!(s.probe_hot(Some(&Value::Null)).is_empty());
-        assert_eq!(s.probe_hot(Some(&Value::Int(5))).len(), 1);
+        assert!(probe_all(&s, Some(&Value::Null)).is_empty());
+        assert_eq!(probe_all(&s, Some(&Value::Int(5))).len(), 1);
         assert_eq!(s.len(), 2, "null-keyed tuples still count as stored");
+        assert_eq!(s.chains.len(), 1, "null keys are never chained");
     }
 
     #[test]
@@ -900,11 +799,13 @@ mod tests {
         let mut s = JoinState::new(TimeDelta::from_micros(100), Some(0));
         s.insert(data(10, 1));
         s.insert(data(120, 1));
-        // Advance by less than half a window past the last sweep: the old
-        // tuple is retained physically but must not be probeable.
+        // Floor 30: the old tuple is gone from the probe and the store
+        // alike, however little the floor moved.
         s.advance(Timestamp::from_micros(130));
-        assert_eq!(s.probe_hot(Some(&Value::Int(1))).len(), 1);
-        assert_eq!(s.probe_hot(Some(&Value::Int(1)))[0].ts.as_micros(), 120);
+        let hits = probe_all(&s, Some(&Value::Int(1)));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].ts.as_micros(), 120);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -915,7 +816,8 @@ mod tests {
         }
         assert_eq!(s.len(), 3);
         s.purge(Timestamp::from_micros(500));
-        assert_eq!(s.len(), 0, "all buckets wholly expired");
+        assert_eq!(s.len(), 0, "every row expired");
+        assert!(s.chains.is_empty(), "every key left the map");
         assert_eq!(s.peak(), 3, "peak survives the purge");
     }
 
@@ -926,8 +828,8 @@ mod tests {
             s.insert(data(ts, 0));
             s.advance(Timestamp::from_micros(ts));
         }
-        assert!(s.len() <= 11, "scan store bounded by the window");
-        assert_eq!(s.probe_hot(None).len(), s.len());
+        assert_eq!(s.len(), 11, "scan store holds exactly the window");
+        assert_eq!(probe_all(&s, None).len(), s.len());
     }
 
     #[test]
@@ -944,38 +846,34 @@ mod tests {
 
     #[test]
     fn estimated_candidates_ignores_logically_expired_tuples() {
-        // Regression: the estimate used to divide the *physical*
-        // `keyed_live` by live buckets; between sweeps it counted
-        // logically-expired tuples and a mostly-dead input looked fat
-        // (or, probed elsewhere, a stale input looked cheap).
+        // Regression: the estimate used to divide the *physical* keyed
+        // count by live buckets; while expired rows were still resident
+        // a mostly-dead input looked fat (or, probed elsewhere, a stale
+        // input looked cheap).
         let mut s = JoinState::new(TimeDelta::from_micros(100), Some(0));
         for ts in 0..90u64 {
             s.insert(data(ts, (ts % 3) as i64));
         }
         s.insert(data(110, 0));
-        // Floor 45: everything below is logically dead, but the lag (45)
-        // is under half a window, so no physical sweep happened.
+        // Floor 45: ts 45..=89 and 110 are live, nothing else is kept.
         s.advance(Timestamp::from_micros(145));
-        assert!(s.len() > 40, "physical retention still holds stale rows");
+        assert_eq!(s.len(), 45 + 1, "retention is exactly the live rows");
         assert!(
             s.estimated_candidates() <= 15,
             "estimate must track logical live (~15/key), got {}",
             s.estimated_candidates()
         );
-        // After the forced sweep the physical and logical views agree.
-        s.purge(Timestamp::from_micros(145));
-        assert_eq!(s.len(), 45 + 1);
     }
 
     #[test]
     fn scan_burst_releases_capacity() {
-        // Regression: `trim_scan` drained expired rows but kept the
-        // burst-sized allocation for the stream lifetime.
+        // Regression: expiry dropped the rows but kept the burst-sized
+        // allocation for the stream lifetime.
         let mut s = JoinState::new(TimeDelta::from_micros(10), None);
         for ts in 0..10_000u64 {
             s.insert(data(ts, 0));
         }
-        let burst_cap = s.scan_capacity();
+        let burst_cap = s.ring_capacity();
         assert!(burst_cap >= 10_000);
         // Everything expires; steady drip keeps the store tiny.
         for ts in 20_000..20_100u64 {
@@ -984,72 +882,233 @@ mod tests {
         }
         assert!(s.len() <= 11);
         assert!(
-            s.scan_capacity() < burst_cap / 8,
+            s.ring_capacity() < burst_cap / 8,
             "burst capacity released: {} -> {}",
             burst_cap,
-            s.scan_capacity()
+            s.ring_capacity()
         );
     }
 
     #[test]
-    fn keyed_burst_releases_bucket_capacity() {
+    fn keyed_burst_releases_ring_capacity() {
         let mut s = JoinState::new(TimeDelta::from_micros(10), Some(0));
         for ts in 0..10_000u64 {
-            s.insert(data(ts, 7));
+            s.insert(data(ts, (ts % 5_000) as i64));
         }
+        let (ring_cap, map_cap) = (s.ring_capacity(), s.chains.capacity());
+        assert!(ring_cap >= 10_000 && map_cap >= 5_000);
         s.purge(Timestamp::from_micros(20_000));
         s.insert(data(20_001, 7));
-        // The sole bucket held 10k rows; after the purge-sweep its
-        // capacity must have been released.
-        let cap = s.buckets.get(&Value::Int(7)).unwrap().capacity();
-        assert!(cap < 10_000 / 8, "bucket capacity released, got {cap}");
+        // The burst held 10k rows over 5k keys; after the purge both the
+        // ring and the key map must have released that capacity.
+        assert!(
+            s.ring_capacity() < ring_cap / 8,
+            "ring capacity released, got {}",
+            s.ring_capacity()
+        );
+        assert!(
+            s.chains.capacity() < map_cap / 8,
+            "key map capacity released, got {}",
+            s.chains.capacity()
+        );
     }
 
     #[test]
-    fn non_advancing_purge_is_a_noop() {
-        let mut s = JoinState::new(TimeDelta::from_micros(100), Some(0));
-        for ts in 0..50u64 {
-            s.insert(data(ts, (ts % 4) as i64));
+    fn retention_is_exactly_the_window() {
+        for key in [Some(0), None] {
+            let window = 100u64;
+            let mut s = JoinState::new(TimeDelta::from_micros(window), key);
+            let mut inserted: Vec<u64> = Vec::new();
+            let mut floor = 0u64;
+            let live =
+                |inserted: &[u64], floor: u64| inserted.iter().filter(|&&t| t >= floor).count();
+            for ts in 0..600u64 {
+                s.insert(data(ts, (ts % 7) as i64));
+                inserted.push(ts);
+                if ts % 3 == 0 {
+                    s.advance(Timestamp::from_micros(ts));
+                } else if ts % 11 == 0 {
+                    s.purge(Timestamp::from_micros(ts + 5));
+                    floor = floor.max((ts + 5).saturating_sub(window));
+                    assert_eq!(s.len(), live(&inserted, floor), "after purge at {}", ts + 5);
+                    continue;
+                } else {
+                    continue;
+                }
+                floor = floor.max(ts.saturating_sub(window));
+                assert_eq!(s.len(), live(&inserted, floor), "after advance at {ts}");
+            }
+            // A repeated or older purge cannot move the floor: nothing
+            // changes, not even capacity.
+            s.purge(Timestamp::from_micros(650));
+            let snapshot = |s: &JoinState| {
+                let probed: Vec<u64> = probe_all(s, key.map(|_| &Value::Int(3)))
+                    .iter()
+                    .map(|t| t.ts.as_micros())
+                    .collect();
+                (s.len(), s.chains.len(), s.ring_capacity(), probed)
+            };
+            let before = snapshot(&s);
+            assert_eq!(before.0, live(&inserted, 550));
+            for older in [650u64, 600, 90, 0] {
+                s.purge(Timestamp::from_micros(older));
+                assert_eq!(snapshot(&s), before, "purge at {older} changed the state");
+            }
         }
-        s.purge(Timestamp::from_micros(130));
-        let sweeps = s.sweep_count();
-        let swept = s.swept_floor();
-        assert_eq!(swept.as_micros(), 30);
-        // Same witness again, and older ones: the floor cannot advance,
-        // so no bucket sweep may run.
-        s.purge(Timestamp::from_micros(130));
-        s.purge(Timestamp::from_micros(90));
-        s.purge(Timestamp::ZERO);
-        assert_eq!(s.sweep_count(), sweeps, "non-advancing purge swept");
-        assert_eq!(s.swept_floor(), swept);
+    }
+
+    /// Seeded xorshift: deterministic and dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// Drives seeded random insert/advance/purge/probe sequences through
+    /// a state and a naive model — a `Vec` of every row, filtered by the
+    /// floor and then by key equality — and checks after every step that
+    /// probes agree row for row and that the chain map holds exactly the
+    /// distinct non-null keys of the hot rows (with the tier off: of the
+    /// live window).
+    fn model_differential(seed: u64, key: Option<usize>, tier: Option<u64>, keys: u64) {
+        let window = 60u64;
+        let mut s = match tier {
+            Some(budget) => tiered(window, key, budget),
+            None => JoinState::new(TimeDelta::from_micros(window), key),
+        };
+        let mut model: Vec<Tuple> = Vec::new();
+        let mut floor = 0u64;
+        let mut now = 0u64;
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        // Keys: ints, their float twins (`Int(k) = Float(k)`) and nulls.
+        let pick_key = |rng: &mut Rng| -> Value {
+            let k = rng.below(keys) as i64;
+            match rng.below(10) {
+                0 => Value::Null,
+                1 | 2 => Value::Float(k as f64),
+                _ => Value::Int(k),
+            }
+        };
+        for step in 0..1_000u64 {
+            match rng.below(20) {
+                // A burst: many rows at one timestamp.
+                0 => {
+                    for _ in 0..rng.below(30) {
+                        let t = Tuple::data(
+                            Timestamp::from_micros(now),
+                            vec![pick_key(&mut rng), Value::Int(step as i64)],
+                        );
+                        model.push(t.clone());
+                        s.insert(t);
+                    }
+                }
+                1..=3 => {
+                    // Now and then a silence longer than the window
+                    // expires everything.
+                    now += if rng.below(25) == 0 {
+                        2 * window
+                    } else {
+                        rng.below(8)
+                    };
+                    s.advance(Timestamp::from_micros(now));
+                    floor = floor.max(now.saturating_sub(window));
+                }
+                4 | 5 => {
+                    // Punctuation, sometimes older than what was seen.
+                    let at = now.saturating_sub(rng.below(3) * rng.below(40));
+                    s.purge(Timestamp::from_micros(at));
+                    floor = floor.max(at.saturating_sub(window));
+                }
+                _ => {
+                    now += rng.below(3);
+                    let t = Tuple::data(
+                        Timestamp::from_micros(now),
+                        vec![pick_key(&mut rng), Value::Int(step as i64)],
+                    );
+                    model.push(t.clone());
+                    s.insert(t);
+                }
+            }
+            model.retain(|t| t.ts.as_micros() >= floor);
+            let live: Vec<&Tuple> = model.iter().collect();
+            let rows = |ts: Vec<Tuple>| -> Vec<(u64, Vec<Value>)> {
+                ts.iter()
+                    .map(|t| (t.ts.as_micros(), t.values_expect().to_vec()))
+                    .collect()
+            };
+            let expect = |k: Option<&Value>| -> Vec<(u64, Vec<Value>)> {
+                rows(
+                    live.iter()
+                        .filter(|t| k.is_none_or(|k| !k.is_null() && t.values_expect()[0] == *k))
+                        .map(|&t| t.clone())
+                        .collect(),
+                )
+            };
+            let mut probes: Vec<Option<Value>> = Vec::new();
+            if key.is_some() {
+                let k = rng.below(keys) as i64;
+                probes.extend([Value::Int(k), Value::Float(k as f64), Value::Null].map(Some));
+                if step % 50 == 0 {
+                    probes.extend(live.iter().map(|t| Some(t.values_expect()[0].clone())));
+                }
+            } else {
+                probes.push(None);
+            }
+            for k in &probes {
+                assert_eq!(
+                    rows(probe_all(&s, k.as_ref())),
+                    expect(k.as_ref()),
+                    "seed {seed} step {step}: probe {k:?} disagrees"
+                );
+            }
+            let chained: HashSet<&Value> = s.chains.keys().collect();
+            let hot: HashSet<&Value> = s
+                .ring
+                .iter()
+                .map(|slot| &slot.tuple.values_expect()[0])
+                .filter(|v| key.is_some() && !v.is_null())
+                .collect();
+            assert_eq!(chained, hot, "seed {seed} step {step}: chain map");
+            if tier.is_none() {
+                assert_eq!(s.len(), live.len(), "seed {seed} step {step}: retention");
+                let live_keys: HashSet<&Value> = live
+                    .iter()
+                    .map(|t| &t.values_expect()[0])
+                    .filter(|v| key.is_some() && !v.is_null())
+                    .collect();
+                assert_eq!(chained, live_keys, "seed {seed} step {step}: live keys");
+            }
+        }
+        if let Some(budget) = tier {
+            let stats = s.spill_stats();
+            assert!(
+                stats.compacted_runs > 0 && stats.run_drops > 0,
+                "seed {seed}: {stats:?}"
+            );
+            assert!(
+                budget > 0 || stats.spilled_bytes > 0,
+                "seed {seed}: budget 0 must spill"
+            );
+        }
     }
 
     #[test]
-    fn swept_floor_consistent_across_interleaved_advance_and_purge() {
-        let mut s = JoinState::new(TimeDelta::from_micros(100), Some(0));
-        for ts in 0..200u64 {
-            s.insert(data(ts, (ts % 4) as i64));
-            s.advance(Timestamp::from_micros(ts));
+    fn store_agrees_with_a_naive_window_model() {
+        for seed in 0..4 {
+            for tier in [None, Some(u64::MAX), Some(0)] {
+                // Dense keys (long chains), and a sparse universe (many
+                // keys, few rows each).
+                for keys in [5, 10_000] {
+                    model_differential(seed, Some(0), tier, keys);
+                }
+                model_differential(seed, None, tier, 5);
+            }
         }
-        // advance() sweeps on half-window hysteresis; swept_floor tracks
-        // the last sweep, never ahead of the logical floor.
-        assert!(s.swept_floor() <= Timestamp::from_micros(100));
-        let sweeps_before = s.sweep_count();
-        s.purge(Timestamp::from_micros(200));
-        assert_eq!(s.swept_floor().as_micros(), 100, "purge reconciles");
-        assert_eq!(s.sweep_count(), sweeps_before + 1);
-        // A purge at the same witness after the reconciling sweep: no-op.
-        s.purge(Timestamp::from_micros(200));
-        assert_eq!(s.sweep_count(), sweeps_before + 1);
-        // advance() below the hysteresis threshold must not sweep...
-        s.advance(Timestamp::from_micros(240));
-        assert_eq!(s.sweep_count(), sweeps_before + 1);
-        assert_eq!(s.swept_floor().as_micros(), 100);
-        // ...and purge() at that same witness must (floor moved past the
-        // swept point).
-        s.purge(Timestamp::from_micros(240));
-        assert_eq!(s.sweep_count(), sweeps_before + 2);
-        assert_eq!(s.swept_floor().as_micros(), 140);
     }
 
     fn tiered(window: u64, key: Option<usize>, budget: u64) -> JoinState {
@@ -1100,7 +1159,10 @@ mod tests {
             "workload must exercise compaction"
         );
         if budget == 0 {
-            assert!(tier.spill_stats().spilled_bytes > 0, "tiny budget must spill");
+            assert!(
+                tier.spill_stats().spilled_bytes > 0,
+                "tiny budget must spill"
+            );
         }
         assert!(tier.spill_stats().run_drops > 0, "purges must drop runs");
     }
@@ -1128,7 +1190,7 @@ mod tests {
             s.insert(data(ts, (ts % 8) as i64));
             s.advance(Timestamp::from_micros(ts));
         }
-        // Punctuation sweeps force compaction; budget 0 spills every run.
+        // Compaction ran along the way; budget 0 spills every run.
         s.purge(Timestamp::from_micros(399));
         assert!(s.spilled_run_count() > 0, "budget 0 must spill runs");
         assert_eq!(s.resident_runs(), 0);
@@ -1188,10 +1250,7 @@ mod tests {
     fn tier_config_parses_budget_forms() {
         assert_eq!(TierConfig::parse("off"), None);
         assert_eq!(TierConfig::parse(""), None);
-        assert_eq!(
-            TierConfig::parse("unbounded").unwrap().budget,
-            u64::MAX
-        );
+        assert_eq!(TierConfig::parse("unbounded").unwrap().budget, u64::MAX);
         assert_eq!(TierConfig::parse("4096").unwrap().budget, 4096);
         assert_eq!(TierConfig::parse("64k").unwrap().budget, 64 << 10);
         assert_eq!(TierConfig::parse("2m").unwrap().budget, 2 << 20);

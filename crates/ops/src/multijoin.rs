@@ -21,10 +21,14 @@
 //! τ must not swallow a later punctuation witness at τ, or downstream IWP
 //! operators never learn τ is closed.
 //!
-//! Window state lives in the shared [`JoinState`] layer. With an equi-key
-//! class ([`MultiWindowJoin::with_keys`]) every window is hash-partitioned
-//! and a probe enumerates only the probe key's buckets — probe cost scales
-//! with the matching tuples, not the window length. The condition is
+//! Window state lives in the shared [`JoinState`] layer: one τ-ordered
+//! ring per input, expired exactly at the window floor. With an equi-key
+//! class ([`MultiWindowJoin::with_keys`]) every ring is threaded with
+//! per-key chains and a probe walks only the probe key's chain — probe
+//! cost scales with the matching tuples, not the window length. Each
+//! enumeration depth holds one cheap `Clone` cursor over its input's
+//! candidates, so the odometer restarts a depth by cloning, and a probe
+//! allocates nothing. The condition is
 //! decomposed into conjuncts tagged with the inputs they reference, so
 //! each conjunct is evaluated at the shallowest enumeration depth where
 //! its inputs are bound, pruning whole combination subtrees. Enumeration
@@ -42,7 +46,7 @@ use crate::context::{OpContext, Operator, Poll, StepOutcome};
 use crate::join_state::{JoinState, SpillStats, TierConfig};
 
 /// Upper bound on join arity — lets the probe loop keep its odometer and
-/// candidate slices on the stack (no per-probe allocation).
+/// candidate cursors on the stack (no per-probe allocation).
 pub const MAX_ARITY: usize = 16;
 
 /// Probes between adaptive-order re-plans.
@@ -86,7 +90,7 @@ pub struct MultiWindowJoin {
     scratch: Vec<Value>,
     /// Tier config applied to every store (`None` = hot rows only).
     tier: Option<TierConfig>,
-    /// Per-enumeration-slot rehydration buffers for cold-tier candidates
+    /// Per-enumeration-depth rehydration buffers for cold-tier candidates
     /// (reused across probes; all empty while the tier is off).
     cold: Vec<Vec<Tuple>>,
 }
@@ -234,8 +238,7 @@ impl MultiWindowJoin {
         self.stores.len()
     }
 
-    /// Stored tuples in input `i`'s window (physical retention may lag
-    /// logical expiry between punctuations — see [`JoinState::len`]).
+    /// Stored tuples in input `i`'s window — see [`JoinState::len`].
     pub fn window_len(&self, i: usize) -> usize {
         self.stores[i].len()
     }
@@ -247,7 +250,7 @@ impl MultiWindowJoin {
     }
 
     /// Lifetime candidate tuples examined across all enumeration depths.
-    /// Keyed probes examine only matching buckets, so this is the measure
+    /// Keyed probes examine only matching chains, so this is the measure
     /// of real probe work (sub-linear in window length when keyed).
     pub fn probes(&self) -> u64 {
         self.probes
@@ -418,49 +421,34 @@ impl Operator for MultiWindowJoin {
             }
 
             if live {
-                // Enumeration sequence. Phase one rehydrates each slot's
-                // cold-tier candidates into the reused `cold` buffers
-                // (empty and free while the tier is off)...
+                // One cursor per enumeration depth: depth d binds input
+                // seq[d]. A cursor yields the depth's cold-tier rows
+                // (rehydrated into the reused `cold` buffer, empty while
+                // the tier is off) then its hot chain — ascending
+                // timestamps, exactly an untiered store's chain order —
+                // and cloning `start[d]` restarts it for free.
+                let mut start: [Option<_>; MAX_ARITY] = std::array::from_fn(|_| None);
                 let mut seq = [0usize; MAX_ARITY];
-                let mut d = 0;
-                for &inp in &self.order {
-                    if inp != i {
-                        seq[d] = inp;
-                        self.cold[d].clear();
-                        self.stores[inp].probe_cold(probe_key, &mut self.cold[d])?;
-                        d += 1;
-                    }
+                let order = self.order.iter().filter(|&&inp| inp != i);
+                for (d, (&inp, buf)) in order.zip(self.cold.iter_mut()).enumerate() {
+                    seq[d] = inp;
+                    start[d] = Some(self.stores[inp].probe(probe_key, buf)?);
                 }
-                // ...phase two borrows the hot slices in place (no
-                // snapshot, no allocation). A slot's candidates are
-                // cold-then-hot — ascending timestamps, exactly the
-                // bucket order of an untiered store.
-                let cold = &self.cold;
-                let mut hot: [&[Tuple]; MAX_ARITY] = [&[]; MAX_ARITY];
-                for (d, slot) in hot.iter_mut().enumerate().take(m) {
-                    *slot = self.stores[seq[d]].probe_hot(probe_key);
-                }
+                let mut cur: [Option<_>; MAX_ARITY] = std::array::from_fn(|_| None);
+                cur[0] = start[0].clone();
 
-                // Odometer over the candidate slots: depth d binds input
-                // seq[d]; conjuncts fire at the shallowest depth where all
-                // their inputs are bound, pruning subtrees early.
-                let mut idx = [0usize; MAX_ARITY];
+                // Odometer over the depths; conjuncts fire at the
+                // shallowest depth where all their inputs are bound,
+                // pruning subtrees early.
                 let mut d = 0usize;
                 let mut probes = 0u64;
                 loop {
-                    if idx[d] == cold[d].len() + hot[d].len() {
+                    let Some(t) = cur[d].as_mut().and_then(Iterator::next) else {
                         if d == 0 {
                             break;
                         }
-                        idx[d] = 0;
                         d -= 1;
-                        idx[d] += 1;
                         continue;
-                    }
-                    let t = if idx[d] < cold[d].len() {
-                        &cold[d][idx[d]]
-                    } else {
-                        &hot[d][idx[d] - cold[d].len()]
                     };
                     probes += 1;
                     work += 1;
@@ -478,7 +466,6 @@ impl Operator for MultiWindowJoin {
                         }
                     }
                     if !pass {
-                        idx[d] += 1;
                         continue;
                     }
                     if d + 1 == m {
@@ -487,10 +474,9 @@ impl Operator for MultiWindowJoin {
                         let out = Tuple::data_with_entry(probe.ts, probe.entry, builder.finish());
                         ctx.output_mut(0).push(out)?;
                         produced += 1;
-                        idx[d] += 1;
                     } else {
                         d += 1;
-                        idx[d] = 0;
+                        cur[d] = start[d].clone();
                     }
                 }
                 self.probes += probes;
@@ -634,8 +620,8 @@ mod tests {
 
     /// Drives `arity` inputs with one tuple each per µs for `steps` µs,
     /// keyed by `key(step)`, with punctuation on every input once per
-    /// window (the purge driver). Keyed installs the equi-key as hash
-    /// buckets; otherwise the same equality is a conjunct chain over the
+    /// window (the purge driver). Keyed installs the equi-key as per-key
+    /// chains; otherwise the same equality is a conjunct chain over the
     /// concatenated row. Returns the sorted data rows, the candidate
     /// tuples examined and the peak stored state.
     fn equi_join_run(
@@ -703,10 +689,10 @@ mod tests {
             let (scan_rows, scan_probes, _) = equi_join_run(arity, window, steps, false, key);
             assert!(!keyed_rows.is_empty(), "{arity}-ary × {window} µs joins");
             assert_eq!(keyed_rows, scan_rows, "{arity}-ary × {window} µs");
-            // Purge contract: peak retention is O(arity × window) however
-            // long the run. The factor 2 covers the amortized half-window
-            // sweep hysteresis plus the in-flight probe tuple.
-            let bound = arity * (2 * window as usize + 4);
+            // Purge contract: expiry is exact at the floor, so each input
+            // retains at most window + 1 timestamps' rows (one per µs) plus
+            // the in-flight probe tuple, however long the run.
+            let bound = arity * (window as usize + 2);
             assert!(
                 keyed_peak <= bound,
                 "peak state {keyed_peak} exceeds purge bound {bound} ({arity}-ary × {window} µs)"
@@ -902,7 +888,7 @@ mod tests {
         rig.push(1, data(30, 2));
         let out = rig.drain(&mut j);
         assert_eq!(data_rows(&out).len(), 5, "ts {{2, 6, 10, 14, 18}} match");
-        assert_eq!(j.probes(), 5, "hash probe examined only the key-2 bucket");
+        assert_eq!(j.probes(), 5, "hash probe examined only the key-2 chain");
     }
 
     #[test]
@@ -932,13 +918,11 @@ mod tests {
     #[test]
     fn stale_estimate_does_not_flip_probe_order() {
         // Regression for the probe-order estimate bug: keyed
-        // `estimated_candidates()` used to divide the *physical*
-        // `keyed_live` by live buckets, and `keyed_live` only shrinks at
-        // sweeps. An input whose window content has logically expired —
-        // but whose floor has not yet moved half a window past the last
-        // sweep, so no sweep ran — kept its stale count and was ranked
-        // as the fattest input, pushing the genuinely cheapest store to
-        // the end of the enumeration order.
+        // `estimated_candidates()` used to divide a *physical* count that
+        // only shrank at periodic sweeps by the live keys. An input whose
+        // window content had logically expired kept its stale count and
+        // was ranked as the fattest input, pushing the genuinely cheapest
+        // store to the end of the enumeration order.
         let rig = Rig::new(3);
         let mut j = MultiWindowJoin::new(
             "⋈3",
@@ -947,8 +931,8 @@ mod tests {
             None,
         )
         .with_keys(vec![0, 0, 0]);
-        // Input 0: a 200-tuple burst that will be logically dead by the
-        // probe phase. Distinct keys per input avoid any matches.
+        // Input 0: a 200-tuple burst that will be dead by the probe
+        // phase. Distinct keys per input avoid any matches.
         for ts in 1..=200u64 {
             rig.bufs[0].borrow_mut().push(data(ts, 1)).unwrap();
         }
@@ -959,19 +943,21 @@ mod tests {
         }
         rig.bufs[1].borrow_mut().push(data(1470, 2)).unwrap();
         // Input 2 drives enough probes at ts ≈ 1400+ to cross a re-plan
-        // boundary while input 0's floor lag (≈470 µs) stays under the
-        // half-window sweep hysteresis (500 µs) — no sweep, stale count.
+        // boundary; the floor passes input 0's whole burst (≈ 470 µs).
         for ts in 1401..=1468u64 {
             rig.bufs[2].borrow_mut().push(data(ts, 3)).unwrap();
         }
         let out = rig.drain(&mut j);
         assert!(out.is_empty(), "keys are disjoint, no matches expected");
-        assert!(j.window_len(0) > 150, "input 0 not yet physically swept");
+        // τ stops at 1468 (input 2's last tuple), floor 468: the burst is
+        // gone and input 0's 1470 tuple is still queued.
+        assert_eq!(j.window_len(0), 0, "input 0's burst expired at the floor");
+        assert_eq!(j.window_len(1), 10);
         let order = j.probe_order();
         let pos = |input: usize| order.iter().position(|&p| p == input).unwrap();
-        // Logically, input 0 holds ~1 live tuple — by far the cheapest
-        // store. The stale physical estimate (200+ tuples) used to rank
-        // it behind the genuinely fatter inputs 1 and 2.
+        // Input 0 holds nothing — by far the cheapest store. A stale
+        // count (200+ tuples) used to rank it behind the genuinely fatter
+        // inputs 1 and 2.
         assert!(
             pos(0) < pos(1),
             "mostly-expired input 0 must rank cheaper than live input 1: {order:?}"

@@ -118,7 +118,12 @@ impl SpillFile {
     /// Appends one run blob. `values` is column-major (`values[c * rows +
     /// r]` is column `c` of row `r`, `values.len() == rows * width`).
     /// Returns the blob's `(offset, length)`.
-    pub fn append_run(&mut self, rows: usize, width: usize, values: &[Value]) -> io::Result<(u64, u64)> {
+    pub fn append_run(
+        &mut self,
+        rows: usize,
+        width: usize,
+        values: &[Value],
+    ) -> io::Result<(u64, u64)> {
         debug_assert_eq!(values.len(), rows * width);
         let offset = self.len;
         let mut blob: Vec<u8> = Vec::with_capacity(values.len() * FIXED_CELL + width * 9 + 12);
@@ -174,33 +179,36 @@ impl SpillFile {
         Ok((offset, blob.len() as u64))
     }
 
-    /// Reads rows `[start, start + count)` of a spilled blob back into
-    /// row-major value vectors. Only the footer, the needed slice of each
-    /// fixed column, and the needed offset/byte ranges of var columns are
-    /// read — never the whole file and never rows outside the range.
+    /// Reads rows `[start, start + count)` of a spilled blob of `width`
+    /// columns back into row-major value vectors. Only the footer, the
+    /// needed slice of each fixed column, and the needed offset/byte
+    /// ranges of var columns are read — never the whole file and never
+    /// rows outside the range. Bytes that do not describe such a blob are
+    /// `InvalidData`, never a panic or an outsized allocation.
     pub fn read_rows(
         &self,
         offset: u64,
         blob_len: u64,
+        width: usize,
         start: usize,
         count: usize,
         out: &mut Vec<Vec<Value>>,
     ) -> io::Result<()> {
         // Footer first: it is the blob's index.
+        let footer_len = (8 + 1) * width as u64 + 12;
+        if blob_len < footer_len {
+            return Err(corrupt("spill blob shorter than its footer"));
+        }
         let mut tail = [0u8; 12];
         read_at(&self.file, &mut tail, offset + blob_len - 12)?;
         let rows = u32::from_le_bytes(tail[0..4].try_into().unwrap()) as usize;
-        let width = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as usize;
+        let stored_width = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as usize;
         let magic = u32::from_le_bytes(tail[8..12].try_into().unwrap());
-        if magic != MAGIC || start + count > rows {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "spill blob footer corrupt",
-            ));
+        if magic != MAGIC || stored_width != width || start + count > rows {
+            return Err(corrupt("spill blob footer corrupt"));
         }
-        let footer_len = (8 + 1) * width + 12;
-        let mut footer = vec![0u8; footer_len - 12];
-        read_at(&self.file, &mut footer, offset + blob_len - footer_len as u64)?;
+        let mut footer = vec![0u8; footer_len as usize - 12];
+        read_at(&self.file, &mut footer, offset + blob_len - footer_len)?;
         let col_off = |c: usize| -> u64 {
             u64::from_le_bytes(footer[8 * c..8 * (c + 1)].try_into().unwrap())
         };
@@ -210,6 +218,9 @@ impl SpillFile {
         out.resize_with(count, || Vec::with_capacity(width));
         let mut buf: Vec<u8> = Vec::new();
         for c in 0..width {
+            if col_off(c) >= blob_len {
+                return Err(corrupt("spill blob column offset corrupt"));
+            }
             let block = offset + col_off(c);
             match col_kind(c) {
                 KIND_FIXED => {
@@ -219,7 +230,8 @@ impl SpillFile {
                         &mut buf,
                         block + 1 + (FIXED_CELL * start) as u64,
                     )?;
-                    for (r, cell) in buf.chunks_exact(FIXED_CELL).enumerate() {
+                    let (cells, _) = buf.as_chunks::<FIXED_CELL>();
+                    for (r, cell) in cells.iter().enumerate() {
                         out[r].push(decode_fixed(cell)?);
                     }
                 }
@@ -232,12 +244,12 @@ impl SpillFile {
                         u32::from_le_bytes(offs[4 * i..4 * (i + 1)].try_into().unwrap()) as usize
                     };
                     let bytes_base = block + 1 + (4 * (rows + 1)) as u64;
+                    // Every pair must be monotone; the range then lies in
+                    // [lo, hi], which must lie in the blob.
                     let (lo, hi) = (off_at(0), off_at(count));
-                    if hi < lo {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "spill blob offsets corrupt",
-                        ));
+                    if (0..count).any(|r| off_at(r) > off_at(r + 1)) || (hi - lo) as u64 > blob_len
+                    {
+                        return Err(corrupt("spill blob offsets corrupt"));
                     }
                     buf.resize(hi - lo, 0);
                     read_at(&self.file, &mut buf, bytes_base + lo as u64)?;
@@ -246,16 +258,15 @@ impl SpillFile {
                         out[r].push(decode_var(cell)?);
                     }
                 }
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "spill blob column kind corrupt",
-                    ))
-                }
+                _ => return Err(corrupt("spill blob column kind corrupt")),
             }
         }
         Ok(())
     }
+}
+
+fn corrupt(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 impl Drop for SpillFile {
@@ -285,17 +296,23 @@ fn encode_fixed(v: &Value, cell: &mut [u8; FIXED_CELL]) {
     }
 }
 
-fn decode_fixed(cell: &[u8]) -> io::Result<Value> {
-    let payload = |hi: usize| -> [u8; 8] { cell[1..1 + hi].try_into().unwrap() };
-    match cell[0] {
+fn decode_fixed(cell: &[u8; FIXED_CELL]) -> io::Result<Value> {
+    let [tag, payload @ ..] = *cell;
+    match tag {
         TAG_NULL => Ok(Value::Null),
-        TAG_INT => Ok(Value::Int(i64::from_le_bytes(payload(8)))),
-        TAG_FLOAT => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(payload(8))))),
-        TAG_BOOL => Ok(Value::Bool(cell[1] != 0)),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "spill cell tag corrupt",
-        )),
+        TAG_INT => Ok(Value::Int(i64::from_le_bytes(payload))),
+        TAG_FLOAT => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(payload)))),
+        TAG_BOOL => Ok(Value::Bool(payload[0] != 0)),
+        _ => Err(corrupt("spill cell tag corrupt")),
+    }
+}
+
+/// Bytes of its fixed encoding a non-string var cell keeps.
+fn var_len(tag: u8) -> usize {
+    match tag {
+        TAG_NULL => 1,
+        TAG_BOOL => 2,
+        _ => FIXED_CELL,
     }
 }
 
@@ -308,31 +325,28 @@ fn encode_var(v: &Value, bytes: &mut Vec<u8>) {
         other => {
             let mut cell = [0u8; FIXED_CELL];
             encode_fixed(other, &mut cell);
-            let used = match other {
-                Value::Null => 1,
-                Value::Bool(_) => 2,
-                _ => FIXED_CELL,
-            };
-            bytes.extend_from_slice(&cell[..used]);
+            bytes.extend_from_slice(&cell[..var_len(cell[0])]);
         }
     }
 }
 
+/// Decodes one var cell; a non-string cell must be exactly as long as its
+/// tag's encoding.
 fn decode_var(cell: &[u8]) -> io::Result<Value> {
-    if cell.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "spill var cell empty",
-        ));
-    }
-    if cell[0] == TAG_STR {
-        let s = std::str::from_utf8(&cell[1..])
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "spill string not utf-8"))?;
+    let Some(&tag) = cell.first() else {
+        return Err(corrupt("spill var cell empty"));
+    };
+    if tag == TAG_STR {
+        let s = std::str::from_utf8(&cell[1..]).map_err(|_| corrupt("spill string not utf-8"))?;
         // Interned: repeated spilled payloads rehydrate to one shared Arc.
-        Ok(Value::str(s))
-    } else {
-        decode_fixed(cell)
+        return Ok(Value::str(s));
     }
+    if cell.len() != var_len(tag) {
+        return Err(corrupt("spill cell length does not match its tag"));
+    }
+    let mut fixed = [0u8; FIXED_CELL];
+    fixed[..cell.len()].copy_from_slice(cell);
+    decode_fixed(&fixed)
 }
 
 /// Resident-footprint estimate of one value (enum slot + string payload;
@@ -358,7 +372,8 @@ mod tests {
         let mut f = SpillFile::create().expect("temp spill file");
         let (off, len) = f.append_run(rows, width, &values).unwrap();
         let mut got = Vec::new();
-        f.read_rows(off, len, start, count, &mut got).unwrap();
+        f.read_rows(off, len, width, start, count, &mut got)
+            .unwrap();
         assert_eq!(got.len(), count);
         for (i, row) in got.iter().enumerate() {
             let r = start + i;
@@ -409,15 +424,77 @@ mod tests {
         let b = vec![Value::str("x"), Value::str("y"), Value::str("z")];
         let (oa, la) = f.append_run(2, 1, &a).unwrap();
         let (ob, lb) = f.append_run(3, 1, &b).unwrap();
-        assert_eq!(ob, la, "append-only: second blob starts where the first ends");
+        assert_eq!(
+            ob, la,
+            "append-only: second blob starts where the first ends"
+        );
         let mut got = Vec::new();
-        f.read_rows(oa, la, 0, 2, &mut got).unwrap();
+        f.read_rows(oa, la, 1, 0, 2, &mut got).unwrap();
         assert_eq!(got[1][0], Value::Int(2));
-        f.read_rows(ob, lb, 1, 2, &mut got).unwrap();
+        f.read_rows(ob, lb, 1, 1, 2, &mut got).unwrap();
         assert_eq!(got[0][0], Value::str("y"));
         f.reset().unwrap();
         assert!(f.is_empty());
         let (oc, _) = f.append_run(2, 1, &a).unwrap();
         assert_eq!(oc, 0, "reset reclaims the file wholesale");
+    }
+
+    /// Appends hand-written bytes as one blob, bypassing the encoder.
+    fn append_raw(f: &mut SpillFile, blob: &[u8]) -> (u64, u64) {
+        let offset = f.len;
+        f.file.write_all(blob).unwrap();
+        f.len += blob.len() as u64;
+        (offset, blob.len() as u64)
+    }
+
+    /// One var column (kind byte, row offset table, byte stream) and its
+    /// footer, with the given offsets and bytes verbatim.
+    fn var_blob(offsets: &[u32], bytes: &[u8], width_in_footer: u32) -> Vec<u8> {
+        let mut blob = vec![KIND_VAR];
+        for off in offsets {
+            blob.extend_from_slice(&off.to_le_bytes());
+        }
+        blob.extend_from_slice(bytes);
+        blob.extend_from_slice(&0u64.to_le_bytes());
+        blob.push(KIND_VAR);
+        blob.extend_from_slice(&(offsets.len() as u32 - 1).to_le_bytes());
+        blob.extend_from_slice(&width_in_footer.to_le_bytes());
+        blob.extend_from_slice(&MAGIC.to_le_bytes());
+        blob
+    }
+
+    #[test]
+    fn non_monotone_var_offsets_are_invalid_data() {
+        let mut f = SpillFile::create().unwrap();
+        let (off, len) = append_raw(&mut f, &var_blob(&[0, 10, 5, 12], &[TAG_NULL; 12], 1));
+        let err = f.read_rows(off, len, 1, 0, 3, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The same bytes with monotone offsets are rejected only for the
+        // cell lengths (a 10-byte null cell), never by a panic.
+        let (off, len) = append_raw(&mut f, &var_blob(&[0, 1, 2, 12], &[TAG_NULL; 12], 1));
+        assert!(f.read_rows(off, len, 1, 0, 2, &mut Vec::new()).is_ok());
+        assert!(f.read_rows(off, len, 1, 0, 3, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn short_var_cell_is_invalid_data() {
+        let mut f = SpillFile::create().unwrap();
+        // A cell tagged INT that holds 2 bytes instead of 9.
+        let (off, len) = append_raw(&mut f, &var_blob(&[0, 2], &[TAG_INT, 0], 1));
+        let err = f.read_rows(off, len, 1, 0, 1, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn footer_width_must_match_the_run() {
+        let mut f = SpillFile::create().unwrap();
+        // The footer claims u32::MAX columns: refused before allocating
+        // 9 bytes per claimed column.
+        let (off, len) = append_raw(&mut f, &var_blob(&[0, 1], &[TAG_NULL], u32::MAX));
+        let err = f.read_rows(off, len, 1, 0, 1, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // A blob too short for the run's own footer.
+        let (off, len) = append_raw(&mut f, &[0u8; 5]);
+        assert!(f.read_rows(off, len, 1, 0, 1, &mut Vec::new()).is_err());
     }
 }

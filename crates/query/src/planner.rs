@@ -837,9 +837,9 @@ fn join_schemas(bindings: &[(String, Schema)]) -> Schema {
 /// per input (the lowest-indexed member in each), absolute in the
 /// concatenated row.
 ///
-/// The n-ary join enforces key equality by hash-bucket lookup, so a class
+/// The n-ary join enforces key equality by a hash lookup of the key, so a class
 /// is only usable when every chosen column has the same data type: within
-/// one type `Value` equality is transitive, making bucket-key equality
+/// one type `Value` equality is transitive, making hash-key equality
 /// exactly equivalent to the conjunct chain it replaces. Mixed-type
 /// chains (e.g. INT = FLOAT) stay residual predicates instead.
 fn extract_equi_keys(

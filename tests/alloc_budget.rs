@@ -71,9 +71,9 @@ const WARMUP_WAVES: u64 = 4;
 const WAVES: u64 = 8; // per measured window
 const WINDOWS: usize = 5;
 
-/// Join key cardinality. With the window at twice the key cycle every
-/// hash bucket stays warm (no free/realloc churn from whole buckets
-/// expiring between recurrences).
+/// Join key cardinality. With the window at twice the key cycle every key
+/// stays live, so its chain never empties and its key-map entry is never
+/// freed and re-inserted between recurrences.
 const JOIN_KEYS: u64 = 64;
 
 /// Counts deliveries without storing tuples (keeps the sink cost flat).
@@ -252,8 +252,8 @@ fn pipeline_batched_stays_within_alloc_budget() {
 
 #[test]
 fn keyed_join_probe_stays_within_alloc_budget() {
-    // Keys cycle so the keyed probe path (bucket lookup, clone-free
-    // enumeration, purge sweep) runs in steady state.
+    // Keys cycle so the keyed probe path (chain lookup, clone-free
+    // enumeration, expiry at the floor) runs in steady state.
     let templates: Vec<Tuple> = (0..JOIN_KEYS)
         .map(|k| Tuple::data(Timestamp::ZERO, vec![Value::Int(k as i64)]))
         .collect();
