@@ -5,6 +5,16 @@
 //! buffer of a graph therefore shares one [`OccupancyTracker`] that is
 //! bumped on each enqueue and decremented on each dequeue; the peak is
 //! maintained incrementally so no sampling is needed.
+//!
+//! **Single-writer contract.** Every update comes from one thread at a
+//! time: the writers are the buffers of one graph (or of one connected
+//! component after partitioning), each behind the `RefCell` of a
+//! `!Sync` query graph, and every graph or component gets a private
+//! tracker. Writes are therefore a relaxed load followed by a relaxed
+//! store — no locked read-modify-write on the per-tuple path. The
+//! counters stay atomics only so other threads can read whole values
+//! (snapshots, a finished run's peak) and the tracker stays
+//! `Send + Sync`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -13,9 +23,9 @@ use std::sync::Arc;
 /// (with parallel execution: of one connected component — each component's
 /// sub-graph owns a private tracker).
 ///
-/// The counters are relaxed atomics so a component's graph can be moved
-/// onto a worker thread; within a component all updates still come from
-/// one thread at a time, so relaxed ordering is exact, not approximate.
+/// Single-writer: all updates must come from one thread at a time (see the
+/// module docs); any thread may read. Under that contract relaxed ordering
+/// is exact, not approximate.
 #[derive(Debug, Default)]
 pub struct OccupancyTracker {
     total: AtomicUsize,
@@ -33,51 +43,39 @@ impl OccupancyTracker {
         Arc::new(OccupancyTracker::default())
     }
 
-    /// Records one tuple entering some buffer.
-    pub fn on_enqueue(&self, punctuation: bool) {
-        let t = self.total.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(t, Ordering::Relaxed);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        if punctuation {
-            self.punct_total.fetch_add(1, Ordering::Relaxed);
-            self.punct_enqueued.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.data_total.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Records one tuple leaving some buffer.
     pub fn on_dequeue(&self, punctuation: bool) {
-        saturating_dec(&self.total);
+        saturating_sub(&self.total, 1);
         if punctuation {
-            saturating_dec(&self.punct_total);
+            saturating_sub(&self.punct_total, 1);
         } else {
-            saturating_dec(&self.data_total);
+            saturating_sub(&self.data_total, 1);
         }
     }
 
     /// Records a whole batch of enqueues in one update per counter.
     ///
-    /// Equivalent to `data + punct` calls to [`OccupancyTracker::on_enqueue`]
-    /// with no interleaved dequeues — which is exactly the situation inside
+    /// Equivalent to `data + punct` single-tuple enqueues with no
+    /// interleaved dequeues — which is exactly the situation inside
     /// `Buffer::push_batch`. Occupancy only grows during the batch, so the
-    /// post-batch total *is* the running maximum and one `fetch_max`
+    /// post-batch total *is* the running maximum and one peak comparison
     /// observes the same peak the per-tuple updates would have.
     pub fn on_enqueue_batch(&self, data: usize, punct: usize) {
         let n = data + punct;
         if n == 0 {
             return;
         }
-        let t = self.total.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(t, Ordering::Relaxed);
-        self.enqueued.fetch_add(n as u64, Ordering::Relaxed);
+        let t = add(&self.total, n);
+        if t > self.peak.load(Ordering::Relaxed) {
+            self.peak.store(t, Ordering::Relaxed);
+        }
+        add_u64(&self.enqueued, n as u64);
         if punct > 0 {
-            self.punct_total.fetch_add(punct, Ordering::Relaxed);
-            self.punct_enqueued
-                .fetch_add(punct as u64, Ordering::Relaxed);
+            add(&self.punct_total, punct);
+            add_u64(&self.punct_enqueued, punct as u64);
         }
         if data > 0 {
-            self.data_total.fetch_add(data, Ordering::Relaxed);
+            add(&self.data_total, data);
         }
     }
 
@@ -97,17 +95,12 @@ impl OccupancyTracker {
         }
     }
 
-    /// Records `n` coalesced punctuation tuples.
+    /// Records `n` punctuation tuples that were merged into a buffer tail
+    /// instead of occupying new slots.
     pub fn on_coalesce_batch(&self, n: u64) {
         if n > 0 {
-            self.coalesced.fetch_add(n, Ordering::Relaxed);
+            add_u64(&self.coalesced, n);
         }
-    }
-
-    /// Records a punctuation tuple that was merged into the buffer tail
-    /// instead of occupying a new slot.
-    pub fn on_coalesce(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current total number of queued tuples across the graph.
@@ -144,25 +137,26 @@ impl OccupancyTracker {
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
     }
-
-    /// Resets the peak to the current occupancy (useful after a warm-up
-    /// phase so the reported peak reflects steady state).
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.total.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
-/// Decrements an unsigned counter without wrapping below zero.
-fn saturating_dec(counter: &AtomicUsize) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+/// The single writer's `counter += n`, wrapping on overflow;
+/// returns the new value.
+fn add(counter: &AtomicUsize, n: usize) -> usize {
+    let v = counter.load(Ordering::Relaxed).wrapping_add(n);
+    counter.store(v, Ordering::Relaxed);
+    v
 }
 
-/// Subtracts `n` from an unsigned counter, clamping at zero.
+/// [`add`] for the lifetime counters.
+fn add_u64(counter: &AtomicU64, n: u64) {
+    let v = counter.load(Ordering::Relaxed).wrapping_add(n);
+    counter.store(v, Ordering::Relaxed);
+}
+
+/// The single writer's `counter -= n`, clamping at zero.
 fn saturating_sub(counter: &AtomicUsize, n: usize) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        Some(v.saturating_sub(n))
-    });
+    let v = counter.load(Ordering::Relaxed).saturating_sub(n);
+    counter.store(v, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -172,44 +166,30 @@ mod tests {
     #[test]
     fn peak_tracks_high_water_mark() {
         let t = OccupancyTracker::default();
-        t.on_enqueue(false);
-        t.on_enqueue(true);
-        t.on_enqueue(false);
+        t.on_enqueue_batch(1, 0);
+        t.on_enqueue_batch(0, 1);
+        t.on_enqueue_batch(1, 0);
         assert_eq!(t.total(), 3);
         assert_eq!(t.peak(), 3);
         t.on_dequeue(true);
         t.on_dequeue(false);
         assert_eq!(t.total(), 1);
         assert_eq!(t.peak(), 3, "peak must not shrink on dequeue");
-        t.on_enqueue(false);
+        t.on_enqueue_batch(1, 0);
         assert_eq!(t.peak(), 3);
     }
 
     #[test]
     fn kind_split_accounting() {
         let t = OccupancyTracker::default();
-        t.on_enqueue(false);
-        t.on_enqueue(true);
+        t.on_enqueue_batch(1, 0);
+        t.on_enqueue_batch(0, 1);
         assert_eq!(t.data_total(), 1);
         assert_eq!(t.punctuation_total(), 1);
         assert_eq!(t.punctuation_enqueued(), 1);
         t.on_dequeue(false);
         assert_eq!(t.data_total(), 0);
         assert_eq!(t.punctuation_total(), 1);
-    }
-
-    #[test]
-    fn reset_peak_rebases_on_current() {
-        let t = OccupancyTracker::default();
-        for _ in 0..5 {
-            t.on_enqueue(false);
-        }
-        for _ in 0..4 {
-            t.on_dequeue(false);
-        }
-        assert_eq!(t.peak(), 5);
-        t.reset_peak();
-        assert_eq!(t.peak(), 1);
     }
 
     #[test]
@@ -222,8 +202,8 @@ mod tests {
     #[test]
     fn coalesce_counter() {
         let t = OccupancyTracker::default();
-        t.on_coalesce();
-        t.on_coalesce();
+        t.on_coalesce_batch(1);
+        t.on_coalesce_batch(1);
         assert_eq!(t.coalesced(), 2);
         assert_eq!(t.total(), 0, "coalescing does not change occupancy");
     }
@@ -232,16 +212,16 @@ mod tests {
     fn batched_updates_match_per_tuple_updates() {
         // The same traffic applied per-tuple and as batches must agree on
         // every counter, including the peak (occupancy is monotone within
-        // an enqueue batch, so the post-batch fetch_max sees the same
-        // high-water mark the per-tuple updates would).
+        // an enqueue batch, so the post-batch peak comparison sees the
+        // same high-water mark the per-tuple updates would).
         let per_tuple = OccupancyTracker::default();
         let batched = OccupancyTracker::default();
 
         for _ in 0..7 {
-            per_tuple.on_enqueue(false);
+            per_tuple.on_enqueue_batch(1, 0);
         }
         for _ in 0..3 {
-            per_tuple.on_enqueue(true);
+            per_tuple.on_enqueue_batch(0, 1);
         }
         batched.on_enqueue_batch(7, 3);
 
@@ -253,7 +233,7 @@ mod tests {
 
         // A second, smaller wave: the peak must stay at the first wave's.
         for _ in 0..2 {
-            per_tuple.on_enqueue(false);
+            per_tuple.on_enqueue_batch(1, 0);
         }
         batched.on_enqueue_batch(2, 0);
 

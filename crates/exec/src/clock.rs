@@ -6,6 +6,14 @@
 //! each operator step to the clock through a [`CostModel`], which is what
 //! makes punctuation *overhead* visible — the effect behind the rising
 //! right half of the paper's Fig. 8(b).
+//!
+//! **Single-writer contract.** A [`VirtualClock`] is written by one thread
+//! at a time: the executor that owns it (every step, backtrack hop and ETS)
+//! and the driver of that executor (`advance_to` before ingesting), both on
+//! the executor's thread. Each executor, parallel component and shard
+//! replica is built with its own `VirtualClock::shared()`. Writes are
+//! therefore a relaxed load and store, not a locked read-modify-write;
+//! the counter stays an atomic only so other threads can read it whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,10 +22,9 @@ use millstream_types::{TimeDelta, Timestamp};
 
 /// A shared, monotone virtual clock (`Arc<VirtualClock>`).
 ///
-/// The counter is a relaxed atomic so a clock can be owned by a graph that
-/// moves onto a worker thread. Under parallel execution each component has
-/// its own clock, so all updates still come from one thread at a time and
-/// relaxed ordering is exact.
+/// Single-writer: all updates must come from one thread at a time (see the
+/// module docs); any thread may read. The counter is a relaxed atomic so a
+/// clock can be owned by a graph that moves onto a worker thread.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     micros: AtomicU64,
@@ -34,15 +41,23 @@ impl VirtualClock {
         Timestamp::from_micros(self.micros.load(Ordering::Relaxed))
     }
 
-    /// Moves the clock forward by `delta`.
+    /// Moves the clock forward by `delta` (wrapping on overflow). A zero
+    /// delta — every charge under [`CostModel::free`] — writes nothing.
     pub fn advance(&self, delta: TimeDelta) {
-        self.micros.fetch_add(delta.as_micros(), Ordering::Relaxed);
+        let d = delta.as_micros();
+        if d != 0 {
+            let v = self.micros.load(Ordering::Relaxed).wrapping_add(d);
+            self.micros.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Jumps the clock forward to `to`; ignored if `to` is in the past
     /// (the clock never goes backwards).
     pub fn advance_to(&self, to: Timestamp) {
-        self.micros.fetch_max(to.as_micros(), Ordering::Relaxed);
+        let to = to.as_micros();
+        if to > self.micros.load(Ordering::Relaxed) {
+            self.micros.store(to, Ordering::Relaxed);
+        }
     }
 }
 

@@ -31,13 +31,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use millstream_buffer::{punctuation_is_stale, Buffer, CheckMode, SentinelStats, StarveList};
+use millstream_buffer::{punctuation_is_stale, Buffer, CheckMode, SentinelStats};
 use millstream_metrics::IdleTracker;
 use millstream_ops::{BatchOutcome, OpContext, Operator, Poll, StepOutcome};
 use millstream_types::{Error, Result, Timestamp, Tuple};
 
 use crate::clock::{CostModel, VirtualClock};
-use crate::graph::{NodeId, OpNode, Pred, QueryGraph, SourceId};
+use crate::graph::{NodeId, OpNode, Pred, QueryGraph, SourceId, SourceState};
 use crate::strategy::EtsPolicy;
 
 /// What one executor step did.
@@ -437,89 +437,70 @@ impl Executor {
 
     /// Ingests a data tuple at a source (the external wrapper's push). This
     /// re-arms every source's on-demand ETS budget: fresh data is a new
-    /// activation.
+    /// activation. A tuple the source buffer refuses (out of order on a
+    /// `Reject` buffer) leaves the source's bookkeeping untouched.
     pub fn ingest(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
-        {
-            let s = &mut self.graph.sources[source.0];
-            // A punctuation tuple slipping through here would bypass the
-            // heartbeat high-water accounting below and corrupt ETS state
-            // (the source's data high-water would absorb a punctuation
-            // timestamp); reject it structurally rather than only in debug
-            // builds.
-            if tuple.is_punctuation() {
-                return Err(millstream_types::Error::runtime(format!(
-                    "ingest on source `{}` requires a data tuple; \
-                     use ingest_heartbeat for punctuation",
-                    s.name
-                )));
-            }
-            if s.closed {
-                return Err(millstream_types::Error::runtime(format!(
-                    "source `{}` is closed",
-                    s.name
-                )));
-            }
-            // Max, not last: unordered sources may push a regressed ts, and
-            // the ETS floor must never move backwards.
-            s.last_data_ts = Some(s.last_data_ts.map_or(tuple.ts, |p| p.max(tuple.ts)));
-            s.last_data_arrival = Some(self.clock.now());
-            s.ingested += 1;
-            self.graph.buffers[s.buffer.0].borrow_mut().push(tuple)?;
-        }
-        for s in &mut self.graph.sources {
-            s.ets_budget_used = false;
-        }
-        self.refresh_idle();
+        let s = &self.graph.sources[source.0];
+        admit(s, &tuple)?;
+        let ts = tuple.ts;
+        self.graph.buffers[s.buffer.0].borrow_mut().push(tuple)?;
+        self.note_ingested(source, 1, ts);
         Ok(())
     }
 
     /// Ingests a run of data tuples at one source in a single call — the
     /// exchange-edge fast path (one command per drained shard queue, not
-    /// per tuple). Semantically identical to calling [`Executor::ingest`]
-    /// per tuple: same structural punctuation rejection, same per-source
-    /// bookkeeping, same budget re-arm; the buffer receives the run via
-    /// its pooled [`Buffer::push_batch`] path.
-    pub fn ingest_batch(&mut self, source: SourceId, tuples: Vec<Tuple>) -> Result<()> {
-        if tuples.is_empty() {
+    /// per tuple). Leaves exactly the state calling [`Executor::ingest`]
+    /// per tuple (stopping at the first error) leaves: the same error, the
+    /// same queued prefix, the same per-source bookkeeping for the tuples
+    /// the buffer accepted, the same budget re-arm. The buffer receives
+    /// the run via its pooled [`Buffer::push_batch`] path.
+    pub fn ingest_batch(&mut self, source: SourceId, mut tuples: Vec<Tuple>) -> Result<()> {
+        let s = &self.graph.sources[source.0];
+        let Some(first) = tuples.first() else {
             return Ok(());
+        };
+        admit(s, first)?;
+        // A punctuation ends the run where `ingest` would refuse it.
+        let data = tuples
+            .iter()
+            .position(Tuple::is_punctuation)
+            .unwrap_or(tuples.len());
+        // `push_batch` stops at the first tuple it refuses, which is then
+        // the last one it pulled: the accepted prefix is everything before.
+        let (mut pulled, mut max_ts, mut prefix_max_ts) = (0, None, None);
+        let run = tuples.drain(..data).inspect(|t| {
+            pulled += 1;
+            prefix_max_ts = max_ts;
+            max_ts = Some(max_ts.map_or(t.ts, |m: Timestamp| m.max(t.ts)));
+        });
+        let pushed = self.graph.buffers[s.buffer.0].borrow_mut().push_batch(run);
+        let (accepted, max_ts, result) = match pushed {
+            Ok(n) if tuples.is_empty() => (n, max_ts, Ok(())),
+            Ok(n) => (n, max_ts, Err(not_data(s))),
+            Err(e) => (pulled - 1, prefix_max_ts, Err(e)),
+        };
+        if let Some(ts) = max_ts {
+            self.note_ingested(source, accepted as u64, ts);
         }
-        {
-            let s = &mut self.graph.sources[source.0];
-            if s.closed {
-                return Err(millstream_types::Error::runtime(format!(
-                    "source `{}` is closed",
-                    s.name
-                )));
-            }
-            let mut max_ts: Option<Timestamp> = None;
-            for t in &tuples {
-                // Same wording as `ingest`: a batch is semantically one
-                // ingest per tuple, and equivalence tests pin messages.
-                if t.is_punctuation() {
-                    return Err(millstream_types::Error::runtime(format!(
-                        "ingest on source `{}` requires a data tuple; \
-                         use ingest_heartbeat for punctuation",
-                        s.name
-                    )));
-                }
-                max_ts = Some(max_ts.map_or(t.ts, |p| p.max(t.ts)));
-            }
-            let count = tuples.len() as u64;
-            self.graph.buffers[s.buffer.0]
-                .borrow_mut()
-                .push_batch(tuples)?;
-            s.last_data_ts = Some(match (s.last_data_ts, max_ts) {
-                (Some(p), Some(m)) => p.max(m),
-                (p, m) => p.or(m).expect("batch is non-empty"),
-            });
-            s.last_data_arrival = Some(self.clock.now());
-            s.ingested += count;
-        }
+        result
+    }
+
+    /// Source bookkeeping for `count` data tuples, the highest stamped
+    /// `max_ts`, that the source's buffer accepted: data high-water,
+    /// arrival instant, lifetime count, and every source's re-armed ETS
+    /// budget.
+    fn note_ingested(&mut self, source: SourceId, count: u64, max_ts: Timestamp) {
+        let s = &mut self.graph.sources[source.0];
+        // Max, not last: unordered sources may push a regressed ts, and
+        // the ETS floor must never move backwards.
+        s.last_data_ts = Some(s.last_data_ts.map_or(max_ts, |p| p.max(max_ts)));
+        s.last_data_arrival = Some(self.clock.now());
+        s.ingested += count;
         for s in &mut self.graph.sources {
             s.ets_budget_used = false;
         }
         self.refresh_idle();
-        Ok(())
     }
 
     /// Ingests a heartbeat punctuation at a source — the periodic-ETS
@@ -533,10 +514,7 @@ impl Executor {
     pub fn ingest_heartbeat(&mut self, source: SourceId, ts: Timestamp) -> Result<()> {
         let s = &mut self.graph.sources[source.0];
         if s.closed {
-            return Err(millstream_types::Error::runtime(format!(
-                "source `{}` is closed",
-                s.name
-            )));
+            return Err(closed(s));
         }
         let buffer = &self.graph.buffers[s.buffer.0];
         let stale = {
@@ -599,58 +577,84 @@ impl Executor {
     fn step_untraced(&mut self) -> Result<Activity> {
         self.check_clock()?;
         let now = self.clock.now();
+        // Each decision's backtrack walk starts from an empty stack.
+        self.bt_stack.clear();
         // The scheduling policy decides only *which node is next*.
         // Depth-first continues where the NOS rules left `current` (which
         // may have starved since) and, on (re)activation, enters at the
         // first runnable node; round-robin takes the first runnable node
         // from its rotation cursor.
-        let next = match (self.sched, self.current) {
-            (SchedPolicy::DepthFirst, Some(node)) => Some((node, self.poll(node, now))),
-            (SchedPolicy::DepthFirst, None) => self.first_ready(0, now).map(|n| (n, Poll::Ready)),
-            (SchedPolicy::RoundRobin, _) => self
-                .first_ready(self.rr_cursor, now)
-                .map(|n| (n, Poll::Ready)),
+        let start = match (self.sched, self.current) {
+            (SchedPolicy::DepthFirst, Some(node)) => {
+                let activity = match self.poll_run(node, now)? {
+                    Some(activity) => activity,
+                    None => self.backtrack(Some(node))?,
+                };
+                self.refresh_idle();
+                return Ok(activity);
+            }
+            (SchedPolicy::DepthFirst, None) => 0,
+            (SchedPolicy::RoundRobin, _) => self.rr_cursor,
         };
-        let activity = match next {
-            Some((node, Poll::Ready)) => self.run(node)?,
-            Some((node, Poll::Starved { starving })) => self.backtrack(Some((node, starving)))?,
+        let activity = match self.first_ready(start, now) {
+            Some(node) => self.run(node)?,
             None => self.backtrack(None)?,
         };
         self.refresh_idle();
         Ok(activity)
     }
 
-    /// Fig. 3's execution step — the one place an operator runs and its
-    /// work is charged — followed by the policy's continuation
-    /// ([`Executor::select_next`]).
+    /// How many consecutive Encore steps of `node` one decision may fuse.
+    /// The batch stops at every per-tuple NOS boundary (yield,
+    /// starvation), so `select_next` sees the same state it would after
+    /// single-stepping — outputs are identical. Operators that read the
+    /// clock are not batch-safe and run one step at a time, and
+    /// round-robin stays strictly per-tuple: fusing Encore runs would
+    /// starve the rotation's fairness.
+    fn encore_limit(&self, node: NodeId) -> usize {
+        if self.sched == SchedPolicy::DepthFirst && self.graph.ops[node.0].op.batch_safe() {
+            self.opts.encore_batch.max(1)
+        } else {
+            1
+        }
+    }
+
+    /// Fig. 3's execution step on a node already known to be runnable,
+    /// followed by [`Executor::finish`].
     fn run(&mut self, node: NodeId) -> Result<Activity> {
         let now = self.clock.now();
-        // The batched Encore path: run up to `encore_batch` consecutive
-        // steps of this operator as one scheduling decision. The batch
-        // stops at every per-tuple NOS boundary (yield, starvation), so
-        // `select_next` sees the same state it would after
-        // single-stepping — outputs are identical. Operators that read
-        // the clock are not batch-safe and run one step at a time, and
-        // round-robin stays strictly per-tuple: fusing Encore runs would
-        // starve the rotation's fairness.
-        let max_steps =
-            if self.sched == SchedPolicy::DepthFirst && self.graph.ops[node.0].op.batch_safe() {
-                self.opts.encore_batch.max(1)
-            } else {
-                1
-            };
-        let batch = {
-            let QueryGraph { ops, buffers, .. } = &mut self.graph;
-            if max_steps > 1 {
-                exec_node_batch(ops, buffers, node, now, max_steps)?
-            } else {
-                // The plain per-tuple step, so per-tuple execution stays
-                // the unmodified legacy path.
-                let mut one = BatchOutcome::default();
-                one.record(exec_node(ops, buffers, node, now)?);
-                one
+        let max_steps = self.encore_limit(node);
+        let QueryGraph { ops, buffers, .. } = &mut self.graph;
+        let batch = exec_node(ops, buffers, node, now, max_steps)?;
+        self.finish(node, batch)
+    }
+
+    /// Depth-first's one decision on `node`: poll its `more` condition and,
+    /// when it holds, execute it inside the same operator context, then
+    /// [`Executor::finish`]. The decision is the one `poll` followed by
+    /// [`Executor::run`] would make, with one context build instead of
+    /// two. A starved node runs nothing: the predecessors feeding its
+    /// starving inputs go on the backtrack stack and `None` comes back.
+    fn poll_run(&mut self, node: NodeId, now: Timestamp) -> Result<Option<Activity>> {
+        let max_steps = self.encore_limit(node);
+        let QueryGraph { ops, buffers, .. } = &mut self.graph;
+        let batch = match poll_exec_node(ops, buffers, node, now, max_steps, &mut self.bt_stack) {
+            Ok(Some(batch)) => batch,
+            Ok(None) => return Ok(None),
+            Err(e) => {
+                // Only a step fails, so the node was runnable.
+                self.current = Some(node);
+                return Err(e);
             }
         };
+        self.current = Some(node);
+        self.finish(node, batch).map(Some)
+    }
+
+    /// The one place an executed batch is charged — clock, stats, profile,
+    /// the TSM check — followed by the policy's continuation
+    /// ([`Executor::select_next`]).
+    fn finish(&mut self, node: NodeId, batch: BatchOutcome) -> Result<Activity> {
         let cost = self.cost.batch_cost(batch.steps, batch.total_work());
         self.clock.advance(cost);
         self.stats.steps += batch.steps as u64;
@@ -667,7 +671,7 @@ impl Executor {
 
     /// Clock-monotonicity check: the virtual clock must never run
     /// backwards between scheduling steps. Monotone by construction today
-    /// (`advance` is a fetch-add, `advance_to` a fetch-max), so this guards
+    /// (`advance` only adds, `advance_to` only raises), so this guards
     /// against future clock implementations or external tampering.
     fn check_clock(&mut self) -> Result<()> {
         if !self.check.is_enabled() {
@@ -817,24 +821,20 @@ impl Executor {
     /// The Backtrack rule (§3.2) with the §4 extension, for both policies:
     /// walk the predecessors of the starving inputs depth-first until a
     /// runnable operator is found or an empty source generates an ETS.
-    /// The walk starts at `from` (depth-first's starved `current`) and,
-    /// when every path from there is dead, hands over to each other
-    /// starved operator with queued input in id order — another part of
-    /// the graph may still hold work or ETS budget (multi-sink graphs).
+    /// The walk starts at `origin` (depth-first's starved `current`, whose
+    /// poll already stacked its starving predecessors) and, when every
+    /// path from there is dead, hands over to each other starved operator
+    /// with queued input in id order — another part of the graph may
+    /// still hold work or ETS budget (multi-sink graphs).
     ///
     /// The policy enters as one datum: depth-first *resumes* a runnable
     /// operator the walk comes across; round-robin leaves it for the
     /// rotation and only looks for an ETS.
-    fn backtrack(&mut self, from: Option<(NodeId, StarveList)>) -> Result<Activity> {
+    fn backtrack(&mut self, origin: Option<NodeId>) -> Result<Activity> {
         let resume = self.sched == SchedPolicy::DepthFirst;
-        let origin = from.as_ref().map(|(node, _)| *node);
-        let mut from = from;
         let mut scan = 0;
-        while let Some((node, starving)) =
-            from.take().or_else(|| self.next_starved(&mut scan, origin))
-        {
-            self.bt_stack.clear();
-            self.push_starving_preds(node, &starving);
+        let mut walk = origin.is_some() || self.stack_next_starved(&mut scan, origin);
+        while walk {
             // The graph is a DAG with single-consumer buffers, so each pred
             // is visited at most once per walk; no visited-set needed.
             while let Some(pred) = self.bt_stack.pop() {
@@ -842,11 +842,16 @@ impl Executor {
                 self.clock.advance(self.cost.backtrack);
                 let now = self.clock.now();
                 match pred {
-                    Pred::Op(p) => match self.poll(p, now) {
-                        Poll::Ready if resume => return self.resume(p),
-                        Poll::Ready => {}
-                        Poll::Starved { starving } => self.push_starving_preds(p, &starving),
-                    },
+                    Pred::Op(p) if resume => {
+                        if let Some(activity) = self.poll_run(p, now)? {
+                            return Ok(activity);
+                        }
+                    }
+                    Pred::Op(p) => {
+                        if let Poll::Starved { starving } = self.poll(p, now) {
+                            stack_preds(&mut self.bt_stack, &self.graph.ops[p.0], &starving);
+                        }
+                    }
                     Pred::Source(sid) => {
                         let consumer = self.graph.sources[sid.0].consumer;
                         let buffer = self.graph.sources[sid.0].buffer;
@@ -876,25 +881,18 @@ impl Executor {
                     }
                 }
             }
-            // Every starving path from `node` is dead. Depth-first has only
-            // looked along `current`'s chain so far: input may have arrived
+            // Every starving path walked so far is dead. Depth-first has
+            // only looked along `current`'s chain: input may have arrived
             // elsewhere in the graph, so try any runnable node first.
             if resume {
                 if let Some(next) = self.first_ready(0, self.clock.now()) {
                     return self.resume(next);
                 }
             }
+            walk = self.stack_next_starved(&mut scan, origin);
         }
         self.current = None;
         Ok(Activity::Quiescent)
-    }
-
-    /// Stacks the predecessors feeding `node`'s starving inputs, first
-    /// starving input on top.
-    fn push_starving_preds(&mut self, node: NodeId, starving: &StarveList) {
-        let preds = &self.graph.ops[node.0].preds;
-        self.bt_stack
-            .extend(starving.iter().rev().map(|&j| preds[j]));
     }
 
     /// Backtracking landed on a runnable node: execute it right away (the
@@ -904,16 +902,13 @@ impl Executor {
         self.run(node)
     }
 
-    /// The next hand-over point of a dead backtrack: the first node at or
-    /// after `*scan` (other than `origin`, already walked) that holds
-    /// queued input yet is starved — e.g. an IWP operator wired directly
-    /// to its sources. Walks only poll, so one ascending pass sees every
-    /// candidate exactly once.
-    fn next_starved(
-        &mut self,
-        scan: &mut usize,
-        origin: Option<NodeId>,
-    ) -> Option<(NodeId, StarveList)> {
+    /// Stacks the starving predecessors of the next hand-over point of a
+    /// dead backtrack: the first node at or after `*scan` (other than
+    /// `origin`, already walked) that holds queued input yet is starved —
+    /// e.g. an IWP operator wired directly to its sources. Walks only
+    /// poll, so one ascending pass sees every candidate exactly once.
+    /// Returns whether there was one.
+    fn stack_next_starved(&mut self, scan: &mut usize, origin: Option<NodeId>) -> bool {
         let now = self.clock.now();
         let QueryGraph { ops, buffers, .. } = &mut self.graph;
         while *scan < ops.len() {
@@ -925,11 +920,12 @@ impl Executor {
                 .any(|b| !buffers[b.0].borrow().is_empty());
             if pending && Some(node) != origin {
                 if let Poll::Starved { starving } = poll_node(ops, buffers, node, now) {
-                    return Some((node, starving));
+                    stack_preds(&mut self.bt_stack, &ops[node.0], &starving);
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
     /// The first runnable operator (its `more` condition holds) in id
@@ -949,27 +945,57 @@ impl Executor {
     }
 }
 
+/// Whether `tuple` may be ingested at source `s` at all: it must be data,
+/// and the source open. A punctuation tuple slipping through would bypass
+/// the heartbeat high-water accounting and corrupt ETS state (the source's
+/// data high-water would absorb a punctuation timestamp), so it is refused
+/// structurally rather than only in debug builds.
+fn admit(s: &SourceState, tuple: &Tuple) -> Result<()> {
+    if tuple.is_punctuation() {
+        return Err(not_data(s));
+    }
+    if s.closed {
+        return Err(closed(s));
+    }
+    Ok(())
+}
+
+/// The error for ingesting at a source after end-of-stream.
+fn closed(s: &SourceState) -> Error {
+    Error::runtime(format!("source `{}` is closed", s.name))
+}
+
+/// The error for a punctuation handed to a data-ingest call.
+fn not_data(s: &SourceState) -> Error {
+    Error::runtime(format!(
+        "ingest on source `{}` requires a data tuple; \
+         use ingest_heartbeat for punctuation",
+        s.name
+    ))
+}
+
 /// Per-side port count up to which scratch contexts marshal buffer
 /// references on the stack. Wider nodes (rare — a fan-in/fan-out beyond 8)
 /// fall back to a heap `Vec`.
 const MAX_INLINE_PORTS: usize = 8;
 
 /// Builds the scratch [`OpContext`] for `node` and hands it, together with
-/// the operator, to `f`. Every scheduling decision (poll, step, batch)
-/// funnels through here, so the marshalling must not allocate: buffer
-/// references land in stack arrays for the common port counts.
+/// the node (its operator and predecessors), to `f`. Every scheduling
+/// decision (poll, step, batch) funnels through here, so the marshalling
+/// must not allocate: buffer references land in stack arrays for the
+/// common port counts.
 fn with_node_ctx<R>(
     ops: &mut [OpNode],
     buffers: &[RefCell<Buffer>],
     node: NodeId,
     now: Timestamp,
-    f: impl FnOnce(&mut dyn Operator, &OpContext<'_>) -> R,
+    f: impl FnOnce(&mut OpNode, &OpContext<'_>) -> R,
 ) -> R {
     let n = &mut ops[node.0];
     let Some(filler) = buffers.first() else {
         // No buffers means the node has no ports at all.
         let ctx = OpContext::new(&[], &[], now);
-        return f(n.op.as_mut(), &ctx);
+        return f(n, &ctx);
     };
     // Unused slots keep the filler reference and are never read: the
     // context only sees the `..len` prefix of each array.
@@ -996,7 +1022,7 @@ fn with_node_ctx<R>(
         &out_heap
     };
     let ctx = OpContext::new(inputs, outputs, now);
-    f(n.op.as_mut(), &ctx)
+    f(n, &ctx)
 }
 
 /// Polls a node's `more` condition with a scratch context.
@@ -1006,30 +1032,59 @@ fn poll_node(
     node: NodeId,
     now: Timestamp,
 ) -> Poll {
-    with_node_ctx(ops, buffers, node, now, |op, ctx| op.poll(ctx))
+    with_node_ctx(ops, buffers, node, now, |n, ctx| n.op.poll(ctx))
 }
 
-/// Executes one step of a node.
+/// Executes up to `max_steps` fused Encore steps of a node; `1` is the
+/// plain per-tuple step.
 fn exec_node(
-    ops: &mut [OpNode],
-    buffers: &[RefCell<Buffer>],
-    node: NodeId,
-    now: Timestamp,
-) -> Result<StepOutcome> {
-    with_node_ctx(ops, buffers, node, now, |op, ctx| op.step(ctx))
-}
-
-/// Executes up to `max_steps` fused Encore steps of a node.
-fn exec_node_batch(
     ops: &mut [OpNode],
     buffers: &[RefCell<Buffer>],
     node: NodeId,
     now: Timestamp,
     max_steps: usize,
 ) -> Result<BatchOutcome> {
-    with_node_ctx(ops, buffers, node, now, |op, ctx| {
-        op.step_batch(ctx, max_steps)
+    with_node_ctx(ops, buffers, node, now, |n, ctx| {
+        step_op(n.op.as_mut(), ctx, max_steps)
     })
+}
+
+/// Polls a node's `more` condition and, when it holds, executes up to
+/// `max_steps` fused Encore steps — poll and execution share one scratch
+/// context. A starved node runs nothing: the predecessors feeding its
+/// starving inputs go on `stack` and `None` comes back.
+fn poll_exec_node(
+    ops: &mut [OpNode],
+    buffers: &[RefCell<Buffer>],
+    node: NodeId,
+    now: Timestamp,
+    max_steps: usize,
+    stack: &mut Vec<Pred>,
+) -> Result<Option<BatchOutcome>> {
+    with_node_ctx(ops, buffers, node, now, |n, ctx| match n.op.poll(ctx) {
+        Poll::Ready => step_op(n.op.as_mut(), ctx, max_steps).map(Some),
+        Poll::Starved { ref starving } => {
+            stack_preds(stack, n, starving);
+            Ok(None)
+        }
+    })
+}
+
+/// Stacks the predecessors feeding `node`'s starving inputs for the
+/// backtrack walk, first starving input on top.
+fn stack_preds(stack: &mut Vec<Pred>, node: &OpNode, starving: &[usize]) {
+    stack.extend(starving.iter().rev().map(|&j| node.preds[j]));
+}
+
+/// Runs up to `max_steps` steps of an operator. Per-tuple execution
+/// (`max_steps == 1`) stays the plain `step`, not a batch of one.
+fn step_op(op: &mut dyn Operator, ctx: &OpContext<'_>, max_steps: usize) -> Result<BatchOutcome> {
+    if max_steps > 1 {
+        return op.step_batch(ctx, max_steps);
+    }
+    let mut one = BatchOutcome::default();
+    one.record(op.step(ctx)?);
+    Ok(one)
 }
 
 #[cfg(test)]
@@ -1534,6 +1589,163 @@ mod tests {
             .ingest_heartbeat(f.s1, Timestamp::from_micros(20))
             .unwrap();
         f.exec.run_until_quiescent(10_000).unwrap();
+    }
+
+    /// Fig. 4 over two externally timestamped sources on `Reject` buffers,
+    /// under on-demand ETS: the skew-bound rule reads each source's data
+    /// baseline, so source bookkeeping is observable in the output.
+    fn external_fig4() -> (Executor, [SourceId; 2], Shared) {
+        let mut b = GraphBuilder::new();
+        let s1 = b.source("S1", schema(), TimestampKind::External);
+        let s2 = b.source("S2", schema(), TimestampKind::External);
+        let u = b
+            .operator(
+                Box::new(Union::new("∪", schema(), 2)),
+                vec![Input::Source(s1), Input::Source(s2)],
+            )
+            .unwrap();
+        let out = Shared::default();
+        b.operator(
+            Box::new(Sink::new("sink", schema(), out.clone())),
+            vec![Input::Op(u)],
+        )
+        .unwrap();
+        let exec = Executor::new(
+            b.build().unwrap(),
+            VirtualClock::shared(),
+            CostModel::default(),
+            EtsPolicy::on_demand(),
+        );
+        (exec, [s1, s2], out)
+    }
+
+    /// Everything ingestion may change, per source, plus the queues.
+    #[allow(clippy::type_complexity)]
+    fn ingest_state(
+        exec: &Executor,
+    ) -> (
+        Vec<(u64, Option<Timestamp>, Option<Timestamp>, bool)>,
+        Vec<Tuple>,
+    ) {
+        let sources = exec
+            .graph()
+            .sources
+            .iter()
+            .map(|s| {
+                (
+                    s.ingested,
+                    s.last_data_ts,
+                    s.last_data_arrival,
+                    s.ets_budget_used,
+                )
+            })
+            .collect();
+        let queued = exec
+            .graph()
+            .buffers
+            .iter()
+            .flat_map(|b| b.borrow().iter().cloned().collect::<Vec<_>>())
+            .collect();
+        (sources, queued)
+    }
+
+    /// Regression: a refused tuple used to count as ingested, and a batch
+    /// refused mid-way recorded nothing for the prefix its buffer kept.
+    #[test]
+    fn refused_tuples_leave_no_source_bookkeeping() {
+        let (mut exec, [s1, _], _) = external_fig4();
+        exec.ingest(s1, data(10, 1)).unwrap();
+        assert!(exec.ingest(s1, data(5, 2)).is_err());
+        let s = exec.graph().source(s1);
+        assert_eq!(
+            (s.ingested, s.last_data_ts),
+            (1, Some(Timestamp::from_micros(10)))
+        );
+
+        let (mut exec, [s1, _], _) = external_fig4();
+        assert!(exec
+            .ingest_batch(s1, vec![data(10, 1), data(5, 2)])
+            .is_err());
+        assert_eq!(exec.graph().total_queued(), 1);
+        let s = exec.graph().source(s1);
+        assert_eq!(
+            (s.ingested, s.last_data_ts),
+            (1, Some(Timestamp::from_micros(10)))
+        );
+    }
+
+    /// `ingest_batch(s, v)` leaves exactly the state of
+    /// `for t in v { ingest(s, t)? }`: the same error, queued prefix,
+    /// source bookkeeping and budget re-arm — and so the same run after.
+    #[test]
+    fn ingest_batch_matches_per_tuple_ingest() {
+        // Coverage: on-demand ETS read the baselines, and some batches
+        // failed after their buffer had accepted a prefix.
+        let (mut ets, mut refused_after_prefix) = (0, 0);
+        for seed in 0..64u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut draw = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let (mut batched, sources, batched_out) = external_fig4();
+            let (mut single, _, single_out) = external_fig4();
+            let mut next = [1u64; 2];
+            for round in 0..16 {
+                let i = draw(2) as usize;
+                let mut batch = Vec::new();
+                for k in 0..draw(7) {
+                    let t = match draw(8) {
+                        // A mid-batch regression below the source's mark.
+                        0 => data(next[i].saturating_sub(1 + draw(3)), k as i64),
+                        // A mid-batch punctuation.
+                        1 => Tuple::punctuation(Timestamp::from_micros(next[i])),
+                        _ => {
+                            next[i] += draw(3);
+                            data(next[i], k as i64)
+                        }
+                    };
+                    batch.push(t);
+                }
+                let at = Timestamp::from_micros(next[0].min(next[1]) + draw(4));
+                let ctx = format!("seed {seed} round {round}: {batch:?}");
+                for exec in [&mut batched, &mut single] {
+                    exec.clock().advance_to(at);
+                }
+                let queued = batched.graph().total_queued();
+                let b = batched.ingest_batch(sources[i], batch.clone());
+                if b.is_err() && batched.graph().total_queued() > queued {
+                    refused_after_prefix += 1;
+                }
+                let s = batch
+                    .into_iter()
+                    .try_for_each(|t| single.ingest(sources[i], t));
+                assert_eq!(
+                    b.map_err(|e| e.to_string()),
+                    s.map_err(|e| e.to_string()),
+                    "{ctx}"
+                );
+                assert_eq!(ingest_state(&batched), ingest_state(&single), "{ctx}");
+                if draw(2) == 0 {
+                    for exec in [&mut batched, &mut single] {
+                        exec.run_until_quiescent(10_000).unwrap();
+                    }
+                    assert_eq!(batched.stats(), single.stats(), "{ctx}");
+                    assert_eq!(batched.clock().now(), single.clock().now(), "{ctx}");
+                }
+            }
+            ets += batched.stats().ets_generated;
+            assert_eq!(
+                batched_out.0.lock().unwrap().delivered,
+                single_out.0.lock().unwrap().delivered
+            );
+        }
+        assert!(
+            ets > 0 && refused_after_prefix > 0,
+            "{ets} {refused_after_prefix}"
+        );
     }
 
     /// Builds unordered-S1 → Reorder → sink with the given check mode.

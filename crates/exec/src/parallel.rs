@@ -12,7 +12,10 @@
 //! component's sub-graph runs on its **own unmodified single-threaded
 //! [`Executor`]** hosted by a worker thread. The `RefCell` hot path is
 //! untouched; only the leaf counters (clock, occupancy tracker) are
-//! atomics so a component can move across the thread boundary.
+//! atomics, so a component can move across the thread boundary. They
+//! are single-writer: each component owns its own clock and tracker,
+//! only its worker writes them, and writes are plain relaxed load +
+//! store rather than locked read-modify-writes.
 //!
 //! ## Cross-thread surface
 //!

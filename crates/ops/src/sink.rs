@@ -6,8 +6,9 @@
 //! * sinks **eliminate punctuation tuples** — "they are only needed
 //!   internally" (paper footnote 3);
 //! * the operator immediately before a sink is drained eagerly (the
-//!   scheduler's special case), which the sink supports by consuming its
-//!   whole input each step.
+//!   scheduler's special case). Each step pops one tuple; a sink has no
+//!   output, so it never yields, and the scheduler's Encore rule runs it
+//!   again until its input is empty.
 //!
 //! The sink reports each delivered data tuple to a [`SinkCollector`]
 //! together with the delivery instant, which is where output-latency
