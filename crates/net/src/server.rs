@@ -8,14 +8,18 @@
 //! pump** thread (`msq-pump`), which is also the engine thread: the planned
 //! query is one connected component, so it runs on a serial
 //! [`Executor`] inline in the pump — the paper's §3 model, one thread
-//! walking one query graph. Pollers own every socket. Each producer's
+//! walking one query graph. The engine is a plain value the pump owns; no
+//! other thread touches it while the pump runs. Pollers own every socket
+//! and answer what the plan alone decides (protocol version, stream name,
+//! schema, row width, the subscriber handshake). Each producer's
 //! [`FrameReader`] reads once per readiness event and decodes every frame
 //! that read buffered (partial frames survive between polls); the poller
 //! validates frame order at the socket boundary and hands each step's
-//! frames to the one bounded ingest queue in one lock. The pump drains
-//! whole batches in hand-off order and enters the engine **once per
-//! batch** — `{ingest*, advance clock, run-to-quiescence}` — instead of
-//! once per frame, so the engine critical section is amortized across
+//! frames to the one bounded ingest queue in one lock. A producer's
+//! attach and detach travel on the same queue, in order with its frames.
+//! The pump drains whole batches in hand-off order and enters the engine
+//! **once per batch** — `{ingest*, advance clock, run-to-quiescence}` —
+//! instead of once per frame, so one engine section is amortized across
 //! every frame that arrived while the previous batch was running.
 //! Cumulative [`Frame::Ack`]s (one per connection per batch, carrying the
 //! final `high_water`) and per-producer error attribution are preserved:
@@ -79,24 +83,22 @@
 //! the mark is dropped at the socket boundary (counted, and fatal under
 //! `MILLSTREAM_CHECK=strict`).
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use millstream_buffer::{punctuation_is_stale, CheckMode, OrderSentinel, SentinelStats};
 use millstream_exec::{CostModel, EtsPolicy, ExecStats, Executor, NodeId, SourceId, VirtualClock};
-use millstream_metrics::{IdleSummary, IdleTracker, LatencyRecorder, LatencySummary};
+use millstream_metrics::{IdleSummary, IdleTracker, LatencySummary};
 use millstream_ops::SinkCollector;
 use millstream_query::plan_program;
-use millstream_types::{Error, Result, Schema, TimeDelta, Timestamp, Tuple};
+use millstream_types::{Error, Result, Schema, Timestamp, Tuple};
 
-use crate::frame::{ErrorCode, Frame};
+use crate::frame::{ErrorCode, Frame, PROTOCOL_VERSION};
 
 mod ingest;
 
@@ -187,7 +189,7 @@ pub struct ServerStats {
     pub conns_active: u64,
     /// Frames received from producers after handshake.
     pub frames_in: u64,
-    /// Engine critical sections that applied producer frames; the
+    /// Engine sections that applied producer frames; the
     /// batching win is `frames_in / ingest_sections` frames per section.
     /// A section that only fired idle deadlines is not counted.
     pub ingest_sections: u64,
@@ -217,8 +219,8 @@ pub struct ServerStats {
 }
 
 /// Lock-free storage behind [`ServerStats`]: every counter the ingest
-/// pump and the pollers touch lives here so [`Server::stats`] never has
-/// to take the engine lock.
+/// pump and the pollers touch lives here, so [`Server::stats`] reads them
+/// mid-run without asking the pump.
 #[derive(Default)]
 struct StatsCell {
     connections: AtomicU64,
@@ -282,10 +284,6 @@ pub struct ServerReport {
     /// Wire-arrival → sink-delivery latency over all producer
     /// connections.
     pub latency: LatencySummary,
-    /// Times the latency recorder was touched while the engine lock was
-    /// held on the same thread — the recorder lives *outside* the engine
-    /// critical section by design, so this must stay zero.
-    pub latency_lock_violations: u64,
     /// Merged engine counters (includes `dropped_stale_heartbeats`).
     pub exec: ExecStats,
     /// Wire-level sentinel violations observed at socket boundaries.
@@ -298,19 +296,15 @@ pub struct ServerReport {
     pub monitor_idle_fraction: Option<f64>,
 }
 
-/// Engine-side view of one planned source.
+/// The pump's side of one planned source. How far the source has got —
+/// its data and ETS high-waters, whether it is closed, how many tuples it
+/// took — is the executor's [`millstream_exec::SourceState`], read
+/// through [`Engine::source`], never copied here.
 struct Port {
     source: SourceId,
-    stream: String,
-    schema: Schema,
     /// Wire-order sentinel for this source's socket boundary (punctuation
     /// dominance of late data against synthesized marks).
     sentinel: OrderSentinel,
-    /// Highest data timestamp ingested (micros); wire-level dedup mark.
-    data_hw: Option<u64>,
-    /// Highest fresh heartbeat asserted (micros), synthesized or wire.
-    punct_hw: Option<u64>,
-    closed: bool,
     producers: usize,
     /// When the source counts as network-silent: the last frame's arrival
     /// (or the first attach) plus the idle timeout, moved one timeout on
@@ -318,24 +312,44 @@ struct Port {
     idle_due: Option<Instant>,
     /// Network-idleness over the server's wall-clock timeline.
     idle: IdleTracker,
-    ingested: u64,
     duplicates: u64,
     rejected: u64,
     synthesized: u64,
 }
 
-/// The engine and every piece of state its lock protects.
+/// The engine and the wire ports: a plain value the pump thread owns.
 struct Engine {
     exec: Executor,
     ports: Vec<Port>,
-    by_name: HashMap<String, usize>,
-    output_schema: Schema,
     monitor: Option<NodeId>,
-    /// Server stream time: max data timestamp accepted (micros).
-    max_ts: u64,
 }
 
+/// What one engine section has absorbed so far: the clock target
+/// (micros) and whether anything is worth a run.
+#[derive(Default)]
+struct Section {
+    clock: u64,
+    run: bool,
+}
+
+impl Section {
+    fn absorb(&mut self, ts: Timestamp) {
+        self.clock = self.clock.max(ts.as_micros());
+        self.run = true;
+    }
+}
+
+/// A producer frame's verdict: applied — `true` iff a data tuple entered
+/// the graph, which the pump attributes wire-arrival instants to — or
+/// refused with the code to tell the connection that sent it.
+type Verdict = std::result::Result<bool, (ErrorCode, Error)>;
+
 impl Engine {
+    /// The executor's state for the source behind `port_idx`.
+    fn source(&self, port_idx: usize) -> &millstream_exec::SourceState {
+        self.exec.graph().source(self.ports[port_idx].source)
+    }
+
     /// Advances the executor clock to `ts` micros (the clock never goes
     /// backwards) and re-evaluates the monitored operator at the new time.
     fn advance_clock(&mut self, ts: u64) {
@@ -344,9 +358,9 @@ impl Engine {
     }
 
     /// Runs the graph to quiescence. An operator panic fails the section
-    /// like any other engine error instead of unwinding through the pump
-    /// and poisoning the engine lock (the panic hook has already printed
-    /// the payload to stderr).
+    /// like any other engine error instead of unwinding through the pump,
+    /// which would take the engine down with it (the panic hook has
+    /// already printed the payload to stderr).
     fn run(&mut self) -> Result<()> {
         catch_unwind(AssertUnwindSafe(|| {
             self.exec.run_until_quiescent(RUN_BUDGET)
@@ -354,36 +368,210 @@ impl Engine {
         .unwrap_or_else(|_| Err(Error::runtime("engine panicked while running the section")))
         .map(|_| ())
     }
-}
 
-thread_local! {
-    /// Engine-lock nesting depth on this thread; [`Shared::record_latencies`]
-    /// refuses (and counts) any recording attempted while it is nonzero.
-    static ENGINE_LOCK_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Engine-lock guard that tracks per-thread nesting depth, so the latency
-/// recorder discipline ("never under the engine lock") is checkable.
-struct EngineGuard<'a> {
-    guard: MutexGuard<'a, Engine>,
-}
-
-impl Deref for EngineGuard<'_> {
-    type Target = Engine;
-    fn deref(&self) -> &Engine {
-        &self.guard
+    /// One more producer on `port_idx`. Returns its `HelloAck`, whose
+    /// resume mark is the source's data high-water after every frame
+    /// queued before the attach.
+    fn attach(&mut self, port_idx: usize, due: Option<Instant>, now_us: Timestamp) -> Frame {
+        let port = &mut self.ports[port_idx];
+        port.producers += 1;
+        // The silence clock starts when a producer first attaches.
+        port.idle_due = port.idle_due.or(due);
+        // A (re)connecting producer is activity: the source is no longer
+        // network-starved.
+        port.idle.set_idle(now_us, false);
+        let source = self.source(port_idx);
+        Frame::HelloAck {
+            version: PROTOCOL_VERSION,
+            schema: source.schema.clone(),
+            resume_ts: source.last_data_ts.map_or(0, Timestamp::as_micros),
+        }
     }
-}
 
-impl DerefMut for EngineGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Engine {
-        &mut self.guard
+    /// One producer fewer on `port_idx`: with none left on an open
+    /// source, the source is network-starved from now (a reconnect clears
+    /// it).
+    fn detach(&mut self, port_idx: usize, now_us: Timestamp) {
+        let open = !self.source(port_idx).closed;
+        let port = &mut self.ports[port_idx];
+        port.producers -= 1;
+        if port.producers == 0 && open {
+            port.idle.set_idle(now_us, true);
+        }
     }
-}
 
-impl Drop for EngineGuard<'_> {
-    fn drop(&mut self) {
-        ENGINE_LOCK_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+    /// Applies one data frame, **without** running the graph: the pump
+    /// runs once per section. A duplicate or a dominance reject is acked
+    /// without entering the graph.
+    fn ingest(
+        &mut self,
+        stats: &StatsCell,
+        port_idx: usize,
+        tuple: Tuple,
+        section: &mut Section,
+    ) -> Verdict {
+        let source = self.exec.graph().source(self.ports[port_idx].source);
+        let port = &mut self.ports[port_idx];
+        if !tuple.is_data() {
+            // Wire-level mirror of `Executor::ingest`'s contract.
+            let msg = format!(
+                "DATA frame on `{}` carries punctuation; use a HEARTBEAT frame",
+                source.name
+            );
+            return Err((ErrorCode::Protocol, Error::runtime(msg)));
+        }
+        if source.closed {
+            let msg = format!("source `{}` is closed", source.name);
+            return Err((ErrorCode::Engine, Error::runtime(msg)));
+        }
+        let ts = tuple.ts;
+        if source.last_data_ts.is_some_and(|hw| ts <= hw) {
+            // Retransmitted duplicate (producer timestamps are strictly
+            // increasing): ack without ingesting.
+            port.duplicates += 1;
+            stats.duplicates_dropped.fetch_add(1, Ordering::SeqCst);
+            return Ok(false);
+        }
+        if let Some(mark) = source.ets_high_water.filter(|&mark| ts < mark) {
+            // High-water dominance at the socket boundary: this data
+            // contradicts a heartbeat already asserted (possibly
+            // synthesized while the producer was silent). Count + drop;
+            // fatal under strict.
+            port.sentinel
+                .check_punct_dominance(&format!("wire:{}", source.name), ts, mark)
+                .map_err(|e| (ErrorCode::Invariant, e))?;
+            port.rejected += 1;
+            stats.rejected_tuples.fetch_add(1, Ordering::SeqCst);
+            return Ok(false);
+        }
+        self.exec
+            .ingest(port.source, tuple)
+            .map_err(|e| (ErrorCode::Engine, e))?;
+        stats.tuples_ingested.fetch_add(1, Ordering::SeqCst);
+        section.absorb(ts);
+        Ok(true)
+    }
+
+    /// Applies one wire heartbeat. The executor refuses one on a closed
+    /// source and drops a stale one (counted in its stats).
+    fn heartbeat(
+        &mut self,
+        stats: &StatsCell,
+        port_idx: usize,
+        ts: Timestamp,
+        section: &mut Section,
+    ) -> Verdict {
+        self.exec
+            .ingest_heartbeat(self.ports[port_idx].source, ts)
+            .map_err(|e| (ErrorCode::Engine, e))?;
+        stats.heartbeats_in.fetch_add(1, Ordering::SeqCst);
+        section.absorb(ts);
+        Ok(false)
+    }
+
+    /// Declares end-of-stream on the source behind `port_idx`.
+    fn close(&mut self, port_idx: usize, section: &mut Section) -> Verdict {
+        if !self.source(port_idx).closed {
+            self.exec
+                .close_source(self.ports[port_idx].source)
+                .map_err(|e| (ErrorCode::Engine, e))?;
+            section.run = true;
+        }
+        Ok(false)
+    }
+
+    /// Fires every live deadline that has passed: the source is marked
+    /// network-starved, gets a heartbeat at stream time (the highest data
+    /// timestamp any source accepted) if that asserts something new for
+    /// it, and is re-armed one timeout later either way — so a silent port
+    /// costs at most one synthesis per timeout, and one whose mark would be
+    /// stale cannot spin the pump. A port is live while its source is open
+    /// and a producer is attached. Returns the earliest live deadline
+    /// still ahead.
+    fn synthesize_due(
+        &mut self,
+        stats: &StatsCell,
+        timeout: Option<Duration>,
+        now_us: Timestamp,
+        section: &mut Section,
+    ) -> Option<Instant> {
+        let timeout = timeout?;
+        let now = Instant::now();
+        let stream_time = (0..self.ports.len())
+            .filter_map(|i| self.source(i).last_data_ts)
+            .max();
+        let Engine { exec, ports, .. } = self;
+        let live =
+            |exec: &Executor, p: &Port| p.producers > 0 && !exec.graph().source(p.source).closed;
+        for port in ports.iter_mut() {
+            match port.idle_due {
+                Some(due) if due <= now && live(exec, port) => port.idle_due = Some(now + timeout),
+                _ => continue,
+            }
+            port.idle.set_idle(now_us, true);
+            let source = exec.graph().source(port.source);
+            let fresh = stream_time.filter(|&t| {
+                t > Timestamp::ZERO
+                    && !punctuation_is_stale(t, source.last_data_ts, source.ets_high_water)
+            });
+            let Some(mark) = fresh else { continue };
+            // A failed synthesis is the engine's, not the silent
+            // producer's: the port just waits for its next deadline.
+            if exec.ingest_heartbeat(port.source, mark).is_ok() {
+                port.synthesized += 1;
+                stats.synthesized_heartbeats.fetch_add(1, Ordering::SeqCst);
+                section.absorb(mark);
+            }
+        }
+        ports
+            .iter()
+            .filter(|p| live(exec, p))
+            .filter_map(|p| p.idle_due)
+            .min()
+    }
+
+    /// The final drain: closes every still-open source so the final ETS
+    /// (`Timestamp::MAX` punctuation) propagates, runs the engine dry,
+    /// finishes the idle trackers and reports. The counters the IO
+    /// threads still move are left for [`Server::shutdown`] to fill in.
+    fn final_drain(mut self, now_us: Timestamp, latency: LatencySummary) -> Result<ServerReport> {
+        for port in &mut self.ports {
+            self.exec.close_source(port.source)?;
+            port.idle.finish(now_us);
+        }
+        self.run()?;
+        self.exec.finish_idle();
+        let clock = self.exec.clock().now();
+        let monitor_idle_fraction = self
+            .monitor
+            .and_then(|m| self.exec.idle_tracker(m))
+            .map(|t| t.idle_fraction(clock));
+        let graph = self.exec.graph();
+        let ports = self
+            .ports
+            .iter()
+            .map(|p| {
+                let source = graph.source(p.source);
+                PortReport {
+                    stream: source.name.clone(),
+                    ingested: source.ingested,
+                    duplicates: p.duplicates,
+                    rejected: p.rejected,
+                    synthesized: p.synthesized,
+                    closed: source.closed,
+                    idle: p.idle.summarize(now_us),
+                }
+            })
+            .collect();
+        Ok(ServerReport {
+            stats: ServerStats::default(),
+            ports,
+            latency,
+            exec: self.exec.stats(),
+            wire_sentinel_violations: 0,
+            sub_peak_queue: 0,
+            monitor_idle_fraction,
+        })
     }
 }
 
@@ -497,8 +685,17 @@ impl Broadcast {
             poller,
         });
         let mut st = self.inner.lock().unwrap();
-        let slot = st.subs.len();
-        st.subs.push(Some(Arc::clone(&q)));
+        // A departed subscriber's slot is reused, so `subs` — walked on
+        // every delivery — is as long as the most subscribers ever
+        // connected at once, not as the number ever connected.
+        let slot = match st.subs.iter().position(Option::is_none) {
+            Some(slot) => slot,
+            None => {
+                st.subs.push(None);
+                st.subs.len() - 1
+            }
+        };
+        st.subs[slot] = Some(Arc::clone(&q));
         (slot, q)
     }
 
@@ -651,13 +848,22 @@ impl SinkCollector for Broadcast {
     }
 }
 
-/// State shared by every server thread.
+/// State shared by every server thread. The engine is not here: the pump
+/// owns it.
 struct Shared {
     cfg: ServerConfig,
-    engine: Mutex<Engine>,
+    /// The plan's stream name → (port index, schema): what a producer
+    /// handshake is checked against.
+    streams: HashMap<String, (usize, Schema)>,
+    /// The plan's output schema, sent in every subscriber `HelloAck`.
+    output_schema: Schema,
     broadcast: Broadcast,
     sentinel: Arc<SentinelStats>,
     shutdown: AtomicBool,
+    /// Set once producers have drained (or the drain deadline passed): the
+    /// pump closes every open source, runs the engine dry and exits with
+    /// its report.
+    final_drain: AtomicBool,
     /// Hard stop for the IO threads, set after the final engine drain;
     /// distinct from `shutdown` (which starts the graceful drain).
     terminate: AtomicBool,
@@ -666,9 +872,6 @@ struct Shared {
     active_producers: AtomicU64,
     started: Instant,
     stats: StatsCell,
-    latency: Mutex<LatencyRecorder>,
-    /// Latency recordings attempted under the engine lock (must stay 0).
-    latency_violations: AtomicU64,
     queue: ingest::IngestQueue,
     pool: ingest::IoPool,
 }
@@ -678,38 +881,15 @@ impl Shared {
     fn now_us(&self) -> Timestamp {
         Timestamp::from_micros(self.started.elapsed().as_micros() as u64)
     }
-
-    /// Locks the engine, tracking per-thread nesting depth so latency
-    /// recording can assert it happens outside the critical section.
-    fn lock_engine(&self) -> EngineGuard<'_> {
-        let guard = self.engine.lock().unwrap();
-        ENGINE_LOCK_DEPTH.with(|d| d.set(d.get() + 1));
-        EngineGuard { guard }
-    }
-
-    /// Records wire→sink latency observations under one recorder lock.
-    /// Must be called with the engine lock released; a call under the
-    /// lock is counted (and trips a debug assert) instead of recorded.
-    fn record_latencies(&self, samples: impl Iterator<Item = TimeDelta>) {
-        if ENGINE_LOCK_DEPTH.with(|d| d.get()) > 0 {
-            self.latency_violations.fetch_add(1, Ordering::SeqCst);
-            debug_assert!(false, "latency recorder touched under the engine lock");
-            return;
-        }
-        let mut rec = self.latency.lock().unwrap();
-        for elapsed in samples {
-            rec.record(elapsed);
-        }
-    }
 }
 
 /// A running `msq serve` instance.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     pollers: Vec<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
+    pump: JoinHandle<Result<ServerReport>>,
 }
 
 impl Server {
@@ -731,25 +911,19 @@ impl Server {
         let started = Instant::now();
         let sentinel = SentinelStats::shared();
         let mut ports = Vec::new();
-        let mut by_name = HashMap::new();
+        let mut streams = HashMap::new();
         for s in &planned.sources {
-            by_name.insert(s.stream.clone(), ports.len());
+            streams.insert(s.stream.clone(), (ports.len(), s.schema.clone()));
             ports.push(Port {
                 source: s.id,
-                stream: s.stream.clone(),
-                schema: s.schema.clone(),
                 sentinel: OrderSentinel::new(
                     check,
                     format!("net:{}", s.stream),
                     Arc::clone(&sentinel),
                 ),
-                data_hw: None,
-                punct_hw: None,
-                closed: false,
                 producers: 0,
                 idle_due: None,
                 idle: IdleTracker::new(Timestamp::ZERO),
-                ingested: 0,
                 duplicates: 0,
                 rejected: 0,
                 synthesized: 0,
@@ -758,10 +932,7 @@ impl Server {
         let engine = Engine {
             exec,
             ports,
-            by_name,
-            output_schema: planned.output_schema,
             monitor: planned.monitor,
-            max_ts: 0,
         };
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| Error::runtime(format!("bind {}: {e}", cfg.addr)))?;
@@ -771,16 +942,16 @@ impl Server {
         let io_threads = cfg.io_threads.max(1);
         let shared = Arc::new(Shared {
             cfg,
-            engine: Mutex::new(engine),
+            streams,
+            output_schema: planned.output_schema,
             broadcast,
             sentinel,
             shutdown: AtomicBool::new(false),
+            final_drain: AtomicBool::new(false),
             terminate: AtomicBool::new(false),
             active_producers: AtomicU64::new(0),
             started,
             stats: StatsCell::default(),
-            latency: Mutex::new(LatencyRecorder::new()),
-            latency_violations: AtomicU64::new(0),
             queue: ingest::IngestQueue::new(),
             pool: ingest::IoPool::new(io_threads),
         });
@@ -799,14 +970,14 @@ impl Server {
         }
         let pump = {
             let s = Arc::clone(&shared);
-            spawn_named("msq-pump".into(), move || ingest::pump_loop(&s))
+            spawn_named("msq-pump".into(), move || ingest::pump_loop(&s, engine))
         };
         Ok(Server {
             shared,
             addr,
-            accept: Some(accept),
+            accept,
             pollers,
-            pump: Some(pump),
+            pump,
         })
     }
 
@@ -815,8 +986,8 @@ impl Server {
         self.addr
     }
 
-    /// A point-in-time copy of the aggregate counters. Lock-free with
-    /// respect to the engine: safe to call from any thread mid-run.
+    /// A point-in-time copy of the aggregate counters. Lock-free and
+    /// independent of the pump: safe to call from any thread mid-run.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats.snapshot(&self.shared.broadcast)
     }
@@ -824,98 +995,67 @@ impl Server {
     /// Graceful shutdown: stop accepting, let producers drain their
     /// in-flight frames, drain the ingest queue, close every open source
     /// so the final ETS (`Timestamp::MAX` punctuation) propagates, flush
-    /// subscribers, and report.
-    pub fn shutdown(mut self) -> Result<ServerReport> {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+    /// subscribers, and report. Every server thread is stopped and joined
+    /// before this returns, a failed final drain included.
+    pub fn shutdown(self) -> Result<ServerReport> {
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        let _ = self.accept.join();
         // Producers notice the flag at their next poll, drain whatever is
         // already buffered on the socket, get their final acks, and
         // retire; the pump, awake while anything is pending, drains
-        // whatever they queued.
+        // whatever they queued, their detaches included.
         let deadline = Instant::now() + Duration::from_secs(10);
-        self.shared.pool.wake_all();
-        while (self.shared.active_producers.load(Ordering::SeqCst) > 0
-            || self.shared.queue.pending() > 0)
+        shared.pool.wake_all();
+        while (shared.active_producers.load(Ordering::SeqCst) > 0 || shared.queue.pending() > 0)
             && Instant::now() <= deadline
         {
             std::thread::sleep(Duration::from_millis(2));
         }
-        // Final drain: close still-open sources and run the engine dry.
-        let report = {
-            let mut eng = self.shared.lock_engine();
-            let now_us = self.shared.now_us();
-            for i in 0..eng.ports.len() {
-                if !eng.ports[i].closed {
-                    let source = eng.ports[i].source;
-                    eng.exec.close_source(source)?;
-                    eng.ports[i].closed = true;
-                }
-                eng.ports[i].idle.finish(now_us);
+        // Final drain, on the pump where the engine lives: it closes the
+        // still-open sources, runs the engine dry and hands back what the
+        // report needs.
+        shared.final_drain.store(true, Ordering::SeqCst);
+        shared.queue.notify();
+        let report = self
+            .pump
+            .join()
+            .unwrap_or_else(|_| Err(Error::runtime("ingest pump panicked")));
+        if report.is_ok() {
+            // End every subscriber stream (final punctuation, then EOF) —
+            // *before* assembling the report, so the shed/peak totals
+            // include anything the final mark had to displace.
+            shared.broadcast.finish();
+            // Subscribers flush what they hold and retire. One still
+            // stalled at the deadline is dropped by the hard stop below,
+            // so a peer that never reads cannot hold shutdown.
+            while shared.broadcast.live() > 0 && Instant::now() <= deadline {
+                std::thread::sleep(Duration::from_millis(2));
             }
-            eng.run()?;
-            eng.exec.finish_idle();
-            let clock = eng.exec.clock().now();
-            let monitor_idle_fraction = eng
-                .monitor
-                .and_then(|m| eng.exec.idle_tracker(m))
-                .map(|t| t.idle_fraction(clock));
-            let ports = eng
-                .ports
-                .iter()
-                .map(|p| PortReport {
-                    stream: p.stream.clone(),
-                    ingested: p.ingested,
-                    duplicates: p.duplicates,
-                    rejected: p.rejected,
-                    synthesized: p.synthesized,
-                    closed: p.closed,
-                    idle: p.idle.summarize(now_us),
-                })
-                .collect::<Vec<_>>();
-            (ports, eng.exec.stats(), monitor_idle_fraction)
-        };
-        // End every subscriber stream (final punctuation, then EOF) —
-        // *before* assembling the report, so the shed/peak totals include
-        // anything the final mark had to displace.
-        self.shared.broadcast.finish();
-        // Subscribers flush what they hold and retire. One still stalled at
-        // the deadline is dropped by the hard stop below, so a peer that
-        // never reads cannot hold shutdown.
-        while self.shared.broadcast.live() > 0 && Instant::now() <= deadline {
-            std::thread::sleep(Duration::from_millis(2));
         }
         // Hard-stop the IO threads and collect them.
-        self.shared.terminate.store(true, Ordering::SeqCst);
-        self.shared.queue.notify();
-        self.shared.pool.wake_all();
-        if let Some(h) = self.pump.take() {
+        shared.terminate.store(true, Ordering::SeqCst);
+        shared.pool.wake_all();
+        for h in self.pollers {
             let _ = h.join();
         }
-        for h in self.pollers.drain(..) {
-            let _ = h.join();
-        }
-        let (ports, exec, monitor_idle_fraction) = report;
-        Ok(ServerReport {
-            stats: self.shared.stats.snapshot(&self.shared.broadcast),
-            ports,
-            latency: self.shared.latency.lock().unwrap().summarize(),
-            latency_lock_violations: self.shared.latency_violations.load(Ordering::SeqCst),
-            exec,
-            wire_sentinel_violations: self.shared.sentinel.total(),
-            sub_peak_queue: self.shared.broadcast.peak(),
-            monitor_idle_fraction,
-        })
+        let mut report = report?;
+        report.stats = shared.stats.snapshot(&shared.broadcast);
+        report.wire_sentinel_violations = shared.sentinel.total();
+        report.sub_peak_queue = shared.broadcast.peak();
+        Ok(report)
     }
 }
 
 /// [`std::thread::spawn`] with a name. Server thread names stay within the
 /// kernel's 15-byte `comm`, so `/proc/<pid>/task/*/comm` and `top -H` tell
 /// the accept, poller and pump threads apart.
-fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
     std::thread::Builder::new()
         .name(name)
         .spawn(f)
@@ -992,133 +1132,6 @@ fn pacing_window(level: PressureLevel) -> u64 {
     }
 }
 
-/// A frame the engine refused: what to tell the peer, and whether the
-/// condition is an actual invariant failure (worth propagating) or just a
-/// per-connection rejection.
-struct Reject {
-    code: ErrorCode,
-    error: Error,
-}
-
-fn reject(code: ErrorCode, error: Error) -> Reject {
-    Reject { code, error }
-}
-
-/// Applies one producer frame under the engine lock, **without** running
-/// the graph: the pump batches `advance_clock` + `run` once per section.
-/// `batch_max` accumulates the clock target; `need_run` is
-/// set when the engine absorbed anything worth scheduling. Returns `true`
-/// iff a **data tuple entered the graph** (not a duplicate, a dominance
-/// reject, a heartbeat or a close) — the pump uses this to attribute
-/// wire-arrival instants to eventual sink deliveries.
-fn apply_item(
-    eng: &mut Engine,
-    stats: &StatsCell,
-    port_idx: usize,
-    frame: Frame,
-    batch_max: &mut u64,
-    need_run: &mut bool,
-) -> std::result::Result<bool, Reject> {
-    match frame {
-        Frame::Data { tuple, .. } => {
-            if !tuple.is_data() {
-                // Wire-level mirror of `Executor::ingest`'s contract.
-                return Err(reject(
-                    ErrorCode::Protocol,
-                    Error::runtime(format!(
-                        "DATA frame on `{}` carries punctuation; use a HEARTBEAT frame",
-                        eng.ports[port_idx].stream
-                    )),
-                ));
-            }
-            if eng.ports[port_idx].closed {
-                return Err(reject(
-                    ErrorCode::Engine,
-                    Error::runtime(format!("source `{}` is closed", eng.ports[port_idx].stream)),
-                ));
-            }
-            let ts = tuple.ts.as_micros();
-            if eng.ports[port_idx].data_hw.is_some_and(|hw| ts <= hw) {
-                // Retransmitted duplicate (producer timestamps are
-                // strictly increasing): ack without ingesting.
-                eng.ports[port_idx].duplicates += 1;
-                stats.duplicates_dropped.fetch_add(1, Ordering::SeqCst);
-                return Ok(false);
-            }
-            if let Some(phw) = eng.ports[port_idx].punct_hw {
-                if ts < phw {
-                    // High-water dominance at the socket boundary: this
-                    // data contradicts a heartbeat already asserted
-                    // (possibly synthesized while the producer was
-                    // silent). Count + drop; fatal under strict.
-                    let port = &mut eng.ports[port_idx];
-                    match port.sentinel.check_punct_dominance(
-                        &format!("wire:{}", port.stream),
-                        Timestamp::from_micros(ts),
-                        Timestamp::from_micros(phw),
-                    ) {
-                        Ok(()) => {
-                            port.rejected += 1;
-                            stats.rejected_tuples.fetch_add(1, Ordering::SeqCst);
-                            return Ok(false);
-                        }
-                        Err(e) => {
-                            return Err(Reject {
-                                code: ErrorCode::Invariant,
-                                error: e,
-                            });
-                        }
-                    }
-                }
-            }
-            let source = eng.ports[port_idx].source;
-            eng.exec
-                .ingest(source, tuple)
-                .map_err(|e| reject(ErrorCode::Engine, e))?;
-            eng.ports[port_idx].data_hw = Some(ts);
-            eng.ports[port_idx].ingested += 1;
-            eng.max_ts = eng.max_ts.max(ts);
-            stats.tuples_ingested.fetch_add(1, Ordering::SeqCst);
-            *batch_max = (*batch_max).max(ts);
-            *need_run = true;
-            Ok(true)
-        }
-        Frame::Heartbeat { ts, .. } => {
-            if eng.ports[port_idx].closed {
-                return Err(reject(
-                    ErrorCode::Engine,
-                    Error::runtime(format!("source `{}` is closed", eng.ports[port_idx].stream)),
-                ));
-            }
-            let us = ts.as_micros();
-            let source = eng.ports[port_idx].source;
-            eng.exec
-                .ingest_heartbeat(source, ts)
-                .map_err(|e| reject(ErrorCode::Engine, e))?;
-            let port = &mut eng.ports[port_idx];
-            if !punctuation_is_stale(us, port.data_hw, port.punct_hw) {
-                port.punct_hw = Some(us);
-            }
-            stats.heartbeats_in.fetch_add(1, Ordering::SeqCst);
-            *batch_max = (*batch_max).max(us);
-            *need_run = true;
-            Ok(false)
-        }
-        Frame::Close { .. } => {
-            if !eng.ports[port_idx].closed {
-                let source = eng.ports[port_idx].source;
-                eng.exec
-                    .close_source(source)
-                    .map_err(|e| reject(ErrorCode::Engine, e))?;
-                eng.ports[port_idx].closed = true;
-                *need_run = true;
-            }
-            Ok(false)
-        }
-        _ => unreachable!("pollers forward only seq-bearing frames"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1138,5 +1151,29 @@ mod tests {
         let wm = Watermarks::new(0, 0);
         assert_eq!(wm.classify(0), PressureLevel::Normal);
         assert_eq!(wm.classify(1), PressureLevel::Critical);
+    }
+
+    /// Subscribers that come and go reuse their vacated slot, so the slot
+    /// list every delivery walks does not grow with the number ever
+    /// connected; one connected throughout receives every delivery.
+    #[test]
+    fn subscriber_slots_are_reused() {
+        let mut broadcast = Broadcast::new(OverflowPolicy::Shed, 2048);
+        let (stay_slot, stay) = broadcast.subscribe(2048, std::thread::current());
+        for i in 0..1_000u64 {
+            let (slot, _) = broadcast.subscribe(4, std::thread::current());
+            broadcast.deliver(
+                Tuple::punctuation(Timestamp::from_micros(i)),
+                Timestamp::ZERO,
+            );
+            broadcast.unsubscribe(slot);
+        }
+        let slots = broadcast.inner.lock().unwrap().subs.len();
+        assert_eq!(
+            slots, 2,
+            "the stayer's slot plus one that every cycle reused"
+        );
+        assert_eq!(stay_slot, 0);
+        assert_eq!(stay.state.lock().unwrap().buf.len(), 1_000);
     }
 }

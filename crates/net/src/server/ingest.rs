@@ -11,24 +11,30 @@
 //!   reader between steps. Decoded frames are validated for
 //!   per-connection seq order at the boundary and staged on the
 //!   connection, and the step hands the staged batch to the ingest queue
-//!   in one lock. A subscriber whose outbox has drained takes the next
-//!   batch of shared output slabs from its queue ([`step_subscriber`]).
+//!   in one lock. A poller never touches the engine: it checks a
+//!   producer's `Hello` against the plan, then stages an
+//!   [`IngestOp::Attach`] ahead of the connection's frames, and a producer
+//!   that leaves stages an [`IngestOp::Detach`] behind them. A subscriber
+//!   whose outbox has drained takes the next batch of shared output slabs
+//!   from its queue ([`step_subscriber`]).
 //! - **The ingest queue** ([`IngestQueue`]) decouples socket readiness
 //!   from the engine. It is one FIFO, so frames reach the engine in
 //!   hand-off order and no port can starve another. It is hard-bounded:
 //!   a hand-off pushes only what fits, the rest stays staged in order, and
 //!   a connection with staged frames is not read again until they are
 //!   through — which turns into TCP backpressure on the producer.
-//! - **The pump** ([`pump_loop`]) is the engine thread. It sleeps until
-//!   work arrives or a port's idle deadline (arrival + `idle_timeout`)
-//!   passes, then runs one section inline on the serial executor: every
-//!   drained frame is applied (one executor call per frame, so a refusal
-//!   lands on the connection that sent it), every due port gets its
-//!   synthesized heartbeat, then one `advance_clock` to the section's max
-//!   timestamp and one run-to-quiescence. Outcomes are routed back per
-//!   connection: one cumulative [`Frame::Ack`] (or an attributed
-//!   [`Frame::Error`]) per connection per section, pushed to the
-//!   connection's outbox and flushed by its poller.
+//! - **The pump** ([`pump_loop`]) is the engine thread and the engine's
+//!   only owner. It sleeps until work arrives or a port's idle deadline
+//!   (arrival + `idle_timeout`) passes, then runs one section inline on
+//!   the serial executor: every drained item is applied in order (an
+//!   attach answers the producer's `Hello`; one executor call per frame,
+//!   so a refusal lands on the connection that sent it), every due port
+//!   gets its synthesized heartbeat, then one `advance_clock` to the
+//!   section's max timestamp and one run-to-quiescence. Outcomes are
+//!   routed back per connection: one cumulative [`Frame::Ack`] (or an
+//!   attributed [`Frame::Error`]) per connection per section, pushed to
+//!   the connection's outbox and flushed by its poller. At shutdown the
+//!   pump runs the final drain itself and returns its report.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -37,12 +43,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use millstream_buffer::punctuation_is_stale;
-use millstream_types::{Schema, TimeDelta, Timestamp, Tuple};
+use millstream_metrics::LatencyRecorder;
+use millstream_types::{Result, Schema, TimeDelta, Timestamp, Tuple};
 
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
 
-use super::{pacing_window, Engine, Port, PressureLevel, Shared, SubQueue, HANDSHAKE_DEADLINE};
+use super::{
+    pacing_window, Engine, PressureLevel, Section, ServerReport, Shared, SubQueue,
+    HANDSHAKE_DEADLINE,
+};
 
 /// Frames a poller reads from one connection per step before yielding to
 /// the next connection (fairness under flood).
@@ -55,7 +64,7 @@ const FRAMES_PER_STEP: usize = 64;
 /// caught up.
 const QUEUE_CAP: usize = 4096;
 
-/// Items the pump drains into one engine critical section.
+/// Items the pump drains into one engine section.
 const PUMP_BATCH: usize = 1024;
 
 /// Output slabs a poller moves from a subscriber's queue into its outbox
@@ -84,8 +93,8 @@ pub(super) struct ConnShared {
     /// the connection. Also read by the pump to skip queued items from a
     /// connection that already failed.
     dead: std::sync::atomic::AtomicBool,
-    /// Frames decoded but not yet resolved by the pump (acked or errored):
-    /// staged on the connection or in the ingest queue.
+    /// Items staged or queued but not yet resolved by the pump (answered,
+    /// acked or errored).
     inflight: AtomicU64,
     /// Last pressure level announced to this producer
     /// ([`PressureLevel::as_u8`]); pacing frames go out on change only.
@@ -179,6 +188,9 @@ enum Phase {
         /// exactly this many.
         width: usize,
     },
+    /// A producer that left: its `Detach` is staged, and the connection
+    /// retires once that is handed off.
+    Detaching,
     Subscriber {
         /// Broadcast slot, released at retire.
         slot: usize,
@@ -220,15 +232,48 @@ impl Conn {
             staged: Vec::new(),
         }
     }
+
+    /// Stages one item for the pump, stamped with its arrival. The caller
+    /// counts it in `inflight`: a producer step counts its frames at once.
+    fn stage(&mut self, port_idx: usize, op: IngestOp) {
+        self.staged.push(IngestItem {
+            conn: Arc::clone(&self.shared),
+            port_idx,
+            arrival: Instant::now(),
+            op,
+        });
+    }
 }
 
-/// One decoded producer frame awaiting its engine section.
+/// One item awaiting its engine section, with the connection and port it
+/// belongs to.
 pub(super) struct IngestItem {
     conn: Arc<ConnShared>,
     port_idx: usize,
-    frame: Frame,
-    seq: u64,
+    /// When the poller staged it: a frame's wire arrival.
     arrival: Instant,
+    op: IngestOp,
+}
+
+/// What an [`IngestItem`] asks of the engine. Everything a producer
+/// connection changes there is one of these, applied in hand-off order.
+pub(super) enum IngestOp {
+    /// A producer's `Hello` passed the handshake checks: one more producer
+    /// on the port, answered with a `HelloAck`.
+    Attach,
+    Data {
+        seq: u64,
+        tuple: Tuple,
+    },
+    Heartbeat {
+        seq: u64,
+        ts: Timestamp,
+    },
+    Close {
+        seq: u64,
+    },
+    /// The producer connection left: one producer fewer on the port.
+    Detach,
 }
 
 /// The bounded FIFO between the pollers and the pump, plus the monotonic
@@ -237,9 +282,6 @@ pub(super) struct IngestQueue {
     items: Mutex<VecDeque<IngestItem>>,
     queued: AtomicU64,
     processed: AtomicU64,
-    /// A producer attached while idle synthesis is on, so a port may have
-    /// a deadline the sleeping pump does not know about.
-    rearmed: AtomicBool,
     gate: Mutex<()>,
     cv: Condvar,
 }
@@ -250,7 +292,6 @@ impl IngestQueue {
             items: Mutex::new(VecDeque::with_capacity(QUEUE_CAP)),
             queued: AtomicU64::new(0),
             processed: AtomicU64::new(0),
-            rearmed: AtomicBool::new(false),
             gate: Mutex::new(()),
             cv: Condvar::new(),
         }
@@ -270,27 +311,18 @@ impl IngestQueue {
     }
 
     /// Wakes the pump. The gate lock pairs with [`IngestQueue::wait`]'s
-    /// predicate check so a push (or a terminate) between check and sleep
-    /// cannot be missed.
+    /// predicate check so a push (or the final drain's flag) between check
+    /// and sleep cannot be missed.
     pub(super) fn notify(&self) {
         let _g = self.gate.lock().unwrap();
         self.cv.notify_one();
     }
 
-    /// Wakes the pump to recompute its idle deadlines.
-    fn rearm(&self) {
-        self.rearmed.store(true, Ordering::SeqCst);
-        self.notify();
-    }
-
-    /// Sleeps until work is pending, `terminate` is set, a producer
-    /// attached, or `until` passes; with no `until` the sleep is untimed.
-    fn wait(&self, terminate: &AtomicBool, until: Option<Instant>) {
+    /// Sleeps until work is pending, `stop` is set, or `until` passes;
+    /// with no `until` the sleep is untimed.
+    fn wait(&self, stop: &AtomicBool, until: Option<Instant>) {
         let g = self.gate.lock().unwrap();
-        if self.pending() > 0
-            || terminate.load(Ordering::SeqCst)
-            || self.rearmed.swap(false, Ordering::SeqCst)
-        {
+        if self.pending() > 0 || stop.load(Ordering::SeqCst) {
             return;
         }
         match until {
@@ -405,6 +437,7 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
     loop {
         conns.extend(shared.pool.drain(idx));
         if shared.terminate.load(Ordering::SeqCst) {
+            // The pump is gone: nothing is staged for it any more.
             for c in conns.drain(..) {
                 retire_conn(shared, &c);
             }
@@ -417,12 +450,12 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
         let mut i = 0;
         while i < conns.len() {
             match step_conn(shared, &mut conns[i], &mut progressed) {
-                Step::Keep => i += 1,
-                Step::Retire => {
+                Step::Retire if detached(shared, &mut conns[i], &mut progressed) => {
                     let c = conns.swap_remove(i);
                     retire_conn(shared, &c);
                     progressed = true;
                 }
+                _ => i += 1,
             }
         }
         if shared.shutdown.load(Ordering::SeqCst) && conns.is_empty() {
@@ -443,21 +476,23 @@ pub(super) fn poller_loop(shared: &Arc<Shared>, idx: usize) {
     }
 }
 
+/// Whether a retiring connection may leave its poller now. A producer
+/// first stages its `Detach` behind its last frames, and leaves once that
+/// is handed off — so the pump detaches it only after applying them.
+fn detached(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> bool {
+    if let Phase::Producer { port_idx, .. } = c.phase {
+        c.stage(port_idx, IngestOp::Detach);
+        c.shared.inflight.fetch_add(1, Ordering::SeqCst);
+        c.phase = Phase::Detaching;
+    }
+    hand_off(shared, c, progressed)
+}
+
 /// Bookkeeping when a connection leaves its poller for good.
 fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
     match c.phase {
         Phase::Handshake { .. } => {}
-        Phase::Producer { port_idx, .. } => {
-            let now_us = shared.now_us();
-            let mut eng = shared.lock_engine();
-            let port = &mut eng.ports[port_idx];
-            port.producers -= 1;
-            if port.producers == 0 && !port.closed {
-                // No producer attached: the source is network-starved from
-                // this instant (a reconnect clears it).
-                port.idle.set_idle(now_us, true);
-            }
-            drop(eng);
+        Phase::Producer { .. } | Phase::Detaching => {
             shared.active_producers.fetch_sub(1, Ordering::SeqCst);
         }
         Phase::Subscriber { slot, .. } => shared.broadcast.unsubscribe(slot),
@@ -466,6 +501,9 @@ fn retire_conn(shared: &Arc<Shared>, c: &Conn) {
 }
 
 fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step {
+    if let Phase::Detaching = c.phase {
+        return Step::Retire;
+    }
     // Frames a producer already decoded reach the ingest queue before
     // anything else happens to the connection, retirement included.
     let handed_off = hand_off(shared, c, progressed);
@@ -500,6 +538,7 @@ fn step_conn(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) -> Step 
         }
         Phase::Subscriber { .. } if !flushed.empty => Step::Keep,
         Phase::Subscriber { .. } => step_subscriber(shared, c, progressed),
+        Phase::Detaching => Step::Retire,
     }
 }
 
@@ -571,7 +610,6 @@ fn step_handshake(
     }
     match role {
         Role::Subscriber => {
-            let schema = shared.lock_engine().output_schema.clone();
             // This poller owns the socket from here on: it is the thread
             // deliveries wake.
             let (slot, queue) = shared
@@ -579,7 +617,7 @@ fn step_handshake(
                 .subscribe(shared.cfg.subscriber_queue, std::thread::current());
             c.shared.push_frame(&Frame::HelloAck {
                 version: PROTOCOL_VERSION,
-                schema,
+                schema: shared.output_schema.clone(),
                 resume_ts: 0,
             });
             c.phase = Phase::Subscriber {
@@ -589,9 +627,12 @@ fn step_handshake(
             };
             Step::Keep
         }
-        Role::Producer => match attach_producer(shared, &stream_name, schema.as_ref()) {
-            Ok((port_idx, width, hello_ack)) => {
-                c.shared.push_frame(&hello_ack);
+        Role::Producer => match check_producer(shared, &stream_name, schema.as_ref()) {
+            Ok((port_idx, width)) => {
+                // The pump attaches the producer and answers its Hello;
+                // frames pipelined behind the Hello queue behind that.
+                c.stage(port_idx, IngestOp::Attach);
+                c.shared.inflight.fetch_add(1, Ordering::SeqCst);
                 c.phase = Phase::Producer { port_idx, width };
                 shared.active_producers.fetch_add(1, Ordering::SeqCst);
                 Step::Keep
@@ -605,52 +646,23 @@ fn step_handshake(
     }
 }
 
-/// Resolves the stream, checks the schema and attaches one producer under
-/// the engine lock; returns the port index, its schema's width and the
-/// `HelloAck` to send.
-fn attach_producer(
-    shared: &Arc<Shared>,
+/// Resolves the stream and checks the claimed schema against the plan;
+/// returns the port index and its schema's width.
+fn check_producer(
+    shared: &Shared,
     stream_name: &str,
     claimed_schema: Option<&Schema>,
-) -> std::result::Result<(usize, usize, Frame), (ErrorCode, String)> {
-    let mut eng = shared.lock_engine();
-    let Some(&idx) = eng.by_name.get(stream_name) else {
+) -> std::result::Result<(usize, usize), (ErrorCode, String)> {
+    let Some((idx, schema)) = shared.streams.get(stream_name) else {
         return Err((ErrorCode::Engine, format!("unknown stream `{stream_name}`")));
     };
-    if let Some(claimed) = claimed_schema {
-        if *claimed != eng.ports[idx].schema {
-            let server_schema = eng.ports[idx].schema.clone();
-            return Err((
-                ErrorCode::Unsupported,
-                format!(
-                    "schema mismatch on `{stream_name}`: client {claimed}, server {server_schema}"
-                ),
-            ));
-        }
+    match claimed_schema {
+        Some(claimed) if claimed != schema => Err((
+            ErrorCode::Unsupported,
+            format!("schema mismatch on `{stream_name}`: client {claimed}, server {schema}"),
+        )),
+        _ => Ok((*idx, schema.len())),
     }
-    let now_us = shared.now_us();
-    let port = &mut eng.ports[idx];
-    port.producers += 1;
-    if port.idle_due.is_none() {
-        // The silence clock starts when a producer first attaches.
-        port.idle_due = shared.cfg.idle_timeout.map(|t| Instant::now() + t);
-    }
-    // A (re)connecting producer is activity: the source is no longer
-    // network-starved.
-    port.idle.set_idle(now_us, false);
-    let width = port.schema.len();
-    let hello_ack = Frame::HelloAck {
-        version: PROTOCOL_VERSION,
-        schema: port.schema.clone(),
-        resume_ts: port.data_hw.unwrap_or(0),
-    };
-    drop(eng);
-    if shared.cfg.idle_timeout.is_some() {
-        // The pump may be asleep with no deadline for this port: one just
-        // armed, or one that lapsed while no producer was attached.
-        shared.queue.rearm();
-    }
-    Ok((idx, width, hello_ack))
 }
 
 /// Reads up to [`FRAMES_PER_STEP`] frames, validates their order and
@@ -671,10 +683,10 @@ fn step_producer(
         match c.reader.poll(&mut c.stream) {
             Ok(ReadOutcome::Frame(frame)) => {
                 *progressed = true;
-                let seq = match &frame {
-                    Frame::Data { seq, .. }
-                    | Frame::Heartbeat { seq, .. }
-                    | Frame::Close { seq } => *seq,
+                let (seq, op) = match frame {
+                    Frame::Data { seq, tuple } => (seq, IngestOp::Data { seq, tuple }),
+                    Frame::Heartbeat { seq, ts } => (seq, IngestOp::Heartbeat { seq, ts }),
+                    Frame::Close { seq } => (seq, IngestOp::Close { seq }),
                     Frame::Bye => {
                         c.closing = true;
                         break Step::Keep;
@@ -691,12 +703,12 @@ fn step_producer(
                 // Frame validation at the socket boundary: within one
                 // connection the sequence must strictly increase, and a
                 // data row must be as wide as its stream's schema.
-                let violation = match &frame {
+                let violation = match &op {
                     _ if c.last_seq.is_some_and(|ls| seq <= ls) => Some(format!(
                         "frame order violation: seq {seq} after {} on the same connection",
                         c.last_seq.unwrap_or(0)
                     )),
-                    Frame::Data { tuple, .. } if tuple.is_data() && tuple.width() != width => {
+                    IngestOp::Data { tuple, .. } if tuple.is_data() && tuple.width() != width => {
                         Some(format!(
                             "row width violation: seq {seq} carries {} column(s), the stream has {width}",
                             tuple.width()
@@ -713,13 +725,7 @@ fn step_producer(
                     break Step::Keep;
                 }
                 c.last_seq = Some(seq);
-                c.staged.push(IngestItem {
-                    conn: Arc::clone(&c.shared),
-                    port_idx,
-                    frame,
-                    seq,
-                    arrival: Instant::now(),
-                });
+                c.stage(port_idx, op);
             }
             Ok(ReadOutcome::Timeout) => {
                 if draining && c.staged.is_empty() && c.shared.inflight.load(Ordering::SeqCst) == 0
@@ -856,7 +862,7 @@ fn step_subscriber(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) ->
 }
 
 /// The pump's per-section working set, allocated once and reused by every
-/// section.
+/// section, and the latency recorder, which only the pump touches.
 struct Pump {
     /// Items drained for the current section.
     batch: Vec<IngestItem>,
@@ -874,11 +880,14 @@ struct Pump {
     /// when an operator holds tuples across many sections waiting for
     /// the frontier. Bounded: see `ARRIVAL_LEDGER_CAP`.
     awaiting_delivery: VecDeque<Instant>,
+    latency: LatencyRecorder,
 }
 
-/// The pump wakes for two reasons only: work arrived, or the earliest
-/// idle deadline the last section returned has passed.
-pub(super) fn pump_loop(shared: &Arc<Shared>) {
+/// The engine thread. It wakes for two reasons only: work arrived, or the
+/// earliest idle deadline the last section returned has passed. Once
+/// shutdown asks for the final drain, it runs that and returns the
+/// report.
+pub(super) fn pump_loop(shared: &Arc<Shared>, mut eng: Engine) -> Result<ServerReport> {
     let mut next_due = None;
     let mut pump = Pump {
         batch: Vec::with_capacity(PUMP_BATCH),
@@ -886,16 +895,17 @@ pub(super) fn pump_loop(shared: &Arc<Shared>) {
         index: HashMap::new(),
         wake: vec![false; shared.pool.len()],
         awaiting_delivery: VecDeque::with_capacity(ARRIVAL_LEDGER_CAP),
+        latency: LatencyRecorder::new(),
     };
     loop {
-        if shared.terminate.load(Ordering::SeqCst) {
-            return;
-        }
         if shared.queue.pending() == 0 {
-            shared.queue.wait(&shared.terminate, next_due);
+            shared.queue.wait(&shared.final_drain, next_due);
+        }
+        if shared.final_drain.load(Ordering::SeqCst) {
+            return eng.final_drain(shared.now_us(), pump.latency.summarize());
         }
         shared.queue.drain(PUMP_BATCH, &mut pump.batch);
-        next_due = run_section(shared, &mut pump);
+        next_due = run_section(shared, &mut eng, &mut pump);
     }
 }
 
@@ -909,23 +919,20 @@ fn push_arrival(awaiting: &mut VecDeque<Instant>, arrival: Instant) {
 }
 
 /// Matches every delivery since `before` with the oldest unmatched
-/// arrival instant and records one wire→sink latency sample per tuple —
-/// in one recorder lock, taken with the engine lock released (the
-/// recorder's thread-local depth check enforces that). If the graph
-/// filtered tuples out, leftover arrivals age out unrecorded once the
-/// ledger is full ([`ARRIVAL_LEDGER_CAP`]); deliveries beyond the arrival
-/// ledger (only after such an age-out) are skipped rather than
+/// arrival instant and records one wire→sink latency sample per tuple.
+/// If the graph filtered tuples out, leftover arrivals age out unrecorded
+/// once the ledger is full ([`ARRIVAL_LEDGER_CAP`]); deliveries beyond the
+/// arrival ledger (only after such an age-out) are skipped rather than
 /// misattributed.
-fn record_deliveries(shared: &Arc<Shared>, awaiting: &mut VecDeque<Instant>, before: u64) {
+fn record_deliveries(shared: &Shared, pump: &mut Pump, before: u64) {
     let delivered = shared.broadcast.delivered().saturating_sub(before);
-    let matched = (delivered as usize).min(awaiting.len());
-    if matched == 0 {
-        return;
-    }
+    let matched = (delivered as usize).min(pump.awaiting_delivery.len());
     let now = Instant::now();
-    shared.record_latencies(awaiting.drain(..matched).map(|arrived| {
-        TimeDelta::from_micros(now.saturating_duration_since(arrived).as_micros() as u64)
-    }));
+    for arrived in pump.awaiting_delivery.drain(..matched) {
+        let elapsed = now.saturating_duration_since(arrived);
+        pump.latency
+            .record(TimeDelta::from_micros(elapsed.as_micros() as u64));
+    }
 }
 
 /// Per-connection outcome of one engine section.
@@ -934,184 +941,152 @@ struct Outcome {
     port_idx: usize,
     /// Highest seq absorbed this section — acked cumulatively.
     ack_seq: Option<u64>,
-    /// Port data high-water at section end (the ack's resume mark).
-    high_water: u64,
     /// Terminal error attributed to this connection.
     fatal: Option<(ErrorCode, String)>,
     /// Items of this connection resolved this section.
     items: u64,
 }
 
-/// Runs one engine section in a single critical section: apply every
-/// drained item (possibly none), synthesize for every port past its idle
-/// deadline, advance the clock once to the section max, run to quiescence
-/// once; then, outside the lock, record latency and push one cumulative
-/// ack — or one attributed error — per connection. Returns the earliest
-/// idle deadline still ahead. Leaves every buffer of `pump` but the
-/// arrival ledger empty for the next section.
+/// Runs one engine section: apply every drained item (possibly none) in
+/// order, synthesize for every port past its idle deadline, advance the
+/// clock once to the section max, run to quiescence once; then record
+/// latency and push one cumulative ack — or one attributed error — per
+/// connection. Returns the earliest idle deadline still ahead. Leaves
+/// every buffer of `pump` but the arrival ledger empty for the next
+/// section.
 ///
-/// Only a section that drained items counts in `ingest_sections`, so
+/// Only a section that drained frames counts in `ingest_sections`, so
 /// `frames_in / ingest_sections` stays the frames per section; one woken
-/// by a deadline alone is not counted.
-fn run_section(shared: &Arc<Shared>, pump: &mut Pump) -> Option<Instant> {
-    let Pump {
-        batch,
-        outcomes,
-        index,
-        wake,
-        awaiting_delivery,
-    } = pump;
-    let total = batch.len() as u64;
+/// by a deadline, an attach or a detach alone is not counted.
+fn run_section(shared: &Arc<Shared>, eng: &mut Engine, pump: &mut Pump) -> Option<Instant> {
+    let total = pump.batch.len() as u64;
+    let stats = &shared.stats;
     let idle_timeout = shared.cfg.idle_timeout;
     let delivered_before = shared.broadcast.delivered();
-    let level;
-    let next_due;
+    let now_us = shared.now_us();
+    let mut section = Section::default();
+    let mut frames = false;
+    for IngestItem {
+        conn,
+        port_idx,
+        arrival,
+        op,
+    } in pump.batch.drain(..)
     {
-        let mut eng = shared.lock_engine();
-        if total > 0 {
-            shared.stats.ingest_sections.fetch_add(1, Ordering::SeqCst);
-        }
-        let now_us = shared.now_us();
-        let mut batch_max = 0u64;
-        let mut need_run = false;
-        for item in batch.drain(..) {
-            let IngestItem {
-                conn,
+        let key = Arc::as_ptr(&conn) as usize;
+        let oidx = *pump.index.entry(key).or_insert_with(|| {
+            pump.outcomes.push(Outcome {
+                conn: Arc::clone(&conn),
                 port_idx,
-                frame,
-                seq,
-                arrival,
-            } = item;
-            let key = Arc::as_ptr(&conn) as usize;
-            let oidx = *index.entry(key).or_insert_with(|| {
-                outcomes.push(Outcome {
-                    conn: Arc::clone(&conn),
-                    port_idx,
-                    ack_seq: None,
-                    high_water: 0,
-                    fatal: None,
-                    items: 0,
-                });
-                outcomes.len() - 1
+                ack_seq: None,
+                fatal: None,
+                items: 0,
             });
-            outcomes[oidx].items += 1;
-            if outcomes[oidx].fatal.is_some() || conn.dead.load(Ordering::SeqCst) {
-                // The connection already failed; frames after the failing
-                // one are dropped, exactly like the old synchronous close.
+            pump.outcomes.len() - 1
+        });
+        let out = &mut pump.outcomes[oidx];
+        out.items += 1;
+        let failed = out.fatal.is_some() || conn.dead.load(Ordering::SeqCst);
+        frames |= !matches!(op, IngestOp::Attach | IngestOp::Detach);
+        let (seq, applied) = match op {
+            IngestOp::Attach => {
+                let due = idle_timeout.map(|t| arrival + t);
+                conn.push_frame(&eng.attach(port_idx, due, now_us));
                 continue;
             }
-            shared.stats.frames_in.fetch_add(1, Ordering::SeqCst);
-            let port = &mut eng.ports[port_idx];
-            port.idle_due = idle_timeout.map(|t| arrival + t);
-            port.idle.set_idle(now_us, false);
-            match super::apply_item(
-                &mut eng,
-                &shared.stats,
-                port_idx,
-                frame,
-                &mut batch_max,
-                &mut need_run,
-            ) {
-                Ok(entered_graph) => {
-                    outcomes[oidx].ack_seq = Some(seq);
-                    if entered_graph {
-                        push_arrival(awaiting_delivery, arrival);
-                    }
-                }
-                Err(rej) => {
-                    outcomes[oidx].fatal = Some((rej.code, rej.error.to_string()));
-                    conn.dead.store(true, Ordering::SeqCst);
-                }
+            IngestOp::Detach => {
+                // The connection has left its poller: nothing goes back.
+                eng.detach(port_idx, now_us);
+                continue;
             }
-        }
-        // Fire every live deadline that has passed: the source is marked
-        // network-starved, gets a heartbeat at stream time if that asserts
-        // something new for it, and is re-armed one timeout later either
-        // way — so a silent port costs at most one synthesis per timeout,
-        // and one whose mark would be stale cannot spin the pump.
-        let (now, target, stats) = (Instant::now(), eng.max_ts, &shared.stats);
-        let Engine { exec, ports, .. } = &mut *eng;
-        let live = |p: &&mut Port| !p.closed && p.producers > 0;
-        for port in ports.iter_mut().filter(live) {
-            match (port.idle_due, idle_timeout) {
-                (Some(due), Some(timeout)) if due <= now => port.idle_due = Some(now + timeout),
-                _ => continue,
+            // The connection already failed; frames after the failing one
+            // are dropped, exactly like the old synchronous close.
+            _ if failed => continue,
+            IngestOp::Data { seq, tuple } => {
+                (seq, eng.ingest(stats, port_idx, tuple, &mut section))
             }
-            port.idle.set_idle(now_us, true);
-            let fresh = target > 0 && !punctuation_is_stale(target, port.data_hw, port.punct_hw);
-            let mark = Timestamp::from_micros(target);
-            // A failed synthesis is the engine's, not the silent
-            // producer's: the port just waits for its next deadline.
-            if fresh && exec.ingest_heartbeat(port.source, mark).is_ok() {
-                port.punct_hw = Some(target);
-                port.synthesized += 1;
-                stats.synthesized_heartbeats.fetch_add(1, Ordering::SeqCst);
-                batch_max = batch_max.max(target);
-                need_run = true;
+            IngestOp::Heartbeat { seq, ts } => {
+                (seq, eng.heartbeat(stats, port_idx, ts, &mut section))
             }
-        }
-        next_due = ports
-            .iter_mut()
-            .filter(live)
-            .filter_map(|p| p.idle_due)
-            .min();
-        if need_run {
-            eng.advance_clock(batch_max);
-            if let Err(e) = eng.run() {
-                // A failed run cannot be pinned on one frame: it is
-                // attributed to every connection that contributed to the
-                // section, and nothing in it is acked.
-                for out in outcomes.iter_mut() {
-                    if out.fatal.is_none() {
-                        out.fatal = Some((ErrorCode::Engine, e.to_string()));
-                        out.conn.dead.store(true, Ordering::SeqCst);
-                    }
-                    out.ack_seq = None;
-                }
-            }
-        }
-        level = match shared.cfg.feedback {
-            Some(marks) => marks
-                .classify(eng.exec.graph().max_input_backlog())
-                .max(shared.broadcast.pressure()),
-            None => PressureLevel::Normal,
+            IngestOp::Close { seq } => (seq, eng.close(port_idx, &mut section)),
         };
-        for out in outcomes.iter_mut() {
-            out.high_water = eng.ports[out.port_idx].data_hw.unwrap_or(0);
+        stats.frames_in.fetch_add(1, Ordering::SeqCst);
+        let port = &mut eng.ports[port_idx];
+        port.idle_due = idle_timeout.map(|t| arrival + t);
+        port.idle.set_idle(now_us, false);
+        match applied {
+            Ok(entered_graph) => {
+                out.ack_seq = Some(seq);
+                if entered_graph {
+                    push_arrival(&mut pump.awaiting_delivery, arrival);
+                }
+            }
+            Err((code, error)) => {
+                out.fatal = Some((code, error.to_string()));
+                conn.dead.store(true, Ordering::SeqCst);
+            }
         }
     }
+    if frames {
+        stats.ingest_sections.fetch_add(1, Ordering::SeqCst);
+    }
+    let next_due = eng.synthesize_due(stats, idle_timeout, now_us, &mut section);
+    if section.run {
+        eng.advance_clock(section.clock);
+        if let Err(e) = eng.run() {
+            // A failed run cannot be pinned on one frame: it is attributed
+            // to every connection that contributed to the section, and
+            // nothing in it is acked.
+            for out in pump.outcomes.iter_mut() {
+                if out.fatal.is_none() {
+                    out.fatal = Some((ErrorCode::Engine, e.to_string()));
+                    out.conn.dead.store(true, Ordering::SeqCst);
+                }
+                out.ack_seq = None;
+            }
+        }
+    }
+    let level = match shared.cfg.feedback {
+        Some(marks) => marks
+            .classify(eng.exec.graph().max_input_backlog())
+            .max(shared.broadcast.pressure()),
+        None => PressureLevel::Normal,
+    };
     // Wire-arrival → sink-delivery latency, one sample per tuple
     // delivered by this section's run.
-    record_deliveries(shared, awaiting_delivery, delivered_before);
-    // Feedback before the ack: the producer learns its new window before
-    // its pump refills the pipeline.
-    index.clear();
-    for out in outcomes.drain(..) {
-        if out.fatal.is_none() && shared.cfg.feedback.is_some() {
+    record_deliveries(shared, pump, delivered_before);
+    pump.index.clear();
+    for out in pump.outcomes.drain(..) {
+        if let Some(seq) = out.ack_seq {
+            // Feedback before the ack: the producer learns its new window
+            // before its pump refills the pipeline.
             let announced = level.as_u8();
-            if out.conn.sent_level.swap(announced, Ordering::SeqCst) != announced {
-                shared.stats.feedback_frames.fetch_add(1, Ordering::SeqCst);
+            if shared.cfg.feedback.is_some()
+                && out.conn.sent_level.swap(announced, Ordering::SeqCst) != announced
+            {
+                stats.feedback_frames.fetch_add(1, Ordering::SeqCst);
                 out.conn.push_frame(&Frame::Feedback {
                     level: announced,
                     window: pacing_window(level),
                     dropped: 0,
                 });
             }
-        }
-        if let Some(seq) = out.ack_seq {
             out.conn.push_frame(&Frame::Ack {
                 seq,
-                high_water: out.high_water,
+                high_water: eng
+                    .source(out.port_idx)
+                    .last_data_ts
+                    .map_or(0, Timestamp::as_micros),
             });
         }
         if let Some((code, message)) = out.fatal {
             out.conn.push_frame(&Frame::Error { code, message });
         }
         out.conn.inflight.fetch_sub(out.items, Ordering::SeqCst);
-        wake[out.conn.poller] = true;
+        pump.wake[out.conn.poller] = true;
     }
     shared.queue.mark_processed(total);
-    for (idx, w) in wake.iter_mut().enumerate() {
+    for (idx, w) in pump.wake.iter_mut().enumerate() {
         if std::mem::take(w) {
             shared.pool.wake(idx);
         }
@@ -1144,15 +1119,20 @@ mod tests {
         seqs.map(|seq| IngestItem {
             conn: Arc::clone(conn),
             port_idx: 0,
-            frame: Frame::Close { seq },
-            seq,
             arrival: Instant::now(),
+            op: IngestOp::Close { seq },
         })
         .collect()
     }
 
     fn seqs(items: &[IngestItem]) -> Vec<u64> {
-        items.iter().map(|it| it.seq).collect()
+        items
+            .iter()
+            .map(|it| match it.op {
+                IngestOp::Close { seq } => seq,
+                _ => unreachable!("only closes are staged here"),
+            })
+            .collect()
     }
 
     /// A batched hand-off pushes only what fits: the queue stops at

@@ -286,7 +286,6 @@ fn fan_in_soak_matches_oracle_and_batches_ingest() {
     assert_eq!(report.stats.sub_shed, 0);
     assert_eq!(report.stats.subscriber_overflows, 0);
     assert_eq!(report.wire_sentinel_violations, 0, "strict sentinels clean");
-    assert_eq!(report.latency_lock_violations, 0);
 
     let frames_per_section =
         report.stats.frames_in as f64 / report.stats.ingest_sections.max(1) as f64;
