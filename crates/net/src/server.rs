@@ -31,9 +31,11 @@
 //! Subscribers are poller-owned connections too, and fan-out is shared:
 //! the sink encodes each output frame **once** into an `Arc<[u8]>` slab
 //! that every subscriber queue references, so a thousand tails cost one
-//! encode per tuple, not a thousand. A delivery into an empty subscriber
-//! queue wakes the poller that owns the subscriber; the poller moves a
-//! batch of slabs into the connection's outbox whenever the outbox has
+//! encode per tuple, not a thousand. The sink only stages a section's
+//! slabs; after the run the pump publishes them, taking each subscriber
+//! queue's lock once per section, and wakes a subscriber's poller only
+//! when its queue went from empty to non-empty. The poller moves a batch
+//! of slabs into the connection's outbox whenever the outbox has
 //! drained, so a subscriber that stops reading holds up nothing but its
 //! own queue, and shutdown drops it at the drain deadline.
 //!
@@ -205,14 +207,17 @@ pub struct ServerStats {
     pub rejected_tuples: u64,
     /// Heartbeats synthesized by the idle-timeout machinery.
     pub synthesized_heartbeats: u64,
-    /// Tuples delivered by the sink (fanned out to subscribers).
+    /// Tuples the sink delivered and the pump published to the
+    /// subscribers, once per engine section after its run.
     pub delivered: u64,
     /// Subscribers that overflowed their bounded queue (disconnected
     /// under [`OverflowPolicy::Disconnect`]; kept under `Shed`).
     pub subscriber_overflows: u64,
     /// Data tuples shed from subscriber queues under
-    /// [`OverflowPolicy::Shed`] — every one declared to its subscriber
-    /// via a [`Frame::Feedback`] drop notice.
+    /// [`OverflowPolicy::Shed`], plus outputs too large to encode as one
+    /// frame ([`crate::MAX_FRAME_LEN`]), once for each subscriber they
+    /// were bound for — every one declared to its subscriber via a
+    /// [`Frame::Feedback`] drop notice.
     pub sub_shed: u64,
     /// Feedback pacing frames sent to producer connections.
     pub feedback_frames: u64,
@@ -578,6 +583,7 @@ impl Engine {
 /// One pre-encoded output frame in a subscriber queue. The slab is shared
 /// (`Arc<[u8]>`) across every subscriber: the sink encodes once and each
 /// tail writes the same bytes.
+#[derive(Clone)]
 struct SubItem {
     bytes: Arc<[u8]>,
     /// Whether the encoded frame carries a data tuple (sheddable) or a
@@ -585,21 +591,31 @@ struct SubItem {
     data: bool,
 }
 
-/// One subscriber's bounded output queue, shared between the delivering
-/// sink (under the broadcast lock) and the poller that owns the
+/// One sink output waiting for the section's [`Broadcast::publish`].
+enum Staged {
+    /// An encoded frame, bound for every live subscriber queue.
+    Frame(SubItem),
+    /// An output too large for one frame ([`crate::MAX_FRAME_LEN`]): no
+    /// subscriber can receive it, so each live one has it declared in its
+    /// drop ledger instead.
+    Lost,
+}
+
+/// One subscriber's bounded output queue, shared between the publishing
+/// pump (under the broadcast lock) and the poller that owns the
 /// subscriber's socket.
 struct SubQueue {
     state: Mutex<SubState>,
     cap: usize,
-    /// The poller that owns the subscriber's socket, woken when the queue
-    /// gains its first item and at the end of the stream.
+    /// The poller that owns the subscriber's socket, woken when a publish
+    /// gives the queue its first items and at the end of the stream.
     poller: Thread,
 }
 
 struct SubState {
     buf: VecDeque<SubItem>,
-    /// Cumulative data tuples shed for this subscriber — the figure its
-    /// [`Frame::Feedback`] drop notices carry.
+    /// Cumulative data tuples shed or lost for this subscriber — the
+    /// figure its [`Frame::Feedback`] drop notices carry.
     dropped: u64,
     /// Deepest the queue ever got.
     peak: usize,
@@ -635,10 +651,16 @@ impl SubQueue {
 }
 
 /// Fan-out sink: the planned query delivers here, and every subscriber
-/// gets a bounded view of the shared encoded stream.
+/// gets a bounded view of the shared encoded stream. The sink only stages
+/// what a section outputs; the pump publishes the section's outputs to
+/// the subscriber queues once the run is over.
 #[derive(Clone)]
 struct Broadcast {
     inner: Arc<Mutex<BroadcastState>>,
+    /// Outputs of the running engine section, in delivery order. The sink
+    /// and the publishing pump are one thread, so this lock is never
+    /// contended; the list keeps its capacity from section to section.
+    staged: Arc<Mutex<Vec<Staged>>>,
     policy: OverflowPolicy,
     /// Pressure classification for subscriber queue depth, sized to
     /// [`ServerConfig::subscriber_queue`].
@@ -666,6 +688,7 @@ impl Broadcast {
                 shed: 0,
                 peak: 0,
             })),
+            staged: Arc::new(Mutex::new(Vec::new())),
             policy,
             marks: Watermarks::new(queue_cap / 2, queue_cap.saturating_sub(queue_cap / 8)),
             scratch: Vec::new(),
@@ -686,7 +709,7 @@ impl Broadcast {
         });
         let mut st = self.inner.lock().unwrap();
         // A departed subscriber's slot is reused, so `subs` — walked on
-        // every delivery — is as long as the most subscribers ever
+        // every publish — is as long as the most subscribers ever
         // connected at once, not as the number ever connected.
         let slot = match st.subs.iter().position(Option::is_none) {
             Some(slot) => slot,
@@ -746,6 +769,77 @@ impl Broadcast {
         level
     }
 
+    /// Fans the section's staged outputs out to the subscriber queues:
+    /// one broadcast lock, one lock per queue, and at most one unpark per
+    /// subscriber — only for a queue that went from empty to non-empty,
+    /// whose poller may be parked. Within a queue the per-item rules run
+    /// in delivery order: a full queue sheds its oldest data item under
+    /// [`OverflowPolicy::Shed`] or trips `overflowed` under
+    /// [`OverflowPolicy::Disconnect`], after which every data item counts
+    /// as dropped. An empty staging list touches nothing.
+    fn publish(&self) {
+        let mut staged = self.staged.lock().unwrap();
+        if staged.is_empty() {
+            return;
+        }
+        let mut st = self.inner.lock().unwrap();
+        st.delivered += staged.len() as u64;
+        let mut overflows = 0;
+        let mut shed = 0;
+        for q in st.subs.iter().flatten() {
+            let mut sub = q.state.lock().unwrap();
+            if sub.finished {
+                continue;
+            }
+            let was_empty = sub.buf.is_empty();
+            for output in staged.iter() {
+                let item = match output {
+                    Staged::Frame(item) => item,
+                    Staged::Lost => {
+                        // Declared like a shed tuple, so the subscriber's
+                        // next drop notice accounts for it.
+                        sub.dropped += 1;
+                        if !sub.overflowed {
+                            shed += 1;
+                        }
+                        continue;
+                    }
+                };
+                if sub.overflowed {
+                    // Disconnect policy already tripped: the poller is
+                    // still draining the prefix, so count what it will
+                    // never see — it freezes this ledger (sets `finished`)
+                    // the moment it reads the count for its final notice.
+                    if item.data {
+                        sub.dropped += 1;
+                    }
+                    continue;
+                }
+                if sub.buf.len() >= q.cap {
+                    match self.policy {
+                        OverflowPolicy::Shed => shed += SubQueue::make_room(&mut sub),
+                        OverflowPolicy::Disconnect => {
+                            sub.overflowed = true;
+                            overflows += 1;
+                            if item.data {
+                                sub.dropped += 1;
+                            }
+                            continue;
+                        }
+                    }
+                }
+                sub.buf.push_back(item.clone());
+                sub.peak = sub.peak.max(sub.buf.len());
+            }
+            if was_empty && !sub.buf.is_empty() {
+                q.poller.unpark();
+            }
+        }
+        st.overflows += overflows;
+        st.shed += shed;
+        staged.clear();
+    }
+
     /// Queues the final `Timestamp::MAX` punctuation to **every** live
     /// subscriber — shedding a data tuple for room if it must (counted
     /// like any other shed) — and marks their streams finished. Even an
@@ -781,70 +875,27 @@ impl Broadcast {
 
 /// Encodes one output frame into a shared slab, ready to fan out to every
 /// subscriber tail. The frame is built in `scratch` (cleared first) and
-/// copied once into the slab.
+/// copied once into the slab. `None` means the frame would exceed
+/// [`crate::MAX_FRAME_LEN`]: a join can concatenate rows that each fit
+/// into one that does not.
 fn encode_output(tuple: Tuple, scratch: &mut Vec<u8>) -> Option<Arc<[u8]>> {
     scratch.clear();
-    match (Frame::Output { tuple }).encode_into(scratch) {
-        Ok(()) => Some(Arc::from(&scratch[..])),
-        // Unencodable output is an internal invariant failure, not a
-        // subscriber's problem; never panic the sink over it.
-        Err(_) => {
-            debug_assert!(false, "output frame failed to encode");
-            None
-        }
-    }
+    (Frame::Output { tuple })
+        .encode_into(scratch)
+        .ok()
+        .map(|()| Arc::from(&scratch[..]))
 }
 
 impl SinkCollector for Broadcast {
+    /// Encodes the output and stages it for the section's publish; no
+    /// subscriber queue is touched mid-run.
     fn deliver(&mut self, tuple: Tuple, _now: Timestamp) {
         let data = tuple.is_data();
-        let Some(bytes) = encode_output(tuple, &mut self.scratch) else {
-            return;
+        let staged = match encode_output(tuple, &mut self.scratch) {
+            Some(bytes) => Staged::Frame(SubItem { bytes, data }),
+            None => Staged::Lost,
         };
-        let mut st = self.inner.lock().unwrap();
-        st.delivered += 1;
-        let mut overflows = 0;
-        let mut shed = 0;
-        for q in st.subs.iter().flatten() {
-            let mut sub = q.state.lock().unwrap();
-            if sub.finished {
-                continue;
-            }
-            if sub.overflowed {
-                // Disconnect policy already tripped: the poller is still
-                // draining the prefix, so count what it will never see —
-                // it freezes this ledger (sets `finished`) the moment it
-                // reads the count for its final drop notice.
-                if data {
-                    sub.dropped += 1;
-                }
-                continue;
-            }
-            if sub.buf.len() >= q.cap {
-                match self.policy {
-                    OverflowPolicy::Shed => shed += SubQueue::make_room(&mut sub),
-                    OverflowPolicy::Disconnect => {
-                        sub.overflowed = true;
-                        overflows += 1;
-                        if data {
-                            sub.dropped += 1;
-                        }
-                        continue;
-                    }
-                }
-            }
-            sub.buf.push_back(SubItem {
-                bytes: Arc::clone(&bytes),
-                data,
-            });
-            sub.peak = sub.peak.max(sub.buf.len());
-            if sub.buf.len() == 1 {
-                // Empty until now, so its poller may be parked.
-                q.poller.unpark();
-            }
-        }
-        st.overflows += overflows;
-        st.shed += shed;
+        self.staged.lock().unwrap().push(staged);
     }
 }
 
@@ -1135,6 +1186,7 @@ fn pacing_window(level: PressureLevel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use millstream_types::Value;
 
     #[test]
     fn watermarks_classify_monotonically_and_repair_degenerate_pairs() {
@@ -1166,6 +1218,7 @@ mod tests {
                 Tuple::punctuation(Timestamp::from_micros(i)),
                 Timestamp::ZERO,
             );
+            broadcast.publish();
             broadcast.unsubscribe(slot);
         }
         let slots = broadcast.inner.lock().unwrap().subs.len();
@@ -1175,5 +1228,139 @@ mod tests {
         );
         assert_eq!(stay_slot, 0);
         assert_eq!(stay.state.lock().unwrap().buf.len(), 1_000);
+    }
+
+    fn data(ts: u64) -> Tuple {
+        Tuple::data(Timestamp::from_micros(ts), vec![Value::Int(ts as i64)])
+    }
+
+    fn punct(ts: u64) -> Tuple {
+        Tuple::punctuation(Timestamp::from_micros(ts))
+    }
+
+    /// Stages `tuples` through the sink, as one engine section's run
+    /// would, and publishes them.
+    fn section(broadcast: &mut Broadcast, tuples: Vec<Tuple>) {
+        for t in tuples {
+            broadcast.deliver(t, Timestamp::ZERO);
+        }
+        broadcast.publish();
+    }
+
+    /// The queued frames, in queue order, as (timestamp, is-data).
+    fn queued(q: &SubQueue) -> Vec<(u64, bool)> {
+        let st = q.state.lock().unwrap();
+        st.buf
+            .iter()
+            .map(|it| match Frame::decode(&it.bytes[4..]) {
+                Ok(Frame::Output { tuple }) => {
+                    assert_eq!(it.data, tuple.is_data());
+                    (tuple.ts.as_micros(), tuple.is_data())
+                }
+                other => panic!("not an output frame: {other:?}"),
+            })
+            .collect()
+    }
+
+    fn ledger(broadcast: &Broadcast) -> (u64, u64, u64) {
+        (
+            broadcast.delivered(),
+            broadcast.shed_total(),
+            broadcast.overflows(),
+        )
+    }
+
+    /// A section that outruns a shedding subscriber's cap sheds exactly
+    /// the oldest data items, never a mark, and keeps the survivors in
+    /// delivery order within the cap.
+    #[test]
+    fn publish_sheds_the_oldest_data_of_an_oversized_section() {
+        let mut broadcast = Broadcast::new(OverflowPolicy::Shed, 4);
+        let (_, q) = broadcast.subscribe(4, std::thread::current());
+        let tuples = vec![
+            punct(0),
+            data(1),
+            data(2),
+            punct(3),
+            data(4),
+            data(5),
+            data(6),
+            data(7),
+        ];
+        section(&mut broadcast, tuples);
+        assert_eq!(
+            queued(&q),
+            vec![(0, false), (3, false), (6, true), (7, true)]
+        );
+        let st = q.state.lock().unwrap();
+        assert_eq!(st.dropped, 4);
+        assert_eq!(st.peak, 4);
+        assert!(!st.overflowed);
+        drop(st);
+        assert_eq!(ledger(&broadcast), (8, 4, 0));
+        assert_eq!(broadcast.peak(), 4);
+    }
+
+    /// Under `Disconnect` the first item past the cap trips `overflowed`,
+    /// and every later data item of the same publish is counted dropped;
+    /// later marks are not.
+    #[test]
+    fn publish_trips_disconnect_at_the_first_item_past_cap() {
+        let mut broadcast = Broadcast::new(OverflowPolicy::Disconnect, 3);
+        let (_, q) = broadcast.subscribe(3, std::thread::current());
+        let tuples = vec![
+            data(1),
+            data(2),
+            punct(3),
+            data(4),
+            data(5),
+            punct(6),
+            data(7),
+        ];
+        section(&mut broadcast, tuples);
+        assert_eq!(queued(&q), vec![(1, true), (2, true), (3, false)]);
+        let st = q.state.lock().unwrap();
+        assert!(st.overflowed);
+        assert_eq!(st.dropped, 3, "4, 5 and 7");
+        assert_eq!(st.peak, 3);
+        drop(st);
+        assert_eq!(ledger(&broadcast), (7, 0, 1));
+    }
+
+    /// Two subscribers with different caps see the same section, each
+    /// with its own exact ledger.
+    #[test]
+    fn publish_keeps_a_ledger_per_subscriber() {
+        let mut broadcast = Broadcast::new(OverflowPolicy::Shed, 5);
+        let (_, small) = broadcast.subscribe(2, std::thread::current());
+        let (_, large) = broadcast.subscribe(5, std::thread::current());
+        section(&mut broadcast, (1..=6).map(data).collect());
+        assert_eq!(queued(&small), vec![(5, true), (6, true)]);
+        assert_eq!(
+            queued(&large),
+            (2..=6).map(|ts| (ts, true)).collect::<Vec<_>>()
+        );
+        let counts = |q: &SubQueue| {
+            let st = q.state.lock().unwrap();
+            (st.dropped, st.peak)
+        };
+        assert_eq!(counts(&small), (4, 2));
+        assert_eq!(counts(&large), (1, 5));
+        assert_eq!(ledger(&broadcast), (6, 5, 0));
+        assert_eq!(broadcast.peak(), 5);
+    }
+
+    /// A publish with nothing staged changes no queue and no counter.
+    #[test]
+    fn empty_publish_changes_nothing() {
+        let mut broadcast = Broadcast::new(OverflowPolicy::Shed, 2);
+        let (_, q) = broadcast.subscribe(2, std::thread::current());
+        section(&mut broadcast, vec![data(1), data(2), data(3)]);
+        let before = (queued(&q), q.state.lock().unwrap().dropped);
+        assert_eq!(before, (vec![(2, true), (3, true)], 1));
+        broadcast.publish();
+        assert_eq!((queued(&q), q.state.lock().unwrap().dropped), before);
+        assert_eq!(ledger(&broadcast), (3, 1, 0));
+        assert_eq!(broadcast.peak(), 2);
     }
 }

@@ -30,11 +30,14 @@
 //!   attach answers the producer's `Hello`; one executor call per frame,
 //!   so a refusal lands on the connection that sent it), every due port
 //!   gets its synthesized heartbeat, then one `advance_clock` to the
-//!   section's max timestamp and one run-to-quiescence. Outcomes are
-//!   routed back per connection: one cumulative [`Frame::Ack`] (or an
-//!   attributed [`Frame::Error`]) per connection per section, pushed to
-//!   the connection's outbox and flushed by its poller. At shutdown the
-//!   pump runs the final drain itself and returns its report.
+//!   section's max timestamp and one run-to-quiescence. The sink only
+//!   stages the run's output slabs; the pump then publishes them to every
+//!   subscriber queue in one lock per queue. Outcomes are routed back per
+//!   connection: one cumulative [`Frame::Ack`] (or an attributed
+//!   [`Frame::Error`]) per connection per section, pushed to the
+//!   connection's outbox and flushed by its poller. At shutdown the pump
+//!   runs the final drain itself, publishes its outputs and returns its
+//!   report.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -138,11 +141,6 @@ impl ConnShared {
         {
             self.dead.store(true, Ordering::SeqCst);
         }
-    }
-
-    /// Queues already-encoded frames for the poller to write.
-    fn push_bytes(&self, bytes: &[u8]) {
-        self.outbox.lock().unwrap().buf.extend_from_slice(bytes);
     }
 
     /// Writes as much buffered output as the socket accepts right now.
@@ -806,15 +804,18 @@ fn step_subscriber(shared: &Arc<Shared>, c: &mut Conn, progressed: &mut bool) ->
             dropped: sub.dropped,
         });
     }
-    for item in sub.buf.drain(..take) {
-        // The shared slab: identical bytes to a per-subscriber
-        // `Frame::Output` encode.
-        c.shared.push_bytes(&item.bytes);
+    if take > 0 {
+        // The whole batch under one outbox lock. Each shared slab holds
+        // the same bytes a per-subscriber `Frame::Output` encode would.
+        let mut outbox = c.shared.outbox.lock().unwrap();
+        for item in sub.buf.drain(..take) {
+            outbox.buf.extend_from_slice(&item.bytes);
+        }
     }
     let end = sub.buf.is_empty() && (sub.overflowed || sub.finished);
     if end {
         // Freeze the drop ledger at the moment the verdict is announced:
-        // from here on `deliver` treats this subscriber as gone (skip,
+        // from here on `publish` treats this subscriber as gone (skip,
         // don't count), so the notice below is exact — every tuple before
         // the cut is delivered or declared, tuples after it are
         // post-subscription.
@@ -902,7 +903,11 @@ pub(super) fn pump_loop(shared: &Arc<Shared>, mut eng: Engine) -> Result<ServerR
             shared.queue.wait(&shared.final_drain, next_due);
         }
         if shared.final_drain.load(Ordering::SeqCst) {
-            return eng.final_drain(shared.now_us(), pump.latency.summarize());
+            let report = eng.final_drain(shared.now_us(), pump.latency.summarize());
+            // The drain's outputs go out even if the drain failed, and
+            // before `Server::shutdown` queues the final mark behind them.
+            shared.broadcast.publish();
+            return report;
         }
         shared.queue.drain(PUMP_BATCH, &mut pump.batch);
         next_due = run_section(shared, &mut eng, &mut pump);
@@ -949,11 +954,11 @@ struct Outcome {
 
 /// Runs one engine section: apply every drained item (possibly none) in
 /// order, synthesize for every port past its idle deadline, advance the
-/// clock once to the section max, run to quiescence once; then record
-/// latency and push one cumulative ack — or one attributed error — per
-/// connection. Returns the earliest idle deadline still ahead. Leaves
-/// every buffer of `pump` but the arrival ledger empty for the next
-/// section.
+/// clock once to the section max, run to quiescence once; then publish
+/// the run's outputs to the subscribers, record latency and push one
+/// cumulative ack — or one attributed error — per connection. Returns
+/// the earliest idle deadline still ahead. Leaves every buffer of `pump`
+/// but the arrival ledger empty for the next section.
 ///
 /// Only a section that drained frames counts in `ingest_sections`, so
 /// `frames_in / ingest_sections` stays the frames per section; one woken
@@ -1046,6 +1051,10 @@ fn run_section(shared: &Arc<Shared>, eng: &mut Engine, pump: &mut Pump) -> Optio
             }
         }
     }
+    // The section's outputs go out once, after the run — a failed or
+    // panicked run included, since what it output before the failure was
+    // delivered — and before the subscriber queues are read for pressure.
+    shared.broadcast.publish();
     let level = match shared.cfg.feedback {
         Some(marks) => marks
             .classify(eng.exec.graph().max_input_backlog())
@@ -1053,7 +1062,7 @@ fn run_section(shared: &Arc<Shared>, eng: &mut Engine, pump: &mut Pump) -> Optio
         None => PressureLevel::Normal,
     };
     // Wire-arrival → sink-delivery latency, one sample per tuple
-    // delivered by this section's run.
+    // this section published.
     record_deliveries(shared, pump, delivered_before);
     pump.index.clear();
     for out in pump.outcomes.drain(..) {

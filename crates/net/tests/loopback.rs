@@ -855,3 +855,94 @@ fn detached_port_is_not_synthesized_until_a_producer_reattaches() {
     assert_eq!(report.ports[1].ingested, 2);
     assert!(report.ports[1].synthesized >= 1, "{:?}", report.ports[1]);
 }
+
+/// A join of two rows that each fit in a frame can output one that does
+/// not (> `MAX_FRAME_LEN`). That output is lost to the wire, but declared:
+/// the subscriber's drop ledger and `sub_shed` count it, the rows around
+/// it arrive, and nothing fails.
+#[test]
+fn unencodable_output_is_declared_dropped() {
+    // A wire string is at most 64 KiB, so a wide row takes ten of them.
+    const COLUMNS: usize = 10;
+    let columns: Vec<String> = (0..COLUMNS).map(|i| format!("s{i} STRING")).collect();
+    let ddl = |stream: &str| format!("CREATE STREAM {stream} (k INT, {});", columns.join(", "));
+    let program = format!(
+        "{}\n{}\nSELECT * FROM l JOIN r ON l.k = r.k WINDOW 1 SECONDS;",
+        ddl("l"),
+        ddl("r")
+    );
+    let mut cfg = ServerConfig::new(program);
+    cfg.check = Some(CheckMode::Strict);
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+    let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
+
+    // Key 2's rows are 600 KiB each, so their match is 1.2 MiB.
+    let row = |ts: u64, k: i64| {
+        let len = if k == 2 { 60 * 1024 } else { 8 };
+        let mut values = vec![Value::Int(k)];
+        values.extend((0..COLUMNS).map(|_| Value::str("x".repeat(len))));
+        Tuple::data(Timestamp::from_micros(ts), values)
+    };
+    let mut l = client(addr, "l");
+    for (ts, k) in [(10, 1), (30, 2), (50, 3)] {
+        l.send(row(ts, k)).expect("send l");
+    }
+    l.close().expect("close l");
+    let mut r = client(addr, "r");
+    for (ts, k) in [(20, 1), (40, 2), (60, 3)] {
+        r.send(row(ts, k)).expect("send r");
+    }
+    r.close().expect("close r");
+    let report = server.shutdown().expect("shutdown");
+    let (got, puncts) = drain(&mut sub);
+    assert_eq!(got, vec![20, 60], "the matches of keys 1 and 3");
+    assert_eq!(puncts, 1, "the final mark");
+    assert_eq!(sub.dropped(), 1, "the key-2 match, declared");
+    assert_eq!(report.stats.delivered, 3);
+    assert_eq!(report.stats.sub_shed, 1);
+}
+
+/// What the final drain releases reaches a subscriber ahead of the
+/// `Timestamp::MAX` mark. The union holds `a`'s tuples for the silent
+/// `b` (no idle timeout), so only closing `b` at shutdown releases them.
+#[test]
+fn final_drain_outputs_precede_the_final_mark() {
+    let mut cfg = ServerConfig::new(UNION_PROGRAM);
+    cfg.check = Some(CheckMode::Strict);
+    cfg.idle_timeout = None;
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+    let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
+
+    let b = client(addr, "b");
+    let mut a = client(addr, "a");
+    for ts in [10, 20, 30] {
+        a.send(data(ts)).expect("send a");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().tuples_ingested < 3 {
+        assert!(Instant::now() < deadline, "{:?}", server.stats());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(server.stats().delivered, 0, "the union waits for `b`");
+
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    let mut got = Vec::new();
+    while let Some(t) = sub.next(Duration::from_secs(10)).expect("subscription") {
+        got.push((t.ts, t.is_data()));
+    }
+    let at = Timestamp::from_micros;
+    assert_eq!(
+        got,
+        vec![
+            (at(10), true),
+            (at(20), true),
+            (at(30), true),
+            (Timestamp::MAX, false)
+        ]
+    );
+    let report = shutdown.join().expect("shutdown thread").expect("shutdown");
+    assert_eq!(report.stats.delivered, 3);
+    drop((a, b));
+}
