@@ -990,6 +990,38 @@ mod tests {
         Box::new(Filter::new(name, schema(), Expr::lit(true)))
     }
 
+    /// Shard routing is a function of the values' contents: these
+    /// placements (and, at `usize::MAX` shards, the 31-bit mixed hash
+    /// itself) for a row with a `STRING` column are pinned so a change to
+    /// the string representation cannot move a tuple to another shard.
+    #[test]
+    fn string_row_route_hash_is_pinned() {
+        use millstream_types::Value;
+        let row = [
+            Value::Int(7),
+            Value::str("host-17.example"),
+            Value::Float(2.5),
+        ];
+        let pinned = [
+            (ShardKey::WholeRow, [0, 1, 0, 5, 1_745_244_100]),
+            (ShardKey::Column(1), [1, 1, 1, 0, 1_865_515_057]),
+        ];
+        for (key, want) in pinned {
+            for (shards, want) in [2, 3, 4, 7, usize::MAX].into_iter().zip(want) {
+                assert_eq!(route_shard(&row, key, shards), want, "{key:?} at {shards}");
+            }
+        }
+        let uninterned = [
+            Value::Int(7),
+            Value::str_uninterned("host-17.example"),
+            Value::Float(2.5),
+        ];
+        assert_eq!(
+            route_shard(&uninterned, ShardKey::WholeRow, usize::MAX),
+            1_745_244_100
+        );
+    }
+
     #[test]
     fn builds_fig4_union_graph() {
         // The paper's Fig. 4: two sources → σ each → ∪ → sink.

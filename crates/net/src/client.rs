@@ -14,9 +14,17 @@
 //! tuples that raced the crash are deduplicated server-side, which is
 //! sound because producer data timestamps are **strictly increasing** —
 //! that is this protocol's resume contract.
+//!
+//! Frames are encoded once, when `send` (or `heartbeat`/`close`) queues
+//! them: a tuple the wire cannot carry (a `STRING` over 64 KiB, a frame
+//! over `MAX_FRAME_LEN`) is refused there with an error and never
+//! queued, so only link I/O can fail a write, and only link I/O is
+//! retried. A link that fails `connect_retries` times in a row with no
+//! ack progress in between ends the session with an error.
 
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hasher};
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -71,7 +79,9 @@ pub struct ClientConfig {
     pub schema: Option<Schema>,
     /// Max frames in flight before `send` stalls on acks.
     pub ack_window: usize,
-    /// Connection attempts per (re)connect before giving up.
+    /// Connection attempts per (re)connect before giving up; also the
+    /// number of consecutive link failures, with no ack progress between
+    /// them, that ends the session.
     pub connect_retries: u32,
     /// First retry backoff; doubles per attempt up to `max_backoff`.
     pub base_backoff: Duration,
@@ -127,6 +137,17 @@ struct Conn {
     reader: FrameReader,
 }
 
+/// A sequenced frame awaiting its ack, encoded once when it was queued.
+#[derive(Debug)]
+struct Pending {
+    seq: u64,
+    /// The data or heartbeat timestamp (micros) the resume prune compares
+    /// against; `None` for `Close`, which is never pruned.
+    ts: Option<u64>,
+    /// The encoded frame, length prefix included.
+    bytes: Vec<u8>,
+}
+
 /// A producer connection to an `msq serve` instance.
 #[derive(Debug)]
 pub struct StreamClient {
@@ -141,7 +162,10 @@ pub struct StreamClient {
     /// Highest sequence written on the *current* connection; frames above
     /// it are pending (re)transmission.
     written_seq: u64,
-    unacked: VecDeque<Frame>,
+    unacked: VecDeque<Pending>,
+    /// Link failures since the window last made progress (an ack, or a
+    /// resume prune); reaching `connect_retries` ends the session.
+    link_failures: u32,
     /// Highest source high-water the server has acked (micros); echoed
     /// as the resume hint when re-handshaking.
     acked_ts: u64,
@@ -153,13 +177,6 @@ pub struct StreamClient {
     server_window: Option<usize>,
     /// Jitter source for the reconnect backoff schedule.
     rng: SmallRng,
-}
-
-fn frame_seq(f: &Frame) -> u64 {
-    match f {
-        Frame::Data { seq, .. } | Frame::Heartbeat { seq, .. } | Frame::Close { seq } => *seq,
-        _ => unreachable!("only seq-bearing frames are buffered"),
-    }
 }
 
 impl StreamClient {
@@ -174,6 +191,7 @@ impl StreamClient {
             acked_seq: 0,
             written_seq: 0,
             unacked: VecDeque::new(),
+            link_failures: 0,
             acked_ts: 0,
             report: ClientReport::default(),
             fail_after: None,
@@ -217,23 +235,44 @@ impl StreamClient {
     }
 
     /// Sends one data tuple. May block while the ack window is full and
-    /// may transparently reconnect; returns an error only when the server
-    /// rejects the session or retries are exhausted.
+    /// may transparently reconnect; returns an error when the tuple cannot
+    /// be encoded (it is not queued, and the session goes on), when the
+    /// server rejects the session, or when retries are exhausted.
     pub fn send(&mut self, tuple: Tuple) -> Result<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.unacked.push_back(Frame::Data { seq, tuple });
-        self.report.sent += 1;
+        self.queue(Frame::Data {
+            seq: self.next_seq,
+            tuple,
+        })?;
         self.pump()
     }
 
     /// Sends an explicit heartbeat for the stream.
     pub fn heartbeat(&mut self, ts: Timestamp) -> Result<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.unacked.push_back(Frame::Heartbeat { seq, ts });
-        self.report.sent += 1;
+        self.queue(Frame::Heartbeat {
+            seq: self.next_seq,
+            ts,
+        })?;
         self.pump()
+    }
+
+    /// Encodes `frame` (which carries `next_seq`) and appends it to the
+    /// unacked window. An encoding error leaves the window and the
+    /// sequence untouched.
+    fn queue(&mut self, frame: Frame) -> Result<()> {
+        let bytes = frame.encode()?;
+        let ts = match &frame {
+            Frame::Data { tuple, .. } => Some(tuple.ts.as_micros()),
+            Frame::Heartbeat { ts, .. } => Some(ts.as_micros()),
+            _ => None,
+        };
+        self.unacked.push_back(Pending {
+            seq: self.next_seq,
+            ts,
+            bytes,
+        });
+        self.next_seq += 1;
+        self.report.sent += 1;
+        Ok(())
     }
 
     /// Blocks until every buffered frame is acked, surfacing any server
@@ -250,10 +289,7 @@ impl StreamClient {
     /// Declares end-of-stream, waits for every frame to be acked, and
     /// returns the session report.
     pub fn close(mut self) -> Result<ClientReport> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.unacked.push_back(Frame::Close { seq });
-        self.report.sent += 1;
+        self.queue(Frame::Close { seq: self.next_seq })?;
         self.flush()?;
         if let Some(conn) = &mut self.conn {
             let _ = write_frame(&mut conn.stream, &Frame::Bye);
@@ -265,12 +301,9 @@ impl StreamClient {
     fn pump(&mut self) -> Result<()> {
         loop {
             self.ensure_connected()?;
-            match self.write_pending() {
-                Ok(()) => {}
-                Err(_io) => {
-                    self.note_link_down();
-                    continue;
-                }
+            if self.write_pending().is_err() {
+                self.note_link_down()?;
+                continue;
             }
             if self.unacked.len() < self.effective_window() {
                 return Ok(());
@@ -287,23 +320,21 @@ impl StreamClient {
 
     /// Writes buffered frames not yet sent on this connection. `unacked`
     /// is in sequence order, so the unwritten frames are a suffix, found
-    /// by binary search instead of a rescan of the whole window.
-    fn write_pending(&mut self) -> Result<()> {
+    /// by binary search instead of a rescan of the whole window. Frames
+    /// are already encoded, so every error here is a link error.
+    fn write_pending(&mut self) -> io::Result<()> {
         let conn = self.conn.as_mut().expect("ensure_connected ran");
-        let first = self
-            .unacked
-            .partition_point(|f| frame_seq(f) <= self.written_seq);
-        for f in self.unacked.range(first..) {
-            let seq = frame_seq(f);
-            write_frame(&mut conn.stream, f)?;
-            self.written_seq = seq;
+        let first = self.unacked.partition_point(|p| p.seq <= self.written_seq);
+        for p in self.unacked.range(first..) {
+            conn.stream.write_all(&p.bytes)?;
+            self.written_seq = p.seq;
             if let Some(n) = &mut self.fail_after {
                 if *n <= 1 {
                     self.fail_after = None;
                     // Simulate a dropped link: both directions die; the
                     // next operation fails over to reconnect.
                     let _ = conn.stream.shutdown(Shutdown::Both);
-                    return Err(Error::runtime("wire: link severed (chaos hook)"));
+                    return Err(io::Error::other("link severed (chaos hook)"));
                 }
                 *n -= 1;
             }
@@ -317,7 +348,7 @@ impl StreamClient {
         loop {
             self.ensure_connected()?;
             if self.write_pending().is_err() {
-                self.note_link_down();
+                self.note_link_down()?;
                 continue;
             }
             let before = self.acked_seq;
@@ -334,12 +365,12 @@ impl StreamClient {
                     }
                     Ok(ReadOutcome::Timeout) => {
                         if Instant::now() > deadline {
-                            self.note_link_down();
+                            self.note_link_down()?;
                             break;
                         }
                     }
                     Ok(ReadOutcome::Eof) | Err(_) => {
-                        self.note_link_down();
+                        self.note_link_down()?;
                         break;
                     }
                 }
@@ -356,12 +387,13 @@ impl StreamClient {
             Frame::Ack { seq, high_water } => {
                 if seq > self.acked_seq {
                     self.acked_seq = seq;
+                    self.link_failures = 0;
                 }
                 self.acked_ts = self.acked_ts.max(high_water);
                 while self
                     .unacked
                     .front()
-                    .is_some_and(|f| frame_seq(f) <= self.acked_seq)
+                    .is_some_and(|p| p.seq <= self.acked_seq)
                 {
                     self.unacked.pop_front();
                     self.report.acked += 1;
@@ -386,8 +418,7 @@ impl StreamClient {
             Frame::Bye => {
                 // Server is going away; treat like a broken link so a
                 // restart (tests) or final close path can proceed.
-                self.note_link_down();
-                Ok(())
+                self.note_link_down()
             }
             other => Err(Error::runtime(format!(
                 "unexpected frame from server: {other:?}"
@@ -395,11 +426,22 @@ impl StreamClient {
         }
     }
 
-    fn note_link_down(&mut self) {
+    /// Drops the connection so the next operation reconnects, and ends
+    /// the session once the link has failed `connect_retries` times in a
+    /// row without the window making progress.
+    fn note_link_down(&mut self) -> Result<()> {
         if self.conn.take().is_some() {
             self.report.reconnects += 1;
         }
         self.written_seq = self.acked_seq;
+        self.link_failures += 1;
+        if self.link_failures >= self.cfg.connect_retries.max(1) {
+            return Err(Error::runtime(format!(
+                "wire: link failed {} time(s) in a row with no ack progress; giving up",
+                self.link_failures
+            )));
+        }
+        Ok(())
     }
 
     /// (Re)establishes the connection, with exponential backoff, and
@@ -485,7 +527,7 @@ impl StreamClient {
                 self.report.retransmitted += self
                     .unacked
                     .iter()
-                    .filter(|f| frame_seq(f) <= self.written_seq)
+                    .filter(|p| p.seq <= self.written_seq)
                     .count() as u64;
                 self.written_seq = self.acked_seq;
                 Ok(conn)
@@ -508,17 +550,17 @@ impl StreamClient {
             return;
         }
         let before = self.unacked.len();
-        self.unacked.retain(|f| match f {
-            Frame::Data { tuple, .. } => tuple.ts.as_micros() > resume_ts,
-            // A heartbeat at or below the server's high-water asserts
-            // nothing the server doesn't already know — retransmitting it
-            // would only be dropped as stale engine-side. Prune it here
-            // and count it as resumed, like the data it rode with.
-            Frame::Heartbeat { ts, .. } => ts.as_micros() > resume_ts,
-            // Closes are idempotent server-side; keep them.
-            _ => true,
-        });
+        // Data at or below the resume point was ingested. A heartbeat
+        // there asserts nothing the server doesn't already know —
+        // retransmitting it would only be dropped as stale engine-side —
+        // so it is pruned and counted as resumed, like the data it rode
+        // with. Closes (`ts: None`) are idempotent server-side; keep them.
+        self.unacked
+            .retain(|p| p.ts.is_none_or(|ts| ts > resume_ts));
         let skipped = (before - self.unacked.len()) as u64;
+        if skipped > 0 {
+            self.link_failures = 0;
+        }
         self.report.resume_skipped += skipped;
         self.report.acked += skipped;
     }

@@ -470,10 +470,14 @@ impl Cursor<'_> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    fn string(&mut self) -> Result<String> {
+    fn str(&mut self) -> Result<&str> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| wire("string is not UTF-8"))
+        std::str::from_utf8(bytes).map_err(|_| wire("string is not UTF-8"))
+    }
+
+    fn string(&mut self) -> Result<String> {
+        self.str().map(String::from)
     }
 
     fn schema(&mut self) -> Result<Schema> {
@@ -508,7 +512,8 @@ impl Cursor<'_> {
                 1 => Value::Bool(true),
                 other => return Err(wire(format!("bad bool byte {other}"))),
             },
-            4 => Value::str_uninterned(self.string()?),
+            // Copied straight from the frame: no intermediate `String`.
+            4 => Value::str_uninterned(self.str()?),
             other => return Err(wire(format!("unknown value tag {other}"))),
         })
     }
@@ -710,6 +715,29 @@ mod tests {
             Field::new("v", DataType::Int),
             Field::new("label", DataType::Str),
         ])
+    }
+
+    /// The wire bytes of a data frame with `STRING` columns (interned and
+    /// not) are pinned: the string representation is not on the wire.
+    #[test]
+    fn string_data_frame_bytes_are_pinned() {
+        let t = Tuple::data(
+            Timestamp::from_micros(1_234_567),
+            vec![
+                Value::Int(7),
+                Value::str("host-17.example"),
+                Value::str_uninterned("αβ"),
+            ],
+        );
+        let f = Frame::Data { seq: 42, tuple: t };
+        let want: [u8; 58] = [
+            54, 0, 0, 0, 3, 42, 0, 0, 0, 0, 0, 0, 0, 135, 214, 18, 0, 0, 0, 0, 0, 0, 3, 0, 1, 7, 0,
+            0, 0, 0, 0, 0, 0, 4, 15, 0, 104, 111, 115, 116, 45, 49, 55, 46, 101, 120, 97, 109, 112,
+            108, 101, 4, 4, 0, 206, 177, 206, 178,
+        ];
+        let bytes = f.encode().expect("encode");
+        assert_eq!(bytes, want);
+        assert_eq!(Frame::decode(&bytes[4..]).expect("decode"), f);
     }
 
     #[test]

@@ -226,6 +226,10 @@ pub struct ServerStats {
 /// Lock-free storage behind [`ServerStats`]: every counter the ingest
 /// pump and the pollers touch lives here, so [`Server::stats`] reads them
 /// mid-run without asking the pump.
+///
+/// `connections` and `conns_active` have several writers (the accept
+/// loop and every poller) and take locked `fetch_add`s. Every other
+/// counter is written by the pump alone, through [`pump_add`].
 #[derive(Default)]
 struct StatsCell {
     connections: AtomicU64,
@@ -258,6 +262,13 @@ impl StatsCell {
             feedback_frames: self.feedback_frames.load(Ordering::SeqCst),
         }
     }
+}
+
+/// The pump's `counter += 1` on a counter no other thread writes: a
+/// relaxed load and store, no locked read-modify-write on the per-frame
+/// path. Readers on other threads still see whole values.
+fn pump_add(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// Per-source accounting in the final [`ServerReport`].
@@ -434,7 +445,7 @@ impl Engine {
             // Retransmitted duplicate (producer timestamps are strictly
             // increasing): ack without ingesting.
             port.duplicates += 1;
-            stats.duplicates_dropped.fetch_add(1, Ordering::SeqCst);
+            pump_add(&stats.duplicates_dropped);
             return Ok(false);
         }
         if let Some(mark) = source.ets_high_water.filter(|&mark| ts < mark) {
@@ -446,13 +457,13 @@ impl Engine {
                 .check_punct_dominance(&format!("wire:{}", source.name), ts, mark)
                 .map_err(|e| (ErrorCode::Invariant, e))?;
             port.rejected += 1;
-            stats.rejected_tuples.fetch_add(1, Ordering::SeqCst);
+            pump_add(&stats.rejected_tuples);
             return Ok(false);
         }
         self.exec
             .ingest(port.source, tuple)
             .map_err(|e| (ErrorCode::Engine, e))?;
-        stats.tuples_ingested.fetch_add(1, Ordering::SeqCst);
+        pump_add(&stats.tuples_ingested);
         section.absorb(ts);
         Ok(true)
     }
@@ -469,7 +480,7 @@ impl Engine {
         self.exec
             .ingest_heartbeat(self.ports[port_idx].source, ts)
             .map_err(|e| (ErrorCode::Engine, e))?;
-        stats.heartbeats_in.fetch_add(1, Ordering::SeqCst);
+        pump_add(&stats.heartbeats_in);
         section.absorb(ts);
         Ok(false)
     }
@@ -524,7 +535,7 @@ impl Engine {
             // producer's: the port just waits for its next deadline.
             if exec.ingest_heartbeat(port.source, mark).is_ok() {
                 port.synthesized += 1;
-                stats.synthesized_heartbeats.fetch_add(1, Ordering::SeqCst);
+                pump_add(&stats.synthesized_heartbeats);
                 section.absorb(mark);
             }
         }

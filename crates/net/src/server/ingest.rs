@@ -52,7 +52,7 @@ use millstream_types::{Result, Schema, TimeDelta, Timestamp, Tuple};
 use crate::frame::{ErrorCode, Frame, FrameReader, ReadOutcome, Role, PROTOCOL_VERSION};
 
 use super::{
-    pacing_window, Engine, PressureLevel, Section, ServerReport, Shared, SubQueue,
+    pacing_window, pump_add, Engine, PressureLevel, Section, ServerReport, Shared, SubQueue,
     HANDSHAKE_DEADLINE,
 };
 
@@ -1015,7 +1015,7 @@ fn run_section(shared: &Arc<Shared>, eng: &mut Engine, pump: &mut Pump) -> Optio
             }
             IngestOp::Close { seq } => (seq, eng.close(port_idx, &mut section)),
         };
-        stats.frames_in.fetch_add(1, Ordering::SeqCst);
+        pump_add(&stats.frames_in);
         let port = &mut eng.ports[port_idx];
         port.idle_due = idle_timeout.map(|t| arrival + t);
         port.idle.set_idle(now_us, false);
@@ -1033,7 +1033,7 @@ fn run_section(shared: &Arc<Shared>, eng: &mut Engine, pump: &mut Pump) -> Optio
         }
     }
     if frames {
-        stats.ingest_sections.fetch_add(1, Ordering::SeqCst);
+        pump_add(&stats.ingest_sections);
     }
     let next_due = eng.synthesize_due(stats, idle_timeout, now_us, &mut section);
     if section.run {
@@ -1073,7 +1073,7 @@ fn run_section(shared: &Arc<Shared>, eng: &mut Engine, pump: &mut Pump) -> Optio
             if shared.cfg.feedback.is_some()
                 && out.conn.sent_level.swap(announced, Ordering::SeqCst) != announced
             {
-                stats.feedback_frames.fetch_add(1, Ordering::SeqCst);
+                pump_add(&stats.feedback_frames);
                 out.conn.push_frame(&Frame::Feedback {
                     level: announced,
                     window: pacing_window(level),

@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use millstream_buffer::CheckMode;
@@ -11,7 +12,7 @@ use millstream_net::{
     write_frame, ClientConfig, Frame, FrameReader, Role, Server, ServerConfig, ServerReport,
     StreamClient, Subscription, PROTOCOL_VERSION,
 };
-use millstream_types::{Timestamp, Tuple, TupleBody, Value};
+use millstream_types::{DataType, Field, Schema, Timestamp, Tuple, TupleBody, Value};
 
 const UNION_PROGRAM: &str = "\
 CREATE STREAM a (v INT);
@@ -945,4 +946,105 @@ fn final_drain_outputs_precede_the_final_mark() {
     let report = shutdown.join().expect("shutdown thread").expect("shutdown");
     assert_eq!(report.stats.delivered, 3);
     drop((a, b));
+}
+
+/// Runs `body` on its own thread and fails the test if it does not finish
+/// within `limit` — for client paths whose failure mode is a hang.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(out) => out,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: hung"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the watched thread panicked"),
+    }
+}
+
+/// A tuple the wire cannot carry (a 70 KiB string; a wire string is at
+/// most 64 KiB) is refused by `send` at once, with an error, and is never
+/// queued: the client neither reconnects nor retries it, and the same
+/// session goes on delivering.
+#[test]
+fn oversized_string_is_refused_at_send_and_the_session_goes_on() {
+    const PROGRAM: &str = "CREATE STREAM s (v STRING);\nSELECT v FROM s;";
+    let mut cfg = ServerConfig::new(PROGRAM);
+    cfg.check = Some(CheckMode::Strict);
+    let server = Server::start(cfg).expect("server");
+    let addr = server.addr();
+    let mut sub = Subscription::connect(&addr.to_string()).expect("subscribe");
+
+    let io_timeout = Duration::from_secs(2);
+    let (refused, took, report) = within(io_timeout * 5, move || {
+        let mut cc = ClientConfig::new(addr.to_string(), "s");
+        cc.io_timeout = io_timeout;
+        let mut c = StreamClient::connect(cc).expect("connect");
+        let row = |ts: u64, s: String| {
+            Tuple::data(Timestamp::from_micros(ts), vec![Value::str_uninterned(s)])
+        };
+        c.send(row(10, "before".into())).expect("send before");
+        let started = Instant::now();
+        let refused = c.send(row(20, "x".repeat(70 * 1024)));
+        let took = started.elapsed();
+        c.send(row(30, "after".into())).expect("send after");
+        (refused, took, c.close().expect("close"))
+    });
+    let err = refused.expect_err("an unencodable tuple is refused");
+    assert!(err.to_string().contains("exceeds u16 length"), "{err}");
+    assert!(took < io_timeout, "refused after {took:?}");
+    assert_eq!(
+        report.sent, 3,
+        "two data frames and the close; not the refused one"
+    );
+    assert_eq!(report.acked, 3);
+    assert_eq!(report.reconnects, 0, "{report:?}");
+    assert_eq!(report.retransmitted, 0, "{report:?}");
+
+    let srv = server.shutdown().expect("shutdown");
+    let (got, _) = drain(&mut sub);
+    assert_eq!(got, vec![10, 30]);
+    assert_eq!(srv.stats.tuples_ingested, 2);
+    assert_eq!(srv.wire_sentinel_violations, 0);
+}
+
+/// A server that completes every handshake and then hangs up before
+/// acking anything: the client gives up after `connect_retries` link
+/// failures in a row, with an error, instead of reconnecting forever.
+#[test]
+fn a_link_that_never_acks_ends_the_session() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            let mut reader = FrameReader::new();
+            if !matches!(
+                reader.read_blocking(&mut conn),
+                Ok(Some(Frame::Hello { .. }))
+            ) {
+                continue;
+            }
+            let ack = Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+                schema: Schema::new(vec![Field::new("v", DataType::Int)]),
+                resume_ts: 0,
+            };
+            let _ = write_frame(&mut conn, &ack);
+            // Dropping `conn` hangs up with the data unacked.
+        }
+    });
+    let (result, report) = within(Duration::from_secs(20), move || {
+        let mut cc = ClientConfig::new(addr.to_string(), "s");
+        cc.connect_retries = 3;
+        cc.backoff_seed = Some(1);
+        let mut c = StreamClient::connect(cc).expect("connect");
+        let sent = c.send(data(10));
+        let result = sent.and_then(|()| c.flush());
+        (result, c.report().clone())
+    });
+    let err = result.expect_err("the session ends");
+    assert!(err.to_string().contains("no ack progress"), "{err}");
+    assert_eq!(report.acked, 0);
+    assert!(report.reconnects <= 3, "{report:?}");
 }

@@ -181,6 +181,9 @@ struct Slot {
     next: u64,
 }
 
+// Layout pin: an 88 B tuple plus its link. `resident_bytes` charges this.
+const _: () = assert!(std::mem::size_of::<Slot>() == 96);
+
 /// A live key's chain: absolute sequence numbers of its oldest and newest
 /// hot rows.
 struct Chain {
@@ -311,6 +314,10 @@ impl JoinState {
     /// and resident run payloads. Spilled payloads are *not* counted —
     /// this is the quantity the spill budget bounds, sampled by the spill
     /// bench to prove peak resident state tracks `--join-spill-budget`.
+    /// A hot row costs its 96 B [`Slot`] (a `Value` is 16 B, since a
+    /// string is a one-pointer handle) plus, per `STRING` value, the
+    /// payload's byte length — charged per reference, so an interned
+    /// payload shared by many rows is over-counted (an upper bound).
     pub fn resident_bytes(&self) -> u64 {
         let mut total = self.resident_run_bytes;
         for run in &self.runs {

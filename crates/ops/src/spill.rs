@@ -349,8 +349,9 @@ fn decode_var(cell: &[u8]) -> io::Result<Value> {
     decode_fixed(&fixed)
 }
 
-/// Resident-footprint estimate of one value (enum slot + string payload;
-/// shared `Arc<str>` payloads are charged per reference, an upper bound).
+/// Resident-footprint estimate of one value (the 16 B enum slot, whose
+/// string handle is one pointer, plus the string payload's bytes; shared
+/// payloads are charged per reference, an upper bound).
 pub fn value_bytes(v: &Value) -> u64 {
     let base = std::mem::size_of::<Value>() as u64;
     match v {

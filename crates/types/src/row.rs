@@ -21,10 +21,14 @@ use std::sync::Arc;
 
 use crate::value::Value;
 
-/// Widest row stored without heap allocation. Four `Value`s cover every
-/// paper workload (≤ 3 columns) and binary-join outputs up to 2+2; wider
-/// rows spill to shared storage.
+/// Widest row stored without heap allocation. Four `Value`s (16 B each,
+/// 64 B inline; a [`Row`] is 72 B with its length) cover every paper
+/// workload (≤ 3 columns) and binary-join outputs up to 2+2; wider rows
+/// spill to shared storage.
 pub const INLINE_ROW_CAP: usize = 4;
+
+// Layout pin: four inline 16 B values plus the length byte.
+const _: () = assert!(std::mem::size_of::<Row>() == 72);
 
 const NULL_ROW: [Value; INLINE_ROW_CAP] = [Value::Null, Value::Null, Value::Null, Value::Null];
 

@@ -43,6 +43,9 @@ pub struct Tuple {
     pub body: TupleBody,
 }
 
+// Layout pin: a [`Row`] (72 B) plus `ts` and `entry`.
+const _: () = assert!(std::mem::size_of::<Tuple>() == 88);
+
 impl Tuple {
     /// Creates a data tuple whose entry time equals its timestamp (the
     /// common case for internally timestamped sources). Accepts anything

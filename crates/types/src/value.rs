@@ -53,9 +53,15 @@ pub enum Value {
     Float(f64),
     /// Boolean.
     Bool(bool),
-    /// Shared UTF-8 string.
-    Str(Arc<str>),
+    /// Shared UTF-8 string: a thin handle (one pointer) to reference
+    /// counted bytes, so a string costs a `Value` no more than an `i64`
+    /// does. Equality, order and hash are on the contents.
+    Str(Arc<Box<str>>),
 }
+
+// Layout pin: `Str`'s thin handle keeps every value at a tag plus one
+// word, the width of an `i64` payload.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Convenience constructor for string values. The payload is interned
@@ -68,7 +74,7 @@ impl Value {
     /// Constructs a string value without interning — for payloads known
     /// to be unique (free-form text) where table lookups are waste.
     pub fn str_uninterned(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(Box::from(s.as_ref())))
     }
 
     /// The dynamic type of this value, or `None` for `Null`.
@@ -418,6 +424,30 @@ mod tests {
             "uninterned constructor must not share"
         );
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn interned_and_uninterned_strings_are_the_same_value() {
+        let interned = Value::str("value-thin-handle-test");
+        let plain = Value::str_uninterned("value-thin-handle-test");
+        assert_eq!(interned, plain);
+        assert_eq!(interned.cmp(&plain), Ordering::Equal);
+        assert_eq!(h(&interned), h(&plain));
+        // Order is on the contents, not on the handle.
+        assert!(Value::str_uninterned("a") < Value::str("b"));
+        assert!(Value::str("b") > Value::str_uninterned("a"));
+    }
+
+    #[test]
+    fn map_keyed_by_interned_string_finds_uninterned_key() {
+        let mut m = std::collections::HashMap::new();
+        m.insert(Value::str("value-map-key-test"), 1);
+        m.insert(Value::Int(3), 2);
+        assert_eq!(
+            m.get(&Value::str_uninterned("value-map-key-test")),
+            Some(&1)
+        );
+        assert_eq!(m.get(&Value::str_uninterned("value-map-key-tesT")), None);
     }
 
     #[test]
